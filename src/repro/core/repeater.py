@@ -258,20 +258,21 @@ class RepeaterSystem:
         simulated (not modeled) with an ``n_segments`` PI ladder.  ``k``
         is rounded to an integer as only whole sections are realizable.
         ``window`` sets the simulated span in units of the section's
-        Elmore-like time scale.
+        Elmore-like time scale.  Stepping stops at the section's first
+        50% crossing, which leaves the delay unchanged.
         """
-        from repro.spice.ladder import build_ladder_state_space
-        from repro.spice.statespace import simulate_step
+        from repro.core.simulate import _LEVEL_50, _ladder_step
 
         design = design.quantized()
         section = self.section_line(design)
-        spec = section.ladder(n_segments=n_segments)
-        model = build_ladder_state_space(spec)
         scale = max(
             scaled_delay(section.zeta) / section.omega_n,
             1.0 / section.omega_n,
         )
-        waveform = simulate_step(model, window * scale, n_samples=n_samples)[0]
+        waveform = _ladder_step(
+            section.ladder(n_segments=n_segments), window * scale, n_samples,
+            stop_at=_LEVEL_50,
+        )
         return design.k * waveform.delay_50(v_final=1.0)
 
     def total_area(self, design: RepeaterDesign) -> float:

@@ -20,6 +20,14 @@ one of the three independent substrate routes:
 All routes return the 50% crossing of the far-end voltage for a unit
 step applied at ``t = 0``.
 
+Delay queries on the ``statespace`` route stop stepping at the first
+50% crossing (see ``stop_at`` in
+:func:`~repro.spice.statespace.simulate_step`): the samples up to it are
+the full run's, so the delay is bit-identical, and the rest of the
+window is never computed.  :func:`simulated_step_waveform` still
+returns the full window.  ``window`` still sets the sample spacing
+``dt = span / (n_samples - 1)``, so it still affects the delay.
+
 Route guidance: for *bare* (or nearly bare) underdamped lines whose 50%
 crossing lands on the arriving wavefront -- ``RT = CT ~ 0`` with
 ``2*exp(-2*zeta)`` near 0.5 -- the lumped routes ring at the front and
@@ -75,6 +83,27 @@ def _time_window(line: DriverLineLoad, window: float) -> float:
     """
     t_model = propagation_delay(line)
     return window * max(t_model, 1.0 / line.omega_n)
+
+
+#: The level :func:`~repro.tline.waveform.propagation_delay_50` seeks
+#: with ``v_final=1`` on a ladder that starts at rest: ``v[0] = 0``, so
+#: ``v[0] + 0.5 * (1.0 - v[0])`` is exactly 0.5.
+_LEVEL_50 = 0.5
+
+
+def _ladder_step(
+    spec, span: float, n_samples: int, stop_at: float | None = None
+) -> Waveform:
+    """Far-end unit-step response of a ladder on the statespace route.
+
+    ``stop_at`` ends the waveform at its first rise through that level,
+    as in :func:`~repro.spice.statespace.simulate_step`.
+    """
+    from repro.spice.ladder import build_ladder_state_space
+    from repro.spice.statespace import simulate_step
+
+    model = build_ladder_state_space(spec)
+    return simulate_step(model, span, n_samples=n_samples, stop_at=stop_at)[0]
 
 
 def simulated_step_waveform(
@@ -134,11 +163,7 @@ def simulated_step_waveform(
 
     spec = line.ladder(n_segments=n_segments)
     if route is SimulatorRoute.STATESPACE:
-        from repro.spice.ladder import build_ladder_state_space
-        from repro.spice.statespace import simulate_step
-
-        model = build_ladder_state_space(spec)
-        return simulate_step(model, span, n_samples=n_samples)[0]
+        return _ladder_step(spec, span, n_samples)
 
     from repro.spice.ladder import build_ladder_circuit
     from repro.spice.transient import simulate_transient
@@ -172,11 +197,18 @@ def simulated_delay_50(
     >>> 1.0e-9 < t50 < 1.1e-9    # paper Table 1: ~1.06 ns
     True
     """
-    waveform = simulated_step_waveform(
-        line, route=route, n_segments=n_segments, n_samples=n_samples,
-        window=window, dt=dt, backend=backend,
-        model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
-    )
+    route = SimulatorRoute(route)
+    if route is SimulatorRoute.STATESPACE:
+        waveform = _ladder_step(
+            line.ladder(n_segments=n_segments), _time_window(line, window),
+            n_samples, stop_at=_LEVEL_50,
+        )
+    else:
+        waveform = simulated_step_waveform(
+            line, route=route, n_segments=n_segments, n_samples=n_samples,
+            window=window, dt=dt, backend=backend,
+            model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
+        )
     try:
         return waveform.delay_50(v_final=1.0)
     except AnalysisError as exc:

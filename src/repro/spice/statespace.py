@@ -22,11 +22,13 @@ inverse-Laplace of the exact line).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from repro import obs
 from repro.errors import ParameterError, SimulationError
 from repro.tline.waveform import Waveform
 
@@ -124,6 +126,7 @@ def simulate_step(
     n_samples: int = 1001,
     u: float | np.ndarray = 1.0,
     x0: np.ndarray | None = None,
+    stop_at: float | None = None,
 ) -> list[Waveform]:
     """Simulate the response to a constant input applied at ``t = 0``.
 
@@ -139,6 +142,16 @@ def simulate_step(
         The constant input vector (scalar broadcast to all inputs).
     x0:
         Initial state (defaults to rest).
+    stop_at:
+        Stop stepping at the first sample where the (single) output
+        rises through this level -- a sample strictly below it followed
+        by one at or above it, the transition rule of
+        :func:`~repro.tline.waveform.first_crossing` -- and return
+        waveforms that end at that sample.  The grid and every returned
+        sample are identical to the full run's, so a first-crossing
+        measurement on the shortened waveform is unchanged.  Without
+        such a transition the whole window is stepped.  ``None`` (the
+        default) always steps all ``n_samples``.
 
     Returns
     -------
@@ -150,22 +163,43 @@ def simulate_step(
         raise ParameterError(f"n_samples must be >= 2, got {n_samples}")
     if t_stop <= 0 or not np.isfinite(t_stop):
         raise ParameterError(f"t_stop must be positive and finite, got {t_stop}")
+    if stop_at is not None:
+        if system.n_outputs != 1:
+            raise ParameterError(
+                f"stop_at needs a single-output system, got {system.n_outputs} outputs"
+            )
+        if not math.isfinite(stop_at):
+            raise ParameterError(f"stop_at must be finite, got {stop_at}")
     u_vec = np.broadcast_to(np.asarray(u, dtype=float).ravel(), (system.n_inputs,))
     x = np.zeros(system.order) if x0 is None else np.asarray(x0, dtype=float).copy()
     if x.shape != (system.order,):
         raise ParameterError(f"x0 must have shape ({system.order},), got {x.shape}")
 
-    times = np.linspace(0.0, t_stop, n_samples)
-    dt = times[1] - times[0]
-    e, f = system.discretize(dt)
-    fu = f @ u_vec
-    du = system.d @ u_vec
+    with obs.span("statespace.step", n=system.order) as sp:
+        times = np.linspace(0.0, t_stop, n_samples)
+        dt = times[1] - times[0]
+        e, f = system.discretize(dt)
+        fu = f @ u_vec
+        du = system.d @ u_vec
 
-    outputs = np.empty((n_samples, system.n_outputs))
-    outputs[0] = system.c @ x + du
-    for k in range(1, n_samples):
-        x = e @ x + fu
-        outputs[k] = system.c @ x + du
+        # Comparisons with NaN are false, so without ``stop_at`` the loop
+        # never stops early.
+        level = math.nan if stop_at is None else float(stop_at)
+        outputs = np.empty((n_samples, system.n_outputs))
+        outputs[0] = system.c @ x + du
+        below = outputs[0, 0] < level
+        end = n_samples
+        for k in range(1, n_samples):
+            x = e @ x + fu
+            outputs[k] = system.c @ x + du
+            y = outputs[k, 0]
+            if below and y >= level:
+                end = k + 1
+                break
+            below = y < level
+        sp.set(samples=end, stopped_early=end < n_samples)
+        obs.inc("spice.statespace.samples", end)
+    outputs = outputs[:end]
     if not np.all(np.isfinite(outputs)):
         raise SimulationError("state-space simulation produced non-finite values")
-    return [Waveform(times, outputs[:, j].copy()) for j in range(system.n_outputs)]
+    return [Waveform(times[:end], outputs[:, j].copy()) for j in range(system.n_outputs)]
