@@ -24,8 +24,13 @@ Delay queries on the ``statespace`` route stop stepping at the first
 50% crossing (see ``stop_at`` in
 :func:`~repro.spice.statespace.simulate_step`): the samples up to it are
 the full run's, so the delay is bit-identical, and the rest of the
-window is never computed.  :func:`simulated_step_waveform` still
-returns the full window.  ``window`` still sets the sample spacing
+window is never computed.  MNA delay batches
+(:func:`simulated_delay_50_batch`) likewise stop the lockstep loop once
+every point of a batch has crossed 50% (see ``stop_at`` in
+:func:`~repro.spice.transient.simulate_transient_batch`), with the same
+bit-identical delays.  :func:`simulated_step_waveform` and direct
+:func:`~repro.spice.transient.simulate_transient_batch` calls still
+return the full window.  ``window`` still sets the sample spacing
 ``dt = span / (n_samples - 1)``, so it still affects the delay.
 
 Route guidance: for *bare* (or nearly bare) underdamped lines whose 50%
@@ -133,7 +138,8 @@ def simulated_step_waveform(
     window:
         Simulated span in units of ``max(t_pd, 1/omega_n)``.
     dt:
-        Time step for the MNA route (defaults to ``span / n_samples``).
+        Time step for the MNA route (defaults to
+        ``span / (n_samples - 1)``).
     backend:
         Linear-solver backend for the MNA route (``"auto"`` |
         ``"dense"`` | ``"sparse"`` | ``"banded"`` or a
@@ -250,6 +256,14 @@ def simulated_delay_50_batch(
     MNA route's batch path, so a ``"reduced"``/``"auto"`` batch pays
     one cached projection per structure class and answers every member
     from the ``q``-space recurrence.
+
+    On the full tier each class's lockstep loop stops once every member
+    has risen through 50% (``stop_at``): every ladder starts at rest,
+    so that is exactly the level ``delay_50(v_final=1.0)`` seeks, and
+    the samples up to the last crossing are the full run's -- the
+    delays are bit-identical to a full-window run.  A class with a
+    member that never crosses steps its whole window, and the error is
+    the same as before.  Reduced-tier serves keep the whole window.
     """
     lines = list(lines)
     route = SimulatorRoute(route)
@@ -307,6 +321,7 @@ def simulated_delay_50_batch(
             model=model,
             rom_order=rom_order,
             rom_error_bound=rom_error_bound,
+            stop_at=_LEVEL_50,
         )
         voltages = result.voltage(output_node)
         for k, i in enumerate(members):

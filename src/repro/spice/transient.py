@@ -42,6 +42,7 @@ so a single matrix factorization still serves every step.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -376,10 +377,14 @@ class TransientBatchResult:
     times:
         Shared grid of shape ``(n_steps + 1,)`` when every batch point
         uses the same span, else per-point grids ``(B, n_steps + 1)``.
+        ``n_steps`` counts the steps actually taken: under ``stop_at``
+        the grid is the requested one cut after the last point's
+        crossing, so it may end before ``t_stop``.
     states:
         Solutions of shape ``(B, n_steps + 1, R)`` where ``R`` is the
         number of recorded MNA rows (all of them unless the simulation
-        was given an explicit ``record`` list).
+        was given an explicit ``record`` list), over the same steps as
+        ``times``.
     structure:
         The shared :class:`~repro.spice.mna.MnaStructure` (for index
         lookups).
@@ -399,7 +404,11 @@ class TransientBatchResult:
 
     @property
     def n_steps(self) -> int:
-        """Number of time steps taken (shared by every point)."""
+        """Number of time steps taken (shared by every point).
+
+        Fewer than the requested grid's when ``stop_at`` ended the run
+        early.
+        """
         return self.states.shape[1] - 1
 
     def times_of(self, point: int) -> np.ndarray:
@@ -509,6 +518,7 @@ def simulate_transient_batch(
     model: str = "full",
     rom_order: int | None = None,
     rom_error_bound: float | None = None,
+    stop_at: float | None = None,
 ) -> TransientBatchResult:
     """Step a batch of structure-identical circuits in lockstep.
 
@@ -553,6 +563,19 @@ def simulate_transient_batch(
         point pays only ``O(groups * q^2)`` projected revaluation, and
         under ``model="auto"`` individual points whose error estimate
         exceeds the bound are transparently re-run on the full path.
+    stop_at:
+        Stop stepping after the step where every point's recorded value
+        has risen through this level -- a sample strictly below it
+        followed by one at or above it, the transition rule of
+        :func:`~repro.tline.waveform.first_crossing` -- and return
+        ``times`` and ``states`` cut to the steps taken.  Every returned
+        sample is the full run's, so a first-crossing measurement on the
+        result is unchanged; if any point never crosses, the whole
+        window is stepped.  Needs exactly one recorded row
+        (``record=[node]``) and a finite level.  Only the full-tier loop
+        stops early: a batch served by the reduced tier, and the
+        ``model="auto"`` per-point fallback, keep the whole window.
+        ``None`` (the default) always steps the whole window.
 
     Notes
     -----
@@ -573,6 +596,15 @@ def simulate_transient_batch(
         raise ParameterError("dt must be positive and finite for every point")
     if np.any(t_stop <= t_start):
         raise ParameterError("t_stop must exceed t_start for every point")
+    if stop_at is not None:
+        n_recorded = size if record is None else len(record)
+        if n_recorded != 1:
+            raise ParameterError(
+                "stop_at needs exactly one recorded row (record=[node]), "
+                f"got {n_recorded}"
+            )
+        if not math.isfinite(stop_at):
+            raise ParameterError(f"stop_at must be finite, got {stop_at}")
 
     spans = t_stop - t_start
     steps = np.maximum(
@@ -678,6 +710,10 @@ def simulate_transient_batch(
             b_prev = _rhs_rows(structure, times[:, 0])  # (B, size)
 
         trapezoidal = method is IntegrationMethod.TRAPEZOIDAL
+        steps_run = n_steps
+        if stop_at is not None:
+            below = states[:, 0, 0] < stop_at
+            crossed = np.zeros(n_points, dtype=bool)
         for k in range(n_steps):
             if shared_grid:
                 b_term = b_all[k + 1] + b_all[k] if trapezoidal else b_all[k + 1]
@@ -701,6 +737,19 @@ def simulate_transient_batch(
                     x_next[members] = fact.solve_many(rhs).T
             x = x_next
             states[:, k + 1, :] = x[:, rec_rows]
+            if stop_at is not None:
+                value = states[:, k + 1, 0]
+                crossed |= below & (value >= stop_at)
+                if crossed.all():
+                    steps_run = k + 1
+                    break
+                below = value < stop_at
+
+        if steps_run < n_steps:
+            states = states[:, : steps_run + 1]
+            times = times[..., : steps_run + 1]
+        sp.set(steps_run=steps_run, stopped_early=steps_run < n_steps)
+        obs.inc("spice.transient.batch_steps", steps_run)
 
         if not (np.all(np.isfinite(states)) and np.all(np.isfinite(x))):
             raise SimulationError(
