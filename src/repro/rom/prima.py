@@ -122,6 +122,18 @@ _SNAPSHOT_ARNOLDI_ORDER = 0
 #: comfortable margin inside the 1% delay budget.
 _SNAPSHOT_ORDER_CAP = 92
 
+#: Points per block of the batched reduced serve
+#: (:func:`reduced_transient_batch`).  A block's step operators (about
+#: ``16 * q^2`` doubles, ~1 MB at q = 92) stay cache-resident across the
+#: recurrence, where one 256-wide stack streams ~17 MB from memory on
+#: every step.  The size must stay a multiple of the BLAS kernels' row
+#: unroll, so that each point's rounding does not depend on its block
+#: and blocked serves agree bit for bit with one wide stack (measured
+#: with OpenBLAS on x86-64: 8, 12, 16 and 32 agree, 5 does not).  8, 16
+#: and 32 served the 256-point bus batch within noise of each other;
+#: 256 (unblocked) was about 1.5x slower.
+_SERVE_BLOCK = 16
+
 #: Corner-sample budget for parameter boxes: with ``k`` varying
 #: parameters a box has ``2^k`` corners, so full enumeration is capped
 #: and wide boxes degrade to the all-min / all-max diagonal corners.
@@ -933,7 +945,10 @@ class ReducedTemplate:
         return n_points, get
 
     def batch_dc_states(
-        self, columns: Mapping[str, np.ndarray], wq0: np.ndarray
+        self,
+        columns: Mapping[str, np.ndarray],
+        wq0: np.ndarray,
+        order: int | None = None,
     ) -> np.ndarray:
         """Reduced DC operating points ``(B, q)`` for a value batch.
 
@@ -942,10 +957,12 @@ class ReducedTemplate:
         combination many times (a 16 x 16 grid over one G parameter and
         one C parameter has 16 unique DC systems, not 256), so the
         factorizations run once per unique value row and scatter back
-        to all points sharing it.
+        to all points sharing it.  ``order`` restricts the solve to a
+        basis prefix (the leading principal blocks, as for the nested
+        suborder); ``wq0`` then holds that many entries.
         """
         n_points, get = self._batch_columns(columns)
-        q = self.order
+        q = self.order if order is None else int(order)
         k = len(self._g_groups)
         vals = np.empty((n_points, k))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -960,10 +977,10 @@ class ReducedTemplate:
             )
         uniq, inverse = np.unique(vals, axis=0, return_inverse=True)
         gq = np.broadcast_to(
-            self._g_const, (uniq.shape[0], q, q)
+            self._g_const[:q, :q], (uniq.shape[0], q, q)
         ).copy()
         for i, (_key, mat) in enumerate(self._g_groups):
-            gq += uniq[:, i, None, None] * mat
+            gq += uniq[:, i, None, None] * mat[:q, :q]
         z0 = _batch_dc_solve(gq, np.broadcast_to(wq0, (uniq.shape[0], q)))
         return z0[inverse]
 
@@ -1137,93 +1154,125 @@ def cached_reduced_template(
     return template
 
 
+def _serve_blocks(n_points: int) -> list[slice]:
+    """Point slices of :data:`_SERVE_BLOCK` for the blocked reduced serve.
+
+    A trailing single point joins the block before it: numpy hands a
+    one-row matmul to a different BLAS routine (``gemv``/``dot``
+    instead of ``gemm``/``gemv``), whose rounding differs from the row's
+    place inside a wider product, so a lone block would break bit-for-
+    bit agreement with the unblocked serve.
+    """
+    edges = list(range(0, n_points, _SERVE_BLOCK)) + [n_points]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 def _batch_recurrence(
     gq: np.ndarray,
     cq: np.ndarray,
-    wq: np.ndarray,
-    dt_eff: np.ndarray,
-    trapezoidal: bool,
-    initial,
-    basis: np.ndarray,
+    weight: np.ndarray,
+    fac: float,
+    drive: np.ndarray,
+    w_terms: np.ndarray | None,
+    z0: np.ndarray,
     rec_basis: np.ndarray,
-    source: tuple[np.ndarray, np.ndarray] | None = None,
-    z0: np.ndarray | None = None,
-    overwrite_cq: bool = False,
-) -> np.ndarray:
-    """Stacked reduced companion-model integration over a batch.
+    z0_sub: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stacked reduced companion-model integration over one point block.
 
-    ``gq``/``cq`` are ``(B, q, q)``; ``wq`` is the projected source term
-    (``(K+1, q)`` for a shared grid or ``(B, K+1, q)`` per point);
-    ``rec_basis`` is ``V[recorded_rows, :q]``.  Every step is one
-    batched ``q x q`` mat-vec plus two cheap vector updates.  Returns
-    the recorded outputs, shape ``(B, K+1, R)``.  ``overwrite_cq``
-    lets the lhs assembly reuse ``cq``'s buffer (pass ``True`` only
-    when the caller is done with it).
+    ``gq``/``cq`` are ``(b, q, q)``, ``weight`` the per-point ``fac /
+    dt``; ``rec_basis`` is ``V[recorded_rows, :q]`` and ``z0`` the
+    ``(b, q)`` start states.  The companion update is ``z' = lhs^-1
+    (hist z + b)`` with ``lhs = G + w C`` and ``hist = lhs - fac G``,
+    i.e. ``z' = z - fac (lhs^-1 G) z + lhs^-1 b``: one stacked LU
+    serves ``lhs^-1 [G | drive]``, where the ``(b, q, c)`` ``drive``
+    holds either the ``m`` projected input columns ``Bq`` (then
+    ``w_terms``, the ``(b, K, m)`` source samples combined per step,
+    recombines them: ``lhs^-1 Bq w^T``) or, when ``m >= K``, the ``K``
+    per-step source terms themselves (``w_terms is None``).  Every step
+    is then one batched ``q x q`` mat-vec plus two vector updates.
+
+    With ``z0_sub`` (``(b, q - 1)`` start states) the same solve also
+    serves the nested suborder: the unit column ``e_q`` is bordered onto
+    the right-hand side and :func:`_drop_last_direction` turns the
+    solution into the ``q - 1`` operators in ``O(q^2)`` per point, so
+    both orders share one factorization.  Returns ``(states,
+    states_sub)``, each ``(b, K+1, R)``; ``states_sub`` is ``None``
+    without ``z0_sub`` and may be non-finite where the suborder pencil
+    is singular.
     """
     n_points, q = gq.shape[0], gq.shape[1]
-    shared_grid = wq.ndim == 2
-    n_steps = (wq.shape[0] if shared_grid else wq.shape[1]) - 1
-
-    # The companion update is z' = lhs^-1 (hist z + b) with
-    # lhs = G + w C and hist = w C - G (trapezoidal) or w C (backward
-    # Euler), i.e. hist = lhs - fac G with fac = 2 or 1.  Substituting
-    # gives z' = z - fac (lhs^-1 G) z + lhs^-1 b: one batched LU then
-    # serves S = lhs^-1 [G | B-columns] in a single stacked solve --
-    # G rides along verbatim as right-hand side (no history matrix is
-    # ever formed), and the per-step source terms live in the
-    # m-dimensional span of Bq, so when m < K the solve carries only
-    # the m input columns and the per-step terms come from a cheap
-    # (B, q, m) @ (m, K) recombination afterwards.
-    fac = 2.0 if trapezoidal else 1.0
-    via_inputs = source is not None and source[1].shape[1] < n_steps
-    m_cols = source[1].shape[1] if via_inputs else n_steps
-    weight = fac / dt_eff
-    rhs = np.empty((n_points, q, q + m_cols))
+    n_drive = drive.shape[-1]
+    bordered = z0_sub is not None
+    rhs = np.empty((n_points, q, q + n_drive + bordered))
     rhs[:, :, :q] = gq
-    if overwrite_cq:
-        lhs = cq
-        np.multiply(cq, weight[:, None, None], out=lhs)
-        lhs += gq
-    else:
-        lhs = weight[:, None, None] * cq
-        lhs += gq
-    if via_inputs:
-        w_samples, bq = source
-        rhs[:, :, q:] = bq
-    elif shared_grid:
-        terms = wq[1:] + wq[:-1] if trapezoidal else wq[1:]
-        rhs[:, :, q:] = terms.T
-    else:
-        terms = wq[:, 1:] + wq[:, :-1] if trapezoidal else wq[:, 1:]
-        rhs[:, :, q:] = terms.transpose(0, 2, 1)
+    rhs[:, :, q : q + n_drive] = drive
+    if bordered:
+        rhs[:, :, -1] = 0.0
+        rhs[:, -1, -1] = 1.0
+    lhs = weight[:, None, None] * cq
+    lhs += gq
     try:
         solved = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise SimulationError(
             "singular reduced transient system matrix in batch"
         ) from exc
-    step_g = solved[:, :, :q]
-    if via_inputs:
-        # terms^T = Bq w^T, so lhs^-1 terms^T = (lhs^-1 Bq) w^T.
-        if shared_grid:
-            w_terms = w_samples[1:] + w_samples[:-1] if trapezoidal else w_samples[1:]
-            step_in = np.matmul(solved[:, :, q:], w_terms.T)
-        else:
-            w_terms = (
-                w_samples[:, 1:] + w_samples[:, :-1]
-                if trapezoidal
-                else w_samples[:, 1:]
-            )
-            step_in = np.matmul(solved[:, :, q:], w_terms.transpose(0, 2, 1))
-    else:
-        step_in = solved[:, :, q:]
+    states = _step_states(
+        solved[:, :, :q], solved[:, :, q : q + n_drive], w_terms, fac, z0,
+        rec_basis,
+    )
+    if not bordered:
+        return states, None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sub = _drop_last_direction(solved, q + n_drive)
+        states_sub = _step_states(
+            sub[:, :, : q - 1], sub[:, :, q:], w_terms, fac, z0_sub,
+            rec_basis[:, : q - 1],
+        )
+    return states, states_sub
 
-    if z0 is not None:
-        z = z0
+
+def _drop_last_direction(solved: np.ndarray, width: int) -> np.ndarray:
+    """Suborder operators ``A11^-1 T[:q-1]`` from a bordered solve.
+
+    ``solved = lhs^-1 [T | e_q]`` with ``T = [G | drive]`` (``width``
+    columns) and ``A11`` the leading ``(q-1) x (q-1)`` block of ``lhs =
+    [[A11, a12], [a21, a22]]``.  Write ``S = lhs^-1 T`` and ``y = lhs^-1
+    e_q``.  Zeroing row ``q-1`` of ``T`` gives ``U = S - y (x) T[q-1]``,
+    whose top rows satisfy ``A11 U1 + a12 u2 = T[:q-1]``; with ``A11 y1
+    + a12 y2 = 0`` that yields ``A11^-1 T[:q-1] = U1 - (y1 / y2) (x)
+    u2``, where the ``T[q-1]`` terms cancel: ``S1 - (y1 / y2) (x)
+    S[q-1]``, one rank-1 correction, ``O(q^2)`` per point.  Returns
+    ``(b, q-1, width)``: columns ``:q-1`` are the suborder's ``lhs2^-1
+    G2`` and columns ``q:`` its ``lhs2^-1 drive2``.  A singular ``A11``
+    has ``y2 = 0`` and yields non-finite columns (callers silence the
+    warnings).
+    """
+    last = solved.shape[1] - 1
+    y = solved[:, :, -1]
+    sub = (y[:, :last] / y[:, last, None])[:, :, None] * solved[:, last, None, :width]
+    return np.subtract(solved[:, :last, :width], sub, out=sub)
+
+
+def _step_states(
+    step_g: np.ndarray,
+    solved_drive: np.ndarray,
+    w_terms: np.ndarray | None,
+    fac: float,
+    z: np.ndarray,
+    rec_basis: np.ndarray,
+) -> np.ndarray:
+    """Run the recurrence ``z' = z - fac S_G z + S_b`` and record outputs."""
+    if w_terms is None:
+        step_in = solved_drive
     else:
-        wq0 = wq[0] if shared_grid else wq[:, 0]
-        z = _batch_initial_reduced(gq, wq0, initial, basis, n_points, q)
-    out = np.empty((n_points, n_steps + 1, rec_basis.shape[0]))
+        # drive^T = Bq w^T, so lhs^-1 drive^T = (lhs^-1 Bq) w^T.
+        step_in = np.matmul(solved_drive, np.swapaxes(w_terms, -1, -2))
+    n_steps = step_in.shape[2]
+    out = np.empty((z.shape[0], n_steps + 1, rec_basis.shape[0]))
     out[:, 0] = z @ rec_basis.T
     for k in range(n_steps):
         z = z - fac * np.matmul(step_g, z[:, :, None])[:, :, 0] + step_in[:, :, k]
@@ -1231,15 +1280,26 @@ def _batch_recurrence(
     return out
 
 
-def _batch_initial_reduced(
-    gq: np.ndarray,
-    wq0: np.ndarray,
+def _start_states(
+    template: "ReducedTemplate",
+    columns: Mapping[str, np.ndarray],
     initial,
-    basis: np.ndarray,
+    wq: np.ndarray,
     n_points: int,
     q: int,
-) -> np.ndarray:
-    """Per-point reduced start states ``(B, q)`` (mirrors the full path)."""
+) -> np.ndarray | None:
+    """Reduced start states ``(B, q)`` at order ``q`` (mirrors the full path).
+
+    DC starts on a shared grid dedup over the conductance-value rows
+    (:meth:`ReducedTemplate.batch_dc_states`); on per-point grids they
+    need each point's own ``Gq`` and source sample, so ``None`` asks the
+    caller to solve them block by block with :func:`_batch_dc_solve`.
+    """
+    if isinstance(initial, str) and initial == "dc":
+        if wq.ndim == 2:
+            return template.batch_dc_states(columns, wq[0, :q], order=q)
+        return None
+    basis = template.rom.basis
     n = basis.shape[0]
     if isinstance(initial, np.ndarray):
         if initial.shape == (n,):
@@ -1253,11 +1313,23 @@ def _batch_initial_reduced(
         )
     if initial == "zero":
         return np.zeros((n_points, q))
-    if initial != "dc":
-        raise ParameterError(
-            f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
-        )
-    return _batch_dc_solve(gq, np.broadcast_to(wq0, (n_points, q)))
+    raise ParameterError(
+        f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
+    )
+
+
+def _block_start(
+    z0: np.ndarray | None, blk: slice, gq: np.ndarray, wq: np.ndarray, q: int
+) -> np.ndarray:
+    """One block's order-``q`` start states: rows of ``z0``, or DC solves.
+
+    ``z0 is None`` marks DC starts on per-point grids (see
+    :func:`_start_states`): each point's leading ``q x q`` block of its
+    own ``Gq`` against its own first source sample.
+    """
+    if z0 is not None:
+        return z0[blk]
+    return _batch_dc_solve(gq[:, :q, :q], wq[blk, 0, :q])
 
 
 def _batch_dc_solve(gq: np.ndarray, wq0: np.ndarray) -> np.ndarray:
@@ -1302,54 +1374,94 @@ def reduced_transient_batch(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Reduced-tier lockstep transient over one parameter batch.
 
-    The q-space counterpart of the full batch integrator: projected
-    matrices per point via :meth:`ReducedTemplate.reduce_many`, one
-    stacked recurrence at full order ``q`` and -- when ``estimates`` is
-    requested -- one at the nested suborder ``q2``, yielding a
-    per-point convergence defect ``max_t |y_q - y_q2| / max_t |y_q|``
-    folded with the build-time moment error.  ``times`` is the
-    already-validated grid from the caller (``(K+1,)`` shared or
-    ``(B, K+1)``); ``rec_rows`` the recorded MNA rows.  Returns
-    ``(states, estimates)`` with ``states`` of shape
-    ``(B, K+1, len(rec_rows))`` and ``estimates`` of shape ``(B,)`` --
-    non-finite outputs yield infinite estimates rather than raising, so
-    ``model="auto"`` can fall back per point.  ``estimates=False``
-    (the ``model="reduced"`` fast path, which never falls back) skips
-    the suborder pass and returns ``None`` estimates, halving the
-    per-point integration work.
+    The q-space counterpart of the full batch integrator, served in
+    blocks of :data:`_SERVE_BLOCK` points: per block, projected matrices
+    via :meth:`ReducedTemplate.reduce_many`, one stacked factorization
+    and the recurrence at full order ``q`` -- and, when ``estimates``
+    is requested, at the nested suborder ``q2 = q - 1`` from the *same*
+    factorization (:func:`_batch_recurrence` borders ``e_q`` onto the
+    right-hand side), yielding a per-point convergence defect
+    ``max_t |y_q - y_q2| / max_t |y_q|`` folded with the build-time
+    moment error.  ``times`` is the already-validated grid from the
+    caller (``(K+1,)`` shared or ``(B, K+1)``); ``rec_rows`` the
+    recorded MNA rows.  Returns ``(states, estimates)`` with ``states``
+    of shape ``(B, K+1, len(rec_rows))`` and ``estimates`` of shape
+    ``(B,)``.  ``estimates=False`` (the ``model="reduced"`` fast path,
+    which never falls back) skips the suborder and returns ``None``
+    estimates.
+
+    Error contract: every non-finite estimate is ``inf``, never an
+    exception, so ``model="auto"`` falls back to the full tier for
+    exactly those points.  That covers diverged full-order states and a
+    singular suborder pencil (its leading ``q2 x q2`` block has no
+    inverse, so the bordered solve yields non-finite suborder states for
+    that point alone).  A singular full-order pencil still raises
+    :class:`~repro.errors.SimulationError`.
     """
     from repro.spice.transient import IntegrationMethod
 
     rom = template.rom
     trapezoidal = IntegrationMethod(method) is IntegrationMethod.TRAPEZOIDAL
-    gq, cq = template.reduce_many(columns)
+    fac = 2.0 if trapezoidal else 1.0
+    n_points, get = template._batch_columns(columns)
     w_samples = rom._source_matrix(times)
     bq = rom._bq
     wq = w_samples @ bq.T
-    basis = rom.basis
-    rec_basis = basis[np.asarray(rec_rows, dtype=np.intp)]
+    rec_basis = rom.basis[np.asarray(rec_rows, dtype=np.intp)]
+    q = rom.order
+    q_sub = q - 1 if estimates and rom.suborder() < q else 0
+    n_steps = wq.shape[-2] - 1
 
-    # On a shared grid the DC start states dedup across points that
-    # share a conductance-value row (grid sweeps revisit few unique DC
-    # systems), which is much cheaper than a second (B, q, q) stacked
-    # factorization next to the stepping solve.
-    z0 = None
-    if isinstance(initial, str) and initial == "dc" and wq.ndim == 2:
-        z0 = template.batch_dc_states(columns, wq[0])
+    # The per-step source terms live in the m-dimensional span of Bq,
+    # so when m < K the solve carries only the m input columns and the
+    # terms come from a cheap recombination afterwards.
+    if bq.shape[1] < n_steps:
+        drive = bq
+        w_terms = w_samples[..., 1:, :]
+        if trapezoidal:
+            w_terms = w_terms + w_samples[..., :-1, :]
+        w_terms = np.broadcast_to(w_terms, (n_points,) + w_terms.shape[-2:])
+    else:
+        w_terms = None
+        drive = wq[..., 1:, :] + wq[..., :-1, :] if trapezoidal else wq[..., 1:, :]
+        drive = np.swapaxes(drive, -1, -2)
+    drive = np.broadcast_to(drive, (n_points,) + drive.shape[-2:])
 
-    states = _batch_recurrence(
-        gq,
-        cq,
-        wq,
-        dt_eff,
-        trapezoidal,
-        initial,
-        basis,
-        rec_basis,
-        source=(w_samples, bq),
-        z0=z0,
-        overwrite_cq=not estimates,
+    z0 = _start_states(template, columns, initial, wq, n_points, q)
+    z0_sub = (
+        _start_states(template, columns, initial, wq, n_points, q_sub)
+        if q_sub
+        else None
     )
+    weight = fac / dt_eff
+    states = np.empty((n_points, n_steps + 1, rec_basis.shape[0]))
+    defect = np.zeros(n_points)
+    blocks = _serve_blocks(n_points)
+    attrs = dict(order=q, suborder=q_sub, blocks=len(blocks))
+    for blk in blocks:
+        with obs.span("rom.reduce_many", **attrs):
+            gq, cq = template.reduce_many(
+                {name: get(name)[blk] for name in columns}
+            )
+        with obs.span("rom.recurrence", **attrs):
+            states[blk], states_sub = _batch_recurrence(
+                gq,
+                cq,
+                weight[blk],
+                fac,
+                drive[blk],
+                None if w_terms is None else w_terms[blk],
+                _block_start(z0, blk, gq, wq, q),
+                rec_basis,
+                _block_start(z0_sub, blk, gq, wq, q_sub) if q_sub else None,
+            )
+        if q_sub:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                denom = np.max(np.abs(states[blk]), axis=(1, 2))
+                denom = np.where(denom > 0.0, denom, 1.0)
+                defect[blk] = (
+                    np.max(np.abs(states[blk] - states_sub), axis=(1, 2)) / denom
+                )
     if not estimates:
         return states, None
     # A moment-matched Krylov basis carries its build-time defect into
@@ -1357,26 +1469,7 @@ def reduced_transient_batch(
     # all, so there the per-point suborder convergence defect is the
     # whole a-posteriori story.
     base_error = 0.0 if rom.snapshot_enriched else rom.moment_error
-    estimates = np.full(states.shape[0], base_error)
-    q2 = rom.suborder()
-    if q2 < rom.order:
-        wq2 = wq[..., :q2]
-        states2 = _batch_recurrence(
-            gq[:, :q2, :q2],
-            cq[:, :q2, :q2],
-            wq2,
-            dt_eff,
-            trapezoidal,
-            initial,
-            basis,
-            rec_basis[:, :q2],
-            source=(w_samples, bq[:q2]),
-        )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            denom = np.max(np.abs(states), axis=(1, 2))
-            denom = np.where(denom > 0.0, denom, 1.0)
-            defect = np.max(np.abs(states - states2), axis=(1, 2)) / denom
-        estimates = np.maximum(estimates, defect)
-    finite = np.all(np.isfinite(states), axis=(1, 2))
-    estimates = np.where(finite, estimates, np.inf)
-    return states, estimates
+    with np.errstate(invalid="ignore"):
+        folded = np.maximum(base_error, defect)
+    finite = np.isfinite(folded) & np.all(np.isfinite(states), axis=(1, 2))
+    return states, np.where(finite, folded, np.inf)
