@@ -15,14 +15,15 @@ paper validates against.  It provides:
   dense LU (reference), ``scipy.sparse`` SuperLU, and an RCM-reordered
   banded LAPACK path for ladder chains, with ``"auto"`` selection by
   system size and bandwidth, pattern-reusing
-  :class:`~repro.spice.backend.PatternFactorizer` revaluations, and
-  multi-RHS block solves,
+  :class:`~repro.spice.backend.PatternFactorizer` revaluations,
+  multi-RHS block solves, and block-diagonal stacks of per-point
+  factorizations (:func:`~repro.spice.backend.stack_factorizations`),
 - :mod:`repro.spice.dc`         -- DC operating point,
 - :mod:`repro.spice.transient`  -- backward-Euler / trapezoidal transient
   (one factorization reused across every step; the grid always ends
   exactly at ``t_stop``), plus lockstep batched stepping of
-  structure-identical parameter points
-  (:func:`~repro.spice.transient.simulate_transient_batch`),
+  structure-identical parameter points as one stacked block-diagonal
+  system (:func:`~repro.spice.transient.simulate_transient_batch`),
 - :mod:`repro.spice.ac`         -- small-signal frequency sweeps (triplet
   assembly per frequency, no dense rebuilds) with a batched counterpart
   (:func:`~repro.spice.ac.ac_sweep_batch`),

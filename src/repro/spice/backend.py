@@ -81,6 +81,7 @@ __all__ = [
     "BACKENDS",
     "resolve_backend",
     "rcm_band_profile",
+    "stack_factorizations",
 ]
 
 
@@ -194,8 +195,8 @@ class _PatternCsr:
 
     ``scipy.sparse.csr_matrix`` construction from triplets re-sorts and
     re-deduplicates on every call; for revaluation loops over a frozen
-    pattern this map hoists that work out, so each new ``data`` array
-    becomes a canonical CSR matrix in one scatter-add.
+    pattern this map hoists that work out, so a batch of ``data`` arrays
+    becomes one block-diagonal CSR matrix at one scatter-add per point.
     """
 
     def __init__(self, pattern: CooMatrix) -> None:
@@ -208,11 +209,26 @@ class _PatternCsr:
             self._indptr,
         ) = _compressed_dedup_map(pattern.rows, pattern.cols, pattern.shape[0])
 
-    def matrix(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
-        """Canonical CSR matrix for one revaluation of the pattern."""
-        acc = _scatter_dedup(self._order, self._slot, self._n_unique, data)
+    def block_diagonal(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
+        """Block-diagonal CSR of ``B`` revaluations, one per row of ``data``.
+
+        Block ``j`` is the canonical CSR matrix of ``data[j]``: its
+        duplicates summed in triplet order, every row's entries in
+        column order.  A matvec with the stacked ``(B * n,)`` vector
+        therefore reproduces each point's own matvec bit for bit.
+        """
+        n_points = data.shape[0]
+        n = self._shape[0]
+        acc = np.empty((n_points, self._n_unique), dtype=data.dtype)
+        for j in range(n_points):
+            acc[j] = _scatter_dedup(self._order, self._slot, self._n_unique, data[j])
+        offsets = np.arange(n_points)[:, None]
+        indices = (self._indices + n * offsets).ravel()
+        indptr = np.concatenate((
+            [0], (self._indptr[1:] + self._n_unique * offsets).ravel()
+        ))
         return scipy.sparse.csr_matrix(
-            (acc, self._indices, self._indptr), shape=self._shape
+            (acc.ravel(), indices, indptr), shape=(n_points * n, n_points * n)
         )
 
 
@@ -565,7 +581,8 @@ class _BandedFactorization(LinearFactorization):
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         permuted = np.asarray(rhs, dtype=self._dtype)[self._perm]
         x, info = self._gbtrs(
-            self._lu_band, self._kl, self._ku, permuted, self._piv
+            self._lu_band, self._kl, self._ku, permuted, self._piv,
+            overwrite_b=True,
         )
         if info != 0:  # pragma: no cover - gbtrf already vetted the factor
             raise SimulationError(f"banded solve failed (LAPACK info={info})")
@@ -589,19 +606,24 @@ class BandedLuBackend(SimulationBackend):
     """RCM reordering + LAPACK banded LU (``*gbtrf``/``*gbtrs``).
 
     The permutation depends only on a matrix's sparsity pattern, so the
-    last computed profile is memoized against the exact triplet pattern
-    (byte-for-byte): an AC sweep factoring ``G + jwC`` per frequency
-    reorders once, while a different-structure system (e.g. the bare
-    ``G`` of a DC solve) safely triggers a fresh reordering.
+    last few computed profiles are memoized against the exact triplet
+    pattern (byte-for-byte): an AC sweep factoring ``G + jwC`` per
+    frequency reorders once, a transient batch's stepping pattern and
+    the bare ``G`` of its DC start each reorder once per instance, and
+    a different-structure system safely triggers a fresh reordering.
     """
 
     name = "banded"
 
+    #: Patterns whose profiles stay memoized (the oldest is dropped).
+    _MEMO_SLOTS = 4
+
     def __init__(self) -> None:
-        # One (key, profile) tuple, always replaced wholesale: a single
-        # atomic attribute assignment keeps concurrent factorize calls
-        # from ever pairing a key with another pattern's profile.
-        self._memo: tuple[tuple, BandProfile] | None = None
+        # A key -> profile dict that is never mutated once published:
+        # each insertion replaces it wholesale, so a single atomic
+        # attribute assignment keeps concurrent factorize calls from
+        # ever pairing a key with another pattern's profile.
+        self._memo: dict[tuple, BandProfile] = {}
 
     @staticmethod
     def _pattern_key(matrix: CooMatrix) -> tuple:
@@ -609,16 +631,19 @@ class BandedLuBackend(SimulationBackend):
 
     def _profile_for(self, matrix: CooMatrix) -> BandProfile:
         key = self._pattern_key(matrix)
-        memo = self._memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        profile = rcm_band_profile(matrix)
-        self._memo = (key, profile)
+        profile = self._memo.get(key)
+        if profile is None:
+            profile = rcm_band_profile(matrix)
+            self._remember(key, profile)
         return profile
+
+    def _remember(self, key: tuple, profile: BandProfile) -> None:
+        kept = list(self._memo.items())[-(self._MEMO_SLOTS - 1):]
+        self._memo = dict(kept + [(key, profile)])
 
     def _seed_profile(self, matrix: CooMatrix, profile: BandProfile) -> None:
         """Adopt a profile already computed for ``matrix``'s pattern."""
-        self._memo = (self._pattern_key(matrix), profile)
+        self._remember(self._pattern_key(matrix), profile)
 
     def factorize(self, matrix: CooMatrix) -> LinearFactorization:
         _count("factorize", "banded")
@@ -690,11 +715,94 @@ class _BandedFactorizer(PatternFactorizer):
         )
 
 
+class _StackedFactorization(LinearFactorization):
+    """Block-diagonal solves over a batch of per-point factorizations.
+
+    Block ``j`` of a ``(B * n,)`` right-hand side is solved with
+    ``factors[owner[j]]``.  Points that share a factorization are solved
+    together with one multi-RHS :meth:`LinearFactorization.solve_many`
+    call, and a point of its own with one
+    :meth:`LinearFactorization.solve`.
+    """
+
+    def __init__(
+        self, factors: list[LinearFactorization], owner: np.ndarray
+    ) -> None:
+        self._n_points = owner.size
+        self._groups = [
+            (fact, np.flatnonzero(owner == g)) for g, fact in enumerate(factors)
+        ]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        blocks = np.asarray(rhs).reshape(self._n_points, -1)
+        solved = [
+            fact.solve(blocks[members[0]])
+            if members.size == 1
+            else fact.solve_many(blocks[members].T).T
+            for fact, members in self._groups
+        ]
+        out = np.empty(blocks.shape, dtype=np.result_type(*solved))
+        for (_, members), x in zip(self._groups, solved):
+            out[members] = x
+        return out.reshape(-1)
+
+
+def stack_factorizations(
+    factors: list[LinearFactorization], owner
+) -> LinearFactorization:
+    """One block-diagonal factorization over a batch of points.
+
+    ``factors`` are the per-point factorizations of *distinct* matrices
+    sharing one sparsity pattern (one :class:`PatternFactorizer`), and
+    ``owner[j]`` names the factorization of batch point ``j``.  The
+    result's :meth:`~LinearFactorization.solve` takes the ``B`` points'
+    right-hand sides stacked into one ``(B * n,)`` vector and returns
+    their solutions stacked the same way, equal bit for bit to solving
+    each block with its own factorization.
+
+    Banded factorizations stack into a single banded LU: the per-point
+    ``gbtrf`` bands are laid side by side and each point's pivots are
+    offset by ``j * n``, so one ``*gbtrs`` call solves every point.  The
+    band cells that reach across a block boundary lie outside each
+    point's matrix; ``gbtrf`` never writes them, so they hold exact
+    zeros and every cross-block update is ``x - 0 * y``.  Other
+    backends keep one solve per distinct factorization, looped over.
+    """
+    owner = np.asarray(owner, dtype=np.intp)
+    if not all(isinstance(f, _BandedFactorization) for f in factors):
+        return _StackedFactorization(factors, owner)
+    first = factors[0]
+    n = first._perm.size
+    offsets = n * np.arange(owner.size)
+    lu_band = np.empty(
+        (first._lu_band.shape[0], owner.size * n),
+        dtype=first._lu_band.dtype, order="F",
+    )
+    for j, g in enumerate(owner):
+        lu_band[:, j * n:(j + 1) * n] = factors[g]._lu_band
+    piv = np.concatenate(
+        [factors[g]._piv + offset for g, offset in zip(owner, offsets)]
+    ).astype(first._piv.dtype, copy=False)
+    perm = (first._perm[None, :] + offsets[:, None]).ravel()
+    return _BandedFactorization(
+        lu_band, piv, first._kl, first._ku, perm, first._gbtrs, first._dtype
+    )
+
+
 #: Name -> class registry of the selectable implementations.
 BACKENDS: dict[str, type[SimulationBackend]] = {
     backend.name: backend
     for backend in (DenseLuBackend, SparseLuBackend, BandedLuBackend)
 }
+
+
+def _record_selection(selection: BackendSelection) -> None:
+    """Count one ``"auto"`` decision (``spice.backend.auto_selected``)."""
+    obs.inc(
+        "spice.backend.auto_selected",
+        backend=selection.backend,
+        rule=selection.rule,
+    )
 
 
 def resolve_backend(
@@ -761,11 +869,7 @@ def resolve_backend(
                     band_limit=band_limit,
                 )
         chosen.selection = selection
-        obs.inc(
-            "spice.backend.auto_selected",
-            backend=selection.backend,
-            rule=selection.rule,
-        )
+        _record_selection(selection)
         return chosen
     try:
         return BACKENDS[name]()

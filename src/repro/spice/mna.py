@@ -61,7 +61,13 @@ import numpy as np
 
 from repro import obs
 from repro.errors import NetlistError, ParameterError
-from repro.spice.backend import CooMatrix, combine
+from repro.spice.backend import (
+    CooMatrix,
+    SimulationBackend,
+    _record_selection,
+    combine,
+    resolve_backend,
+)
 from repro.spice.netlist import (
     GROUND,
     Capacitor,
@@ -371,6 +377,32 @@ class MnaStructure:
             np.concatenate([self.g_plan.const, self.c_plan.const]),
             (n, n),
         )
+
+    @cached_property
+    def _backends(self) -> dict[str, SimulationBackend]:
+        return {}
+
+    def resolve_backend(self, backend: SimulationBackend | str) -> SimulationBackend:
+        """``resolve_backend(backend, self.combined_pattern())``, memoized.
+
+        Named requests are resolved once per structure, so repeated
+        batches over it -- the chunks of a sweep -- share one backend
+        instance: ``"auto"`` decides once (each reuse still counts in
+        ``spice.backend.auto_selected``), and a banded backend keeps the
+        RCM profiles of the stepping and DC patterns across calls.  A
+        :class:`~repro.spice.backend.SimulationBackend` instance is
+        returned unchanged.
+        """
+        if not isinstance(backend, str):
+            return resolve_backend(backend)
+        key = backend.lower()
+        chosen = self._backends.get(key)
+        if chosen is None:
+            chosen = resolve_backend(key, self.combined_pattern())
+            self._backends[key] = chosen
+        elif chosen.selection is not None:
+            _record_selection(chosen.selection)
+        return chosen
 
     def _check_params(self, params: Mapping[str, float] | None) -> dict[str, float]:
         params = dict(params or {})

@@ -22,8 +22,8 @@ Value-only parameter sweeps should use
 :func:`simulate_transient_batch`: it takes a
 :class:`~repro.spice.mna.CircuitTemplate`, assembles and analyzes the
 structure once, and steps every parameter point in lockstep -- one
-``(n, B)`` right-hand-side block per time step -- instead of running
-``B`` independent simulations.
+block-diagonal system over the stacked ``(B * n,)`` state per time
+step -- instead of running ``B`` independent simulations.
 
 Time grid
 ---------
@@ -50,7 +50,12 @@ import numpy as np
 
 from repro import obs
 from repro.errors import ParameterError, SimulationError
-from repro.spice.backend import SimulationBackend, _PatternCsr, resolve_backend
+from repro.spice.backend import (
+    SimulationBackend,
+    _PatternCsr,
+    resolve_backend,
+    stack_factorizations,
+)
 from repro.spice.mna import CircuitTemplate, MnaStructure, MnaSystem, build_mna
 from repro.spice.netlist import GROUND, Circuit, canonical_node
 from repro.tline.waveform import Waveform
@@ -527,11 +532,13 @@ def simulate_transient_batch(
     and analyzed once (sparsity pattern, RCM/CSC symbolic work, source
     slots), each batch point only rewrites the COO ``data`` arrays and
     refactors numerically, and the time loop advances every point
-    together -- one ``(n, B)`` right-hand-side block per step, with
-    points sharing identical matrices solved in a single multi-RHS
-    call.  Results are identical to running :func:`simulate_transient`
-    on ``template.bind(point)`` per point (the equivalence suite pins
-    this to <= 1e-12 across all backends).
+    together as one block-diagonal system over the stacked ``(B * n,)``
+    state: per step, one history matvec, one source add and one solve
+    through :func:`~repro.spice.backend.stack_factorizations` (a single
+    ``*gbtrs`` call on the banded backend), and points with identical
+    matrices share one factorization.  Results are identical to running
+    :func:`simulate_transient` on ``template.bind(point)`` per point
+    (the equivalence suite pins this to <= 1e-12 across all backends).
 
     Parameters
     ----------
@@ -579,10 +586,11 @@ def simulate_transient_batch(
 
     Notes
     -----
-    Each *distinct* batch point holds its numeric factorization alive
-    for the whole run; for systems of many thousands of unknowns keep
-    batches to a few dozen points and chunk larger sweeps (the sweep
-    runner does this automatically).
+    Each *distinct* batch point is factored once, and its factorization
+    stays alive for the whole run (a banded batch keeps one copy of the
+    LU band per point, duplicates included, side by side); for systems
+    of many thousands of unknowns keep batches to a few dozen points and
+    chunk larger sweeps (the sweep runner does this automatically).
     """
     method = IntegrationMethod(method)
     structure, columns, n_points = _param_columns(template, params)
@@ -644,7 +652,7 @@ def simulate_transient_batch(
                 return reduced_result
         g_data, c_data = structure.revalue_many(columns)
         pattern = structure.combined_pattern()
-        backend = resolve_backend(backend, pattern)
+        backend = structure.resolve_backend(backend)
         factorizer = backend.factorizer(pattern)
         sp.set(n=size, backend=backend.name)
         obs.inc("spice.transient.batch_runs")
@@ -664,79 +672,66 @@ def simulate_transient_batch(
             g_hist_sign = -1.0
 
         # Structure-identical points with identical values share one
-        # numeric factorization (and one multi-RHS solve per step).
+        # numeric factorization.
         group_of: dict[tuple, int] = {}
         group_members: list[list[int]] = []
+        owner = np.empty(n_points, dtype=np.intp)
         for j in range(n_points):
             key = (g_data[j].tobytes(), c_data[j].tobytes(), float(dt_eff[j]))
             slot = group_of.setdefault(key, len(group_members))
             if slot == len(group_members):
                 group_members.append([])
             group_members[slot].append(j)
+            owner[j] = slot
 
-        csr_map = _PatternCsr(pattern)
-        groups = []
+        factors = []
         for members in group_members:
             j = members[0]
             lhs = np.concatenate([g_data[j], weight[j] * c_data[j]])
-            hist = np.concatenate([g_hist_sign * g_data[j], weight[j] * c_data[j]])
             try:
-                fact = factorizer.refactorize(lhs)
+                factors.append(factorizer.refactorize(lhs))
             except SimulationError as exc:
                 raise SimulationError(
                     f"singular transient system matrix (backend={backend.name}) "
                     f"at batch point {j}"
                 ) from exc
-            groups.append((members, fact, csr_map.matrix(hist)))
-        sp.set(groups=len(groups))
-        obs.inc("spice.transient.factorizations", len(groups))
+        sp.set(groups=len(factors))
+        obs.inc("spice.transient.factorizations", len(factors))
         obs.inc(
             "spice.transient.shared_factorization_reuse",
-            n_points - len(groups),
+            n_points - len(factors),
+        )
+        # The whole batch steps as one block-diagonal system over the
+        # stacked (B * n,) state: one history matvec, one source add and
+        # one solve per step, each block equal bit for bit to stepping
+        # its point alone.
+        stacked = stack_factorizations(factors, owner)
+        del factors  # a banded stack holds copies; free the originals
+        hist_op = _PatternCsr(pattern).block_diagonal(
+            np.concatenate([g_hist_sign * g_data, weight[:, None] * c_data], axis=1)
         )
 
-        # States live as (B, n): each point's vector is one contiguous row.
+        # The stacked state: point j's vector is x[j * size:(j + 1) * size].
         x = _batch_initial_state(
             structure, g_data, initial, t_start, backend, group_members
-        )
+        ).reshape(-1)
 
         rec_rows = _recorded_rows(structure, record)
         states = np.empty((n_points, n_steps + 1, rec_rows.size))
-        states[:, 0, :] = x[:, rec_rows]
+        states[:, 0, :] = x.reshape(n_points, size)[:, rec_rows]
+        src_rows, src_terms = _source_terms(
+            structure, times, method is IntegrationMethod.TRAPEZOIDAL
+        )
 
-        if shared_grid:
-            b_all = _rhs_matrix(structure, times)  # (n_steps + 1, size)
-        else:
-            b_prev = _rhs_rows(structure, times[:, 0])  # (B, size)
-
-        trapezoidal = method is IntegrationMethod.TRAPEZOIDAL
         steps_run = n_steps
         if stop_at is not None:
             below = states[:, 0, 0] < stop_at
             crossed = np.zeros(n_points, dtype=bool)
         for k in range(n_steps):
-            if shared_grid:
-                b_term = b_all[k + 1] + b_all[k] if trapezoidal else b_all[k + 1]
-            else:
-                b_next = _rhs_rows(structure, times[:, k + 1])
-                b_term = b_next + b_prev if trapezoidal else b_next
-                b_prev = b_next
-            x_next = np.empty_like(x)
-            for members, fact, hist_op in groups:
-                if len(members) == 1:
-                    j = members[0]
-                    rhs = hist_op @ x[j]
-                    rhs += b_term if shared_grid else b_term[j]
-                    x_next[j] = fact.solve(rhs)
-                else:
-                    rhs = hist_op @ x[members].T
-                    if shared_grid:
-                        rhs += b_term[:, None]
-                    else:
-                        rhs += b_term[members].T
-                    x_next[members] = fact.solve_many(rhs).T
-            x = x_next
-            states[:, k + 1, :] = x[:, rec_rows]
+            rhs = hist_op @ x
+            rhs.reshape(n_points, size)[:, src_rows] += src_terms[k]
+            x = stacked.solve(rhs)
+            states[:, k + 1, :] = x.reshape(n_points, size)[:, rec_rows]
             if stop_at is not None:
                 value = states[:, k + 1, 0]
                 crossed |= below & (value >= stop_at)
@@ -966,20 +961,28 @@ def _transient_batch_reduced(
     )
 
 
-def _rhs_matrix(structure: MnaStructure, times: np.ndarray) -> np.ndarray:
-    """``b(t)`` rows for a shared time grid, shape ``(len(times), size)``."""
-    b = np.zeros((times.size, structure.size))
-    for row, sign, waveform in structure.source_rows:
-        b[:, row] += sign * np.asarray(waveform(times), dtype=float)
-    return b
+def _source_terms(
+    structure: MnaStructure, times: np.ndarray, trapezoidal: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's source increment ``b``, at the source rows only.
 
-
-def _rhs_rows(structure: MnaStructure, t_points: np.ndarray) -> np.ndarray:
-    """``b`` at per-point times, one row per point: shape ``(B, size)``."""
-    b = np.zeros((t_points.size, structure.size))
+    Returns ``(rows, terms)``: step ``k`` adds ``terms[k]`` -- ``b`` at
+    ``t_{k+1}``, plus ``b`` at ``t_k`` for the trapezoidal rule -- to
+    ``rows`` of every point's right-hand side.  ``terms[k]`` has shape
+    ``(1, R)`` on a shared grid and ``(B, R)`` on per-point grids.  The
+    other rows of ``b`` are zero, and the history product they would be
+    added to is never ``-0.0``, so skipping them changes no bit.  Every
+    source waveform is evaluated once over the whole grid; evaluation is
+    elementwise, so each value equals a per-step evaluation's.
+    """
+    rows = sorted({row for row, _, _ in structure.source_rows})
+    column = {row: i for i, row in enumerate(rows)}
+    grid = np.atleast_2d(times)  # (1 or B, n_steps + 1)
+    b = np.zeros(grid.shape + (len(rows),))
     for row, sign, waveform in structure.source_rows:
-        b[:, row] += sign * np.asarray(waveform(t_points), dtype=float)
-    return b
+        b[..., column[row]] += sign * np.asarray(waveform(grid), dtype=float)
+    terms = b[:, 1:] + b[:, :-1] if trapezoidal else b[:, 1:]
+    return np.asarray(rows, dtype=np.intp), terms.transpose(1, 0, 2)
 
 
 def _batch_initial_state(
