@@ -58,7 +58,7 @@ def _count_gated_ops(run) -> int:
         )
         # Counters can be incremented at most once per solve/step; the
         # per-backend solve counters dominate, one per time step.
-        sizes = obs.REGISTRY.counter_total("spice.transient.steps")
+        sizes = obs.REGISTRY.counter_total("spice.transient.batch_steps")
         return int(spans + counters + histograms + writes + sizes)
 
 

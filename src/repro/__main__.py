@@ -24,7 +24,11 @@ from repro.errors import ReproError
 from repro.experiments import REGISTRY, render_table
 from repro.experiments.common import metrics_footer
 from repro.lint.cli import add_lint_arguments, run_lint_command
-from repro.sweep.cli import add_sweep_arguments, run_sweep
+from repro.sweep.cli import (
+    add_simulation_arguments,
+    add_sweep_arguments,
+    run_sweep,
+)
 
 
 def _cmd_list() -> int:
@@ -130,8 +134,8 @@ def _cmd_run(exp_id: str, metrics: bool = False) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Parse ``argv`` and dispatch to the chosen subcommand."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser and its subcommands."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduction of Ismail & Friedman (DAC 1999): "
@@ -155,16 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         help="enable instrumentation and print a telemetry footer",
     )
     run_parser.add_argument(
-        "--netlist",
-        metavar="FILE",
-        help="parse and simulate a SPICE-like netlist file instead of "
-        "a registry experiment",
-    )
-    run_parser.add_argument(
-        "--node",
-        help="node to report (default: last node in the netlist)",
-    )
-    run_parser.add_argument(
         "--param",
         action="append",
         default=[],
@@ -176,29 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         help="transient end time in seconds (default: auto from RC/LC)",
     )
-    run_parser.add_argument(
-        "--dt",
-        type=float,
-        help="transient time step in seconds (default: t_stop/2000)",
-    )
-    run_parser.add_argument(
-        "--backend",
-        help="MNA linear-solver backend (auto | dense | sparse | banded)",
-    )
-    run_parser.add_argument(
-        "--model",
-        help="evaluation-model tier (full | reduced | auto)",
-    )
-    run_parser.add_argument(
-        "--rom-order",
-        type=int,
-        help="reduced order q for --model reduced/auto",
-    )
-    run_parser.add_argument(
-        "--rom-error-bound",
-        type=float,
-        help="error bound gating reduced answers under --model auto",
-    )
+    add_simulation_arguments(run_parser)
     sweep_parser = sub.add_parser(
         "sweep",
         help="batch-evaluate a quantity over a parameter grid",
@@ -214,7 +186,12 @@ def main(argv: list[str] | None = None) -> int:
         "drift (see repro.lint and docs/static-analysis.md).",
     )
     add_lint_arguments(lint_parser)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv`` and dispatch to the chosen subcommand."""
+    args = build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "sweep":

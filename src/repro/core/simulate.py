@@ -24,11 +24,12 @@ Delay queries on the ``statespace`` route stop stepping at the first
 50% crossing (see ``stop_at`` in
 :func:`~repro.spice.statespace.simulate_step`): the samples up to it are
 the full run's, so the delay is bit-identical, and the rest of the
-window is never computed.  MNA delay batches
-(:func:`simulated_delay_50_batch`) likewise stop the lockstep loop once
-every point of a batch has crossed 50% (see ``stop_at`` in
+window is never computed.  MNA delay queries likewise stop the lockstep
+loop once every point of a batch has crossed 50% (see ``stop_at`` in
 :func:`~repro.spice.transient.simulate_transient_batch`), with the same
-bit-identical delays.  :func:`simulated_step_waveform` and direct
+bit-identical delays: a scalar :func:`simulated_delay_50` on the
+``"mna"`` route is :func:`simulated_delay_50_batch` on a batch of one.
+:func:`simulated_step_waveform` and direct
 :func:`~repro.spice.transient.simulate_transient_batch` calls still
 return the full window.  ``window`` still sets the sample spacing
 ``dt = span / (n_samples - 1)``, so it still affects the delay.
@@ -66,8 +67,10 @@ __all__ = [
 #: cache key (:meth:`repro.sweep.grid.Sweep.cache_key`), so on-disk
 #: simulated results from older numerics are never replayed.
 #: Version 2: the MNA transient grid now ends exactly at ``t_stop``
-#: (previously it could overshoot by up to one ``dt``).
-SIMULATOR_VERSION = 2
+#: (previously it could overshoot by up to one ``dt``).  Version 3: a
+#: scalar MNA delay is a batch of one, stamped through the ladder
+#: template (delays move by about 1e-13 relative).
+SIMULATOR_VERSION = 3
 
 
 class SimulatorRoute(str, enum.Enum):
@@ -202,8 +205,17 @@ def simulated_delay_50(
     >>> t50 = simulated_delay_50(line)
     >>> 1.0e-9 < t50 < 1.1e-9    # paper Table 1: ~1.06 ns
     True
+
+    On the ``"mna"`` route this is :func:`simulated_delay_50_batch` of
+    ``[line]``, so it stops stepping once the far end crosses 50%.
     """
     route = SimulatorRoute(route)
+    if route is SimulatorRoute.MNA:
+        return float(simulated_delay_50_batch(
+            [line], route=route, n_segments=n_segments, n_samples=n_samples,
+            window=window, dt=dt, backend=backend,
+            model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
+        )[0])
     if route is SimulatorRoute.STATESPACE:
         waveform = _ladder_step(
             line.ladder(n_segments=n_segments), _time_window(line, window),
@@ -267,7 +279,7 @@ def simulated_delay_50_batch(
     """
     lines = list(lines)
     route = SimulatorRoute(route)
-    if route is not SimulatorRoute.MNA or len(lines) <= 1:
+    if route is not SimulatorRoute.MNA:
         return np.asarray(
             [
                 simulated_delay_50(
@@ -288,7 +300,7 @@ def simulated_delay_50_batch(
     spans = np.asarray([_time_window(line, window) for line in lines])
     dts = spans / (n_samples - 1) if dt is None else np.full(len(lines), dt)
     # Same snap rule as the transient grid, so class members share the
-    # exact lockstep step count the scalar path would use.
+    # exact lockstep step count each would get alone.
     steps = np.maximum(1, np.ceil((spans / dts) * (1.0 - 1e-12)).astype(int))
 
     delays = np.empty(len(lines))

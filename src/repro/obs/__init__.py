@@ -117,7 +117,7 @@ class capture:
 
         with obs.capture():
             run_workload()
-            counts = obs.REGISTRY.counter("spice.transient.runs")
+            counts = obs.REGISTRY.counter("spice.transient.batch_runs")
 
     On entry the layer is enabled and both the trace buffer and the
     default registry are cleared; on exit the previous enabled/disabled

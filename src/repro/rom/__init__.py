@@ -18,6 +18,7 @@ from repro.rom.model import (
     ModelSelection,
     record_model_selection,
     resolve_model,
+    serve_tiered,
 )
 from repro.rom.prima import (
     DEFAULT_ORDER,
@@ -43,4 +44,5 @@ __all__ = [
     "record_model_selection",
     "reduced_transient_batch",
     "resolve_model",
+    "serve_tiered",
 ]

@@ -25,20 +25,26 @@ The three tiers:
 ``auto``
     Picks the cheapest adequate tier: full for small systems (at or
     below :data:`ROM_SIZE_CUTOFF` unknowns the full solve is already
-    cheap), reduced otherwise -- *unless* the pinned a-posteriori
-    error checks (build-time moment matching, per-query residual /
-    order-convergence estimates) exceed
+    cheap), reduced otherwise -- *unless* a point's pinned
+    a-posteriori estimate (build-time moment matching, suborder
+    convergence and, for AC, the exact probe residual) exceeds
     :data:`DEFAULT_ERROR_BOUND` (or the caller's
-    ``rom_error_bound``), in which case the query falls back to full
+    ``rom_error_bound``), in which case that point falls back to full
     MNA and the fallback is recorded.
+
+:func:`serve_tiered` is the one place these rules live: every
+transient and AC query, scalar or batched, reaches it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 
 __all__ = [
     "MODELS",
@@ -47,6 +53,7 @@ __all__ = [
     "ModelSelection",
     "resolve_model",
     "record_model_selection",
+    "serve_tiered",
 ]
 
 #: The selectable evaluation-model tiers.
@@ -163,3 +170,118 @@ def record_model_selection(selection: ModelSelection, n: int = 1) -> ModelSelect
     if selection.rule in ("auto-error-fallback", "auto-build-fallback"):
         obs.inc("rom.fallbacks", n, rule=selection.rule)
     return selection
+
+
+def serve_tiered(
+    model: str,
+    size: int,
+    n_points: int,
+    rom_error_bound: float | None,
+    build,
+    serve,
+    full_rerun,
+    span,
+):
+    """Answer a ``"reduced"``/``"auto"`` batch query: the one tier policy.
+
+    Every transient and AC entry point routes its non-full requests
+    here (a scalar query is a batch of one), so each tier decision is
+    made, recorded and traced in this one place.  The analysis supplies
+    three callables:
+
+    ``build()``
+        The :class:`~repro.rom.prima.ReducedTemplate` that serves the
+        batch; raises :class:`~repro.errors.SimulationError` when the
+        projection cannot be built.
+    ``serve(template, estimates)``
+        ``(states, errors)``: the reduced ``(B, ...)`` states and, when
+        ``estimates`` is true, the per-point ``(B,)`` a-posteriori error
+        estimates (``inf`` wherever one is not finite), else ``None``.
+    ``full_rerun(mask)``
+        Full-tier states of the points the boolean ``mask`` selects.
+
+    The rules, in order: ``"auto"`` keeps systems of at most
+    :data:`ROM_SIZE_CUTOFF` unknowns on the full tier
+    (``auto-small-system``); a failed build or serve falls back to full
+    under ``"auto"`` (``auto-build-fallback`` / ``auto-error-fallback``)
+    and raises under ``"reduced"``; ``"reduced"`` serves every point
+    (``explicit``) unless a state is not finite; ``"auto"`` serves the
+    points whose estimate is at most the bound (``auto-within-bound``,
+    default :data:`DEFAULT_ERROR_BOUND`) and re-runs the rest through
+    ``full_rerun``, merged back in place (``auto-error-fallback``).
+    Returns the served states, or ``None`` when the whole batch must
+    run on the full tier.  Each decision is recorded once per point it
+    covers (:func:`record_model_selection`) and set on ``span``.
+    """
+    bound = (
+        DEFAULT_ERROR_BOUND if rom_error_bound is None
+        else float(rom_error_bound)
+    )
+    auto = model == "auto"
+
+    def decline(selection: ModelSelection) -> None:
+        record_model_selection(selection, n_points)
+        span.set(model="full", model_rule=selection.rule)
+
+    if auto and size <= ROM_SIZE_CUTOFF:
+        return decline(ModelSelection("full", "auto-small-system", size))
+    try:
+        template = build()
+    except SimulationError:
+        if not auto:
+            raise
+        return decline(ModelSelection("full", "auto-build-fallback", size))
+    rom = template.rom
+    try:
+        states, errors = serve(template, auto)
+    except SimulationError:
+        if not auto:
+            raise
+        return decline(ModelSelection(
+            "full", "auto-error-fallback", size, order=rom.order,
+            error_estimate=math.inf, error_bound=bound,
+        ))
+    span.set(n=size, order=rom.order)
+
+    if not auto:
+        if not np.all(np.isfinite(states)):
+            raise SimulationError(
+                "reduced-tier solution is non-finite (diverged); raise "
+                "rom_order, reduce dt, or use model='full'"
+            )
+        rom.selection = record_model_selection(
+            ModelSelection(
+                "reduced", "explicit", size, order=rom.order,
+                error_estimate=rom.moment_error, error_bound=bound,
+            ),
+            n_points,
+        )
+        span.set(model="reduced", model_rule="explicit")
+        return states
+
+    bad = ~(errors <= bound)
+    n_bad = int(np.count_nonzero(bad))
+    n_ok = n_points - n_bad
+    if n_ok:
+        rom.selection = record_model_selection(
+            ModelSelection(
+                "reduced", "auto-within-bound", size, order=rom.order,
+                error_estimate=float(np.max(errors[~bad])), error_bound=bound,
+            ),
+            n_ok,
+        )
+    if n_bad:
+        record_model_selection(
+            ModelSelection(
+                "full", "auto-error-fallback", size, order=rom.order,
+                error_estimate=float(np.max(errors[bad])), error_bound=bound,
+            ),
+            n_bad,
+        )
+        states[bad] = full_rerun(bad)
+    span.set(
+        model="reduced" if n_ok else "full",
+        model_rule="auto-within-bound" if n_ok else "auto-error-fallback",
+        rom_fallbacks=n_bad,
+    )
+    return states

@@ -19,7 +19,7 @@ recovered as ``x ~= V z``.
 Two usage shapes:
 
 - :func:`prima_reduce` projects one concrete :class:`~repro.spice.mna.MnaSystem`
-  into a :class:`ReducedSystem` (scalar transient / AC queries).
+  into a :class:`ReducedSystem` (the basis owner and its evidence).
 - :class:`ReducedTemplate` composes with the stamp-once / re-value-many
   split of :class:`~repro.spice.mna.CircuitTemplate`: the basis is built
   once at a nominal parameter point and each COO revaluation *group* is
@@ -30,12 +30,12 @@ Two usage shapes:
 
 Every reduced answer carries pinned a-posteriori error evidence: the
 build-time moment-matching defect (:attr:`ReducedSystem.moment_error`),
-the exact frequency-domain residual ``||(G + jwC) V z - b|| / ||b||``
-(:meth:`ReducedSystem.residual_error`), and the nested-suborder
-convergence defect used by the transient paths (basis prefixes stay
-orthonormal, so re-running the recurrence with the weakest trailing
-direction dropped and comparing outputs costs only ``O(q^2)`` per
-point).  ``model="auto"`` callers fall back to full MNA whenever these
+the nested-suborder convergence defect (basis prefixes stay
+orthonormal, so re-answering with the weakest trailing direction
+dropped and comparing outputs costs only ``O(q^2)`` per point), and
+for AC the exact per-point residual ``||(G + jwC) V z - e|| / ||e||``
+at probe frequencies (:meth:`ReducedSystem.ac_residuals`).
+``model="auto"`` callers fall back to full MNA whenever these
 estimates exceed the requested bound.
 """
 
@@ -82,10 +82,6 @@ _DEFLATION_TOL = 1e-10
 
 #: Block-moment orders compared in the build-time matching check.
 _MOMENT_CHECK_MAX = 5
-
-#: Probe frequencies used by :meth:`ReducedSystem.residual_error` when
-#: the caller does not supply any.
-_RESIDUAL_PROBES = 4
 
 #: Retained entries in the cross-call projection cache.
 _CACHE_LIMIT = 4
@@ -259,9 +255,8 @@ class ReducedSystem:
     Produced by :func:`prima_reduce`.  Holds the orthonormal basis
     ``V`` (``n x q``), the projected matrices ``Gq``/``Cq``/``Bq``, the
     index maps of the source system, and the build-time error evidence;
-    :meth:`transient` and :meth:`ac` integrate / solve entirely in the
-    ``q``-dimensional space, and :meth:`reconstruct` lifts reduced
-    states back to MNA rows.
+    :class:`ReducedTemplate` serves queries from it, and
+    :meth:`reconstruct` lifts reduced states back to MNA rows.
     """
 
     #: The :class:`~repro.rom.model.ModelSelection` that routed a query
@@ -399,114 +394,6 @@ class ReducedSystem:
             w[..., s] = np.asarray(waveform(times), dtype=float)
         return w
 
-    def reduced_rhs(self, times: np.ndarray) -> np.ndarray:
-        """Projected source term ``V^T b(t)``, shape ``times.shape + (q,)``.
-
-        Source signs are folded into ``Bq``, so this is just the
-        waveform samples pushed through the projected input map.
-        """
-        return self._source_matrix(times) @ self._bq.T
-
-    def transient(
-        self,
-        t_stop: float,
-        dt: float,
-        method="trapezoidal",
-        initial="dc",
-        t_start: float = 0.0,
-        order: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate the reduced system on the standard transient grid.
-
-        Mirrors :func:`~repro.spice.transient.simulate_transient` --
-        same :func:`~repro.spice.transient._time_grid`, same
-        backward-Euler / trapezoidal companion updates -- but every step
-        is one dense ``q x q`` triangular solve.  ``initial`` accepts
-        ``"dc"`` (reduced operating point), ``"zero"``, or a full
-        ``(n,)`` state vector (projected as ``V^T x0``).  ``order``
-        restricts the solve to a basis prefix (for nested convergence
-        checks).  Returns ``(times, z)`` with ``z`` of shape
-        ``(n_steps + 1, q_used)``.
-        """
-        from repro.spice.transient import IntegrationMethod, _time_grid
-
-        method = IntegrationMethod(method)
-        if dt <= 0 or not np.isfinite(dt):
-            raise ParameterError(f"dt must be positive and finite, got {dt}")
-        if t_stop <= t_start:
-            raise ParameterError("t_stop must exceed t_start")
-        q = self.order if order is None else int(order)
-        if not 1 <= q <= self.order:
-            raise ParameterError(
-                f"order must be in [1, {self.order}], got {order!r}"
-            )
-        gq = self._gq[:q, :q]
-        cq = self._cq[:q, :q]
-
-        times = _time_grid(t_start, t_stop, dt)
-        n_steps = times.size - 1
-        dt_eff = (t_stop - t_start) / n_steps
-        wq = self.reduced_rhs(times)[:, :q]
-
-        trapezoidal = method is IntegrationMethod.TRAPEZOIDAL
-        weight = (2.0 if trapezoidal else 1.0) / dt_eff
-        lhs = gq + weight * cq
-        hist = weight * cq - (gq if trapezoidal else 0.0)
-
-        z = np.empty((n_steps + 1, q))
-        z[0] = self._initial_state(initial, wq[0], gq, q)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu = scipy.linalg.lu_factor(lhs, check_finite=False)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SimulationError(
-                "singular reduced transient system matrix"
-            ) from exc
-        for k in range(n_steps):
-            rhs = hist @ z[k]
-            rhs += wq[k + 1] + wq[k] if trapezoidal else wq[k + 1]
-            z[k + 1] = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-        if not np.all(np.isfinite(z)):
-            raise SimulationError(
-                "reduced transient solution diverged (non-finite values); "
-                "reduce dt or fall back to model='full'"
-            )
-        return times, z
-
-    def _initial_state(self, initial, wq0, gq, q) -> np.ndarray:
-        if isinstance(initial, np.ndarray):
-            if initial.shape != (self.full_size,):
-                raise ParameterError(
-                    f"initial state must have shape ({self.full_size},), "
-                    f"got {initial.shape}"
-                )
-            return self._basis[:, :q].T @ initial.astype(float)
-        if initial == "zero":
-            return np.zeros(q)
-        if initial == "dc":
-            # Least-squares, not a direct solve: a snapshot-enriched
-            # basis can leave the projected DC matrix numerically
-            # rank-deficient even though the DC *solution* in its span
-            # is fine, and the minimum-residual state is exactly the
-            # right operating point there.
-            try:
-                z0 = np.linalg.lstsq(gq, wq0, rcond=1e-10)[0]
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    "singular reduced DC system while computing the initial "
-                    "operating point; pass initial='zero' or an explicit state"
-                ) from exc
-            if not np.all(np.isfinite(z0)):
-                raise SimulationError(
-                    "singular reduced DC system while computing the initial "
-                    "operating point; pass initial='zero' or an explicit state"
-                )
-            return z0
-        raise ParameterError(
-            f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
-        )
-
     def projected_unit_rhs(self, input_row: int) -> np.ndarray:
         """Projection ``W^T e_row`` of a unit stimulus at one MNA row.
 
@@ -516,36 +403,6 @@ class ReducedSystem:
         needed.  Shape ``(q,)``; slice to a prefix for suborder solves.
         """
         return self._signs[input_row] * self._basis[input_row]
-
-    def ac(
-        self, input_row: int, omegas: np.ndarray, order: int | None = None
-    ) -> np.ndarray:
-        """Reduced phasor solves ``(Gq + jw Cq) z = V^T e_input``.
-
-        ``input_row`` is the full-MNA row carrying the unit AC stimulus
-        (the input source's branch row, as in
-        :func:`~repro.spice.ac.ac_sweep`); that row's sign-corrected
-        basis slice is the exact projection of the unit right-hand
-        side.  Returns the complex reduced states, shape
-        ``(len(omegas), q_used)``.
-        """
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        q = self.order if order is None else int(order)
-        gq = self._gq[:q, :q].astype(complex)
-        cq = self._cq[:q, :q]
-        rhs = np.broadcast_to(
-            self.projected_unit_rhs(input_row)[:q].astype(complex),
-            (omegas.size, q),
-        )
-        lhs = gq[None, :, :] + 1j * omegas[:, None, None] * cq[None, :, :]
-        try:
-            # Trailing singleton keeps the gufunc from reading the
-            # stacked (F, q) right-hand sides as one q-column matrix.
-            return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SimulationError(
-                "singular reduced AC system at a swept frequency"
-            ) from exc
 
     def reconstruct(self, z: np.ndarray, rows=None) -> np.ndarray:
         """Lift reduced states back to MNA rows: ``x = V[:, :q_used] z``.
@@ -559,71 +416,28 @@ class ReducedSystem:
         return z @ basis[:, : z.shape[-1]].T
 
     def ac_residuals(
-        self, input_row: int, omegas, z: np.ndarray
+        self, input_row: int, omegas, z: np.ndarray, g_csr=None, c_csr=None
     ) -> np.ndarray:
         """Exact per-frequency relative residuals of reduced AC states.
 
-        ``z`` holds :meth:`ac` solutions (``(F, q_used)``) for a unit
-        stimulus at ``input_row``; each lifted phasor solution is
-        checked against the *full* system:
+        ``z`` holds reduced phasor solutions (``(F, q_used)``) for a unit
+        stimulus at ``input_row``; each lifted solution is checked
+        against the *full* system:
         ``||(G + jw C) V z_k - e_input|| / ||e_input||`` with
-        ``||e_input|| = 1``.  Only sparse matvecs -- no full solve --
-        so ``model="auto"`` can pin its fallback decision on an exact
-        a-posteriori quantity at the swept frequencies themselves.
+        ``||e_input|| = 1``.  ``g_csr``/``c_csr`` name that system --
+        by default the one this projection was built from; a value
+        batch passes each point's own revalued ``G_j``/``C_j``.  Only
+        sparse matvecs -- no full solve -- so ``model="auto"`` can pin
+        its fallback decision on an exact a-posteriori quantity at the
+        swept frequencies themselves.
         """
+        g_csr = self._g_csr if g_csr is None else g_csr
+        c_csr = self._c_csr if c_csr is None else c_csr
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         x = self.reconstruct(z).T  # (n, F), complex
-        resid = (self._g_csr @ x) + 1j * omegas[None, :] * (self._c_csr @ x)
+        resid = (g_csr @ x) + 1j * omegas[None, :] * (c_csr @ x)
         resid[input_row, :] -= 1.0
         return np.linalg.norm(resid, axis=0)
-
-    def residual_error(self, omegas=None) -> float:
-        """Exact frequency-domain relative residual of the projection.
-
-        Computes ``max_s ||(G + jw C) V z_s - b_s|| / ||b_s||`` over the
-        input columns ``s`` and probe frequencies -- the caller's
-        ``omegas`` (e.g. a subsample of an AC sweep) or, by default,
-        :data:`_RESIDUAL_PROBES` frequencies spanning the magnitude
-        range of the reduced system's own pole estimates.  This is an
-        *exact* a-posteriori bound ingredient: no reference full solve
-        is needed, only sparse matvecs.
-        """
-        if omegas is None:
-            probes = self._probe_frequencies()
-        else:
-            probes = np.atleast_1d(np.asarray(omegas, dtype=float))
-        gq = self._gq.astype(complex)
-        norms = np.linalg.norm(self._b_dense, axis=0)
-        norms = np.where(norms > 0.0, norms, 1.0)
-        worst = 0.0
-        for w in probes:
-            try:
-                zq = np.linalg.solve(gq + 1j * w * self._cq, self._bq)
-            except np.linalg.LinAlgError:
-                return np.inf
-            x = self._basis @ zq
-            resid = self._g_csr @ x + 1j * w * (self._c_csr @ x) - self._b_dense
-            worst = max(worst, float(np.max(np.linalg.norm(resid, axis=0) / norms)))
-        return worst
-
-    def _probe_frequencies(self) -> np.ndarray:
-        """Probe ``omega`` values spanning the reduced pole magnitudes."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            try:
-                lam = scipy.linalg.eigvals(self._gq, self._cq)
-            except (ValueError, np.linalg.LinAlgError):
-                lam = np.empty(0, dtype=complex)
-        mags = np.abs(lam[np.isfinite(lam)])
-        mags = mags[mags > 0.0]
-        if mags.size == 0:
-            norm_c = float(np.linalg.norm(self._cq))
-            scale = float(np.linalg.norm(self._gq)) / norm_c if norm_c else 1.0
-            return np.asarray([scale])
-        lo, hi = float(mags.min()), float(mags.max())
-        if lo == hi:
-            return np.asarray([lo])
-        return np.geomspace(lo, hi, _RESIDUAL_PROBES)
 
     def __repr__(self) -> str:
         head = (

@@ -21,12 +21,15 @@ paper validates against.  It provides:
 - :mod:`repro.spice.dc`         -- DC operating point,
 - :mod:`repro.spice.transient`  -- backward-Euler / trapezoidal transient
   (one factorization reused across every step; the grid always ends
-  exactly at ``t_stop``), plus lockstep batched stepping of
+  exactly at ``t_stop``): lockstep batched stepping of
   structure-identical parameter points as one stacked block-diagonal
-  system (:func:`~repro.spice.transient.simulate_transient_batch`),
+  system (:func:`~repro.spice.transient.simulate_transient_batch`), with
+  the scalar :func:`~repro.spice.transient.simulate_transient` as its
+  batch of one,
 - :mod:`repro.spice.ac`         -- small-signal frequency sweeps (triplet
-  assembly per frequency, no dense rebuilds) with a batched counterpart
-  (:func:`~repro.spice.ac.ac_sweep_batch`),
+  assembly per frequency, no dense rebuilds) over batches
+  (:func:`~repro.spice.ac.ac_sweep_batch`), with the scalar
+  :func:`~repro.spice.ac.ac_sweep` as its batch of one,
 - :mod:`repro.spice.statespace` -- exact matrix-exponential integration of
   LTI state-space models,
 - :mod:`repro.spice.ladder`     -- lumped-segment approximations of the

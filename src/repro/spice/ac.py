@@ -13,6 +13,11 @@ fit.  The backend is resolved once per sweep from the (frequency
 independent) union pattern of ``G`` and ``C``, so a 1000-segment ladder
 sweep runs on the banded or sparse path end to end.
 
+:func:`ac_sweep_batch` is the one evaluation path; the scalar
+:func:`ac_sweep` is a batch of one over the circuit's own structure, and
+``model="reduced"``/``"auto"`` requests of either go through the one
+tier policy, :func:`repro.rom.model.serve_tiered`.
+
 The primary use here is validation: the AC response of an ``n``-segment
 ladder must match the cascaded lumped two-port of :mod:`repro.tline.abcd`
 exactly, and must converge to the exact distributed line as ``n`` grows.
@@ -28,10 +33,14 @@ import numpy as np
 from repro import obs
 from repro.errors import NetlistError, ParameterError, SimulationError
 from repro.spice.backend import SimulationBackend, resolve_backend
-from repro.spice.mna import CircuitTemplate, MnaStructure, build_mna
+from repro.spice.mna import CircuitTemplate, MnaStructure, _concrete_structure
 from repro.spice.netlist import Circuit, VoltageSource, canonical_node
 
 __all__ = ["AcResult", "AcBatchResult", "ac_sweep", "ac_sweep_batch"]
+
+#: Most frequencies, spread evenly over a sweep (ends included), at
+#: which ``model="auto"`` checks the exact residual of every point.
+_AC_PROBES = 8
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,12 @@ def ac_sweep(
 ) -> AcResult:
     """Run an AC sweep over angular frequencies ``omegas``.
 
+    A batch of one: the circuit's structure runs through
+    :func:`ac_sweep_batch`, and row 0 of the batch comes back as an
+    :class:`AcResult`.  Circuits holding
+    :class:`~repro.spice.netlist.Param` slots are rejected, as by
+    :func:`~repro.spice.mna.build_mna`.
+
     Parameters
     ----------
     circuit:
@@ -103,69 +118,31 @@ def ac_sweep(
         Evaluation-model tier: ``"full"`` (default; per-frequency
         factorizations of ``G + j*omega*C``), ``"reduced"`` (phasor
         solves on a PRIMA projection, see :mod:`repro.rom`), or
-        ``"auto"`` (reduced for large systems when the exact relative
-        residual at probe frequencies of the sweep stays under
-        ``rom_error_bound``, full otherwise; the decision is recorded
-        as a :class:`~repro.rom.model.ModelSelection`).
+        ``"auto"`` (reduced for large systems when the error estimate
+        of :func:`ac_sweep_batch` stays under ``rom_error_bound``, full
+        otherwise; the decision is recorded as a
+        :class:`~repro.rom.model.ModelSelection`).
     rom_order:
         Reduced order ``q`` for the non-full tiers (default
         :data:`repro.rom.prima.DEFAULT_ORDER`).
     rom_error_bound:
-        Residual bound the ``"auto"`` tier enforces before serving a
+        Error bound the ``"auto"`` tier enforces before serving a
         reduced answer (default
         :data:`repro.rom.model.DEFAULT_ERROR_BOUND`).
     """
-    from repro.rom.model import resolve_model
-
-    model = resolve_model(model)
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    with obs.span("ac.sweep", frequencies=omegas.size) as sp:
-        system = build_mna(circuit)
-
-        input_source = _resolve_input_source(circuit, input_source)
-        input_row = system.current_row(input_source)
-        if model != "full":
-            from repro.rom.model import record_model_selection
-
-            result, selection = _ac_reduced_scalar(
-                system, omegas, input_row, backend,
-                model, rom_order, rom_error_bound,
-            )
-            record_model_selection(selection)
-            sp.set(model=selection.model, model_rule=selection.rule)
-            if result is not None:
-                return result
-        b = np.zeros(system.size, dtype=complex)
-        b[input_row] = 1.0
-
-        # The sparsity pattern of G + jwC is the same at every frequency;
-        # resolve the backend once on the union pattern, and reuse the
-        # pattern-dependent work (RCM profile, CSC assembly map) across
-        # every frequency point through one PatternFactorizer.
-        pattern = system.combine(1.0, 1.0j)
-        backend = resolve_backend(backend, pattern)
-        factorizer = backend.factorizer(pattern)
-        sp.set(n=system.size, backend=backend.name)
-        obs.inc("spice.ac.runs")
-        obs.inc("spice.ac.frequencies", omegas.size)
-        g_data = system.g_coo.data.astype(complex)
-        c_data = system.c_coo.data
-
-        states = np.empty((omegas.size, system.size), dtype=complex)
-        for k, w in enumerate(omegas):
-            data = np.concatenate([g_data, 1j * w * c_data])
-            try:
-                states[k] = factorizer.refactorize(data).solve(b)
-            except SimulationError as exc:
-                raise SimulationError(
-                    f"singular AC system at omega = {w:g}"
-                ) from exc
-        return AcResult(
-            omegas=omegas,
-            states=states,
-            node_index=dict(system.node_index),
-            branch_index=dict(system.branch_index),
-        )
+    structure = _concrete_structure(circuit)
+    batch = ac_sweep_batch(
+        structure, {}, omegas,
+        input_source=_resolve_input_source(circuit, input_source),
+        backend=backend, model=model, rom_order=rom_order,
+        rom_error_bound=rom_error_bound,
+    )
+    return AcResult(
+        omegas=batch.omegas,
+        states=batch.states[0],
+        node_index=dict(structure.node_index),
+        branch_index=dict(structure.branch_index),
+    )
 
 
 def _resolve_input_source(circuit: Circuit, input_source: str | None) -> str:
@@ -181,91 +158,6 @@ def _resolve_input_source(circuit: Circuit, input_source: str | None) -> str:
     if input_source not in {e.name for e in v_sources}:
         raise NetlistError(f"no voltage source named {input_source!r}")
     return input_source
-
-
-def _probe_indices(n_freqs: int, limit: int = 8) -> np.ndarray:
-    """Evenly spread probe indices into a frequency grid (ends included)."""
-    if n_freqs <= limit:
-        return np.arange(n_freqs, dtype=np.intp)
-    return np.unique(np.linspace(0, n_freqs - 1, limit).astype(np.intp))
-
-
-def _ac_reduced_scalar(
-    system,
-    omegas: np.ndarray,
-    input_row: int,
-    backend,
-    model: str,
-    rom_order: int | None,
-    rom_error_bound: float | None,
-):
-    """Serve one AC sweep from the reduced tier, or decline.
-
-    Returns ``(result, selection)``.  ``result`` is ``None`` when the
-    sweep must run on the full phasor path instead: ``model="auto"``
-    declines for small systems, failed projection builds, or residuals
-    over the bound (all recorded in the selection's rule), while
-    ``model="reduced"`` propagates build/solve errors to the caller.
-    The error estimate is the exact relative residual
-    ``||(G + jw C) V z - e_input||`` evaluated at up to 8 probe
-    frequencies spread across the sweep itself (sparse matvecs only,
-    see :meth:`~repro.rom.prima.ReducedSystem.ac_residuals`).
-    """
-    from repro import rom as rom_pkg
-
-    n = system.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
-    )
-    if model == "auto" and n <= rom_pkg.ROM_SIZE_CUTOFF:
-        return None, rom_pkg.ModelSelection("full", "auto-small-system", n)
-    try:
-        reduced = rom_pkg.prima_reduce(system, order=rom_order, backend=backend)
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection("full", "auto-build-fallback", n)
-        raise
-    try:
-        z = reduced.ac(input_row, omegas)
-        states = reduced.reconstruct(z)
-        probes = _probe_indices(omegas.size)
-        estimate = float(
-            np.max(reduced.ac_residuals(input_row, omegas[probes], z[probes]))
-        )
-        if not np.isfinite(estimate):
-            raise SimulationError(
-                "non-finite reduced AC residual; fall back to model='full'"
-            )
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", n, order=reduced.order,
-                error_estimate=float("inf"), error_bound=bound,
-            )
-        raise
-    if model == "auto" and not estimate <= bound:
-        return None, rom_pkg.ModelSelection(
-            "full", "auto-error-fallback", n, order=reduced.order,
-            error_estimate=estimate, error_bound=bound,
-        )
-    selection = rom_pkg.ModelSelection(
-        "reduced",
-        "explicit" if model == "reduced" else "auto-within-bound",
-        n,
-        order=reduced.order,
-        error_estimate=estimate,
-        error_bound=bound,
-    )
-    reduced.selection = selection
-    result = AcResult(
-        omegas=omegas,
-        states=states,
-        node_index=dict(system.node_index),
-        branch_index=dict(system.branch_index),
-    )
-    return result, selection
 
 
 @dataclass(frozen=True)
@@ -327,7 +219,7 @@ class AcBatchResult:
 
 
 def ac_sweep_batch(
-    template: CircuitTemplate,
+    template: CircuitTemplate | MnaStructure,
     params,
     omegas,
     input_source: str | None = None,
@@ -345,13 +237,15 @@ def ac_sweep_batch(
     ``(point, frequency)`` pair; each pair pays only a numeric
     refactorization of the revalued ``G + j*omega*C`` data.  Results
     match per-point :func:`ac_sweep` runs over ``template.bind(point)``
-    to <= 1e-12 on every backend (pinned by the equivalence suite).
+    to <= 1e-12 on every backend (pinned by the equivalence suite);
+    :func:`ac_sweep` itself is this function on a batch of one.
 
     Parameters
     ----------
     template:
         The parameterized circuit
-        (:class:`~repro.spice.mna.CircuitTemplate`).
+        (:class:`~repro.spice.mna.CircuitTemplate`), or a bare
+        :class:`~repro.spice.mna.MnaStructure`.
     params:
         Batch parameter values: a mapping of name to length-``B``
         columns (scalars broadcast) or a sequence of per-point dicts;
@@ -359,8 +253,8 @@ def ac_sweep_batch(
     omegas:
         Angular frequencies (rad/s), shared by every point.
     input_source:
-        Stimulated voltage source name; may be omitted when the
-        template has exactly one voltage source.
+        Stimulated voltage source name; may be omitted when a template
+        has exactly one voltage source (a bare structure needs it).
     backend:
         Linear-solver implementation, resolved once on the union
         pattern.
@@ -373,16 +267,13 @@ def ac_sweep_batch(
         once per structure (cached across calls, enriched at the value
         box corners), every ``(point, frequency)`` pair is a dense
         ``q x q`` phasor solve, and under ``model="auto"`` individual
-        points whose nested-suborder convergence defect exceeds the
-        bound are transparently re-run on the full path.
+        points whose error estimate (moment error, nested-suborder
+        defect and exact probe residual) exceeds the bound are
+        transparently re-run on the full path.
     """
     from repro.rom.model import resolve_model
     from repro.spice.transient import _param_columns, _recorded_rows
 
-    if not isinstance(template, CircuitTemplate):
-        raise ParameterError(
-            f"ac_sweep_batch needs a CircuitTemplate, got {template!r}"
-        )
     model = resolve_model(model)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     structure, columns, n_points = _param_columns(template, params)
@@ -390,7 +281,14 @@ def ac_sweep_batch(
     with obs.span(
         "ac.batch", points=n_points, frequencies=omegas.size
     ) as sp:
-        input_source = _resolve_input_source(template.circuit, input_source)
+        if isinstance(template, CircuitTemplate):
+            input_source = _resolve_input_source(
+                template.circuit, input_source
+            )
+        elif input_source is None:
+            raise NetlistError(
+                "input_source must be named for an MnaStructure"
+            )
         input_row = structure.current_row(input_source)
         rec_rows = _recorded_rows(structure, record)
         if model != "full":
@@ -508,144 +406,90 @@ def _ac_batch_reduced(
 ):
     """Serve a batched AC sweep from the reduced tier, or decline.
 
-    Returns an :class:`AcBatchResult`, or ``None`` when the whole
-    batch must run on the full path (``model="auto"`` on a small
-    system or after a failed projection build).  The projection comes
-    from :func:`repro.rom.prima.cached_reduced_template` at the value
-    box midpoint, Krylov-enriched at the box corners, so repeated
-    sweeps over one structure pay the build once; per-point projected
-    matrices are ``O(groups * q^2)`` revaluations.  Under
-    ``model="auto"`` each point's nested-suborder convergence defect
-    (folded with the build-time moment error) gates the reduced
-    answer, and points over the bound are transparently re-run through
-    the full phasor loop and merged back.
+    Supplies the build, serve and full-rerun callables of
+    :func:`~repro.rom.model.serve_tiered`, which makes every tier
+    decision.  Returns an :class:`AcBatchResult`, or ``None`` when the
+    whole batch must run on the full path.  The projection comes from
+    :func:`repro.rom.prima.cached_reduced_template` at the value box
+    midpoint, Krylov-enriched at the box corners, so repeated sweeps
+    over one structure pay the build once; per-point projected matrices
+    are ``O(groups * q^2)`` revaluations.  Each point's ``"auto"``
+    error estimate is the largest of the build-time moment error
+    (unless the basis is snapshot-enriched), its nested-suborder
+    convergence defect, and its exact relative residual
+    ``||(G_j + jw C_j) V z - e_input|| / ||e_input||`` at up to
+    :data:`_AC_PROBES` frequencies spread across the sweep
+    (:meth:`~repro.rom.prima.ReducedSystem.ac_residuals`).
     """
     from repro import rom as rom_pkg
-    from repro.rom.model import record_model_selection
-
-    size = structure.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
-    )
-    if model == "auto" and size <= rom_pkg.ROM_SIZE_CUTOFF:
-        record_model_selection(
-            rom_pkg.ModelSelection("full", "auto-small-system", size), n_points
-        )
-        sp.set(model="full", model_rule="auto-small-system")
-        return None
 
     nominal, samples = rom_pkg.corner_samples(columns)
-    try:
-        reduced_template = rom_pkg.cached_reduced_template(
+
+    def build():
+        return rom_pkg.cached_reduced_template(
             structure, rom_order, nominal, backend=backend,
             sample_params=samples,
         )
-    except SimulationError:
-        if model == "auto":
-            record_model_selection(
-                rom_pkg.ModelSelection("full", "auto-build-fallback", size),
-                n_points,
-            )
-            sp.set(model="full", model_rule="auto-build-fallback")
-            return None
-        raise
 
-    rom = reduced_template.rom
-    q = rom.order
-    gq, cq = reduced_template.reduce_many(columns)
-    vq = rom.projected_unit_rhs(input_row).astype(complex)
-    try:
+    def serve(reduced_template, estimates):
+        rom = reduced_template.rom
+        q = rom.order
+        gq, cq = reduced_template.reduce_many(columns)
+        vq = rom.projected_unit_rhs(input_row).astype(complex)
         z = _ac_batch_solve(gq, cq, vq, omegas)
-    except SimulationError:
-        if model == "auto":
-            record_model_selection(
-                rom_pkg.ModelSelection(
-                    "full", "auto-error-fallback", size, order=q,
-                    error_estimate=float("inf"), error_bound=bound,
-                ),
-                n_points,
+        rec_basis = rom.basis[rec_rows]
+        states = z @ rec_basis.T
+        if not estimates:
+            return states, None
+        errors = np.full(
+            n_points, 0.0 if rom.snapshot_enriched else rom.moment_error
+        )
+        q2 = rom.suborder()
+        if q2 < q:
+            try:
+                z2 = _ac_batch_solve(
+                    gq[:, :q2, :q2], cq[:, :q2, :q2], vq[:q2], omegas
+                )
+                diff = np.max(
+                    np.abs(states - z2 @ rec_basis[:, :q2].T), axis=(1, 2)
+                )
+                denom = np.max(np.abs(states), axis=(1, 2))
+                errors = np.maximum(
+                    errors, diff / np.where(denom > 0.0, denom, 1.0)
+                )
+            except SimulationError:
+                errors[:] = np.inf
+        n_probes = min(omegas.size, _AC_PROBES)
+        probes = np.unique(
+            np.linspace(0, omegas.size - 1, n_probes).astype(np.intp)
+        )
+        for j in range(n_points):
+            system = structure.system(
+                {name: col[j] for name, col in columns.items()}
             )
-            sp.set(model="full", model_rule="auto-error-fallback")
-            return None
-        raise
-    rec_basis = rom.basis[rec_rows]
-    states = z @ rec_basis.T
-    sp.set(n=size, order=q)
-
-    if model == "reduced":
-        if not np.all(np.isfinite(states)):
-            raise SimulationError(
-                "reduced batched AC solution is non-finite; raise rom_order "
-                "or use model='full'"
+            residuals = rom.ac_residuals(
+                input_row, omegas[probes], z[j, probes],
+                system.g_coo.to_csr(), system.c_coo.to_csr(),
             )
-        selection = rom_pkg.ModelSelection(
-            "reduced", "explicit", size, order=q,
-            error_estimate=rom.moment_error, error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_points)
-        sp.set(model="reduced", model_rule="explicit")
-        return AcBatchResult(
-            omegas=omegas,
-            states=states,
-            structure=structure,
-            recorded_rows=tuple(int(r) for r in rec_rows),
-        )
+            errors[j] = np.maximum(errors[j], np.max(residuals))
+        finite = np.all(np.isfinite(states), axis=(1, 2)) & np.isfinite(errors)
+        return states, np.where(finite, errors, np.inf)
 
-    # model == "auto": per-point nested-suborder convergence defect
-    # (re-answering the sweep with the weakest basis direction removed
-    # stays entirely in q-space), folded with the build-time moment
-    # error unless the basis is snapshot-enriched.
-    base_error = 0.0 if rom.snapshot_enriched else rom.moment_error
-    estimates = np.full(n_points, base_error)
-    q2 = rom.suborder()
-    if q2 < q:
-        try:
-            z2 = _ac_batch_solve(
-                gq[:, :q2, :q2], cq[:, :q2, :q2], vq[:q2], omegas
-            )
-            diff = np.max(np.abs(states - z2 @ rec_basis[:, :q2].T), axis=(1, 2))
-            denom = np.max(np.abs(states), axis=(1, 2))
-            defect = diff / np.where(denom > 0.0, denom, 1.0)
-            estimates = np.maximum(estimates, defect)
-        except SimulationError:
-            estimates[:] = np.inf
-    finite = np.all(np.isfinite(states), axis=(1, 2))
-    estimates = np.where(finite, estimates, np.inf)
-
-    bad = ~(estimates <= bound)
-    n_bad = int(np.count_nonzero(bad))
-    n_ok = n_points - n_bad
-    if n_ok:
-        selection = rom_pkg.ModelSelection(
-            "reduced", "auto-within-bound", size, order=q,
-            error_estimate=float(np.max(estimates[~bad])), error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_ok)
-    if n_bad:
-        worst = float(np.max(estimates[bad]))
-        record_model_selection(
-            rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", size, order=q,
-                error_estimate=worst, error_bound=bound,
-            ),
-            n_bad,
-        )
-        sub_columns = {name: col[bad] for name, col in columns.items()}
+    def full_rerun(bad):
         full_states, _backend_name, shared_reuse = _ac_batch_full_states(
-            structure, sub_columns, omegas, input_row, backend, rec_rows
+            structure, {name: col[bad] for name, col in columns.items()},
+            omegas, input_row, backend, rec_rows,
         )
-        states[bad] = full_states
         if shared_reuse:
             obs.inc("spice.ac.shared_sweep_reuse", shared_reuse)
-    sp.set(
-        model="reduced" if n_ok else "full",
-        model_rule="auto-within-bound" if n_ok else "auto-error-fallback",
-        rom_fallbacks=n_bad,
+        return full_states
+
+    states = rom_pkg.serve_tiered(
+        model, structure.size, n_points, rom_error_bound, build, serve,
+        full_rerun, sp,
     )
+    if states is None:
+        return None
     return AcBatchResult(
         omegas=omegas,
         states=states,

@@ -766,9 +766,12 @@ def stack_factorizations(
     band cells that reach across a block boundary lie outside each
     point's matrix; ``gbtrf`` never writes them, so they hold exact
     zeros and every cross-block update is ``x - 0 * y``.  Other
-    backends keep one solve per distinct factorization, looped over.
+    backends keep one solve per distinct factorization, looped over.  A
+    batch of one is its own factorization.
     """
     owner = np.asarray(owner, dtype=np.intp)
+    if owner.size == 1:
+        return factors[owner[0]]
     if not all(isinstance(f, _BandedFactorization) for f in factors):
         return _StackedFactorization(factors, owner)
     first = factors[0]

@@ -701,13 +701,18 @@ def build_mna(circuit: Circuit) -> MnaSystem:
     :class:`~repro.spice.netlist.Param` slots must go through
     :class:`CircuitTemplate` (or :func:`build_mna_structure`) instead.
     """
+    return _concrete_structure(circuit).system()
+
+
+def _concrete_structure(circuit: Circuit) -> MnaStructure:
+    """:func:`build_mna_structure` of a circuit with no Param slots."""
     structure = build_mna_structure(circuit)
     if structure.param_names:
         raise NetlistError(
             f"circuit has unbound parameters {list(structure.param_names)}; "
             "wrap it in a CircuitTemplate (or bind values) before build_mna"
         )
-    return structure.system()
+    return structure
 
 
 class CircuitTemplate:

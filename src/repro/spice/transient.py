@@ -18,12 +18,15 @@ Both reduce each step to one linear solve with a *constant* matrix
 systems, RCM-banded or sparse LU for the long ladder chains where a
 dense solve would cost O(n^3)/O(n^2) per run.
 
-Value-only parameter sweeps should use
-:func:`simulate_transient_batch`: it takes a
-:class:`~repro.spice.mna.CircuitTemplate`, assembles and analyzes the
+:func:`simulate_transient_batch` is the one evaluation path: it takes a
+:class:`~repro.spice.mna.CircuitTemplate` (or a bare
+:class:`~repro.spice.mna.MnaStructure`), assembles and analyzes the
 structure once, and steps every parameter point in lockstep -- one
 block-diagonal system over the stacked ``(B * n,)`` state per time
-step -- instead of running ``B`` independent simulations.
+step -- instead of running ``B`` independent simulations.  The scalar
+:func:`simulate_transient` is a batch of one over the circuit's own
+structure, and ``model="reduced"``/``"auto"`` requests of either go
+through the one tier policy, :func:`repro.rom.model.serve_tiered`.
 
 Time grid
 ---------
@@ -53,10 +56,14 @@ from repro.errors import ParameterError, SimulationError
 from repro.spice.backend import (
     SimulationBackend,
     _PatternCsr,
-    resolve_backend,
     stack_factorizations,
 )
-from repro.spice.mna import CircuitTemplate, MnaStructure, MnaSystem, build_mna
+from repro.spice.mna import (
+    CircuitTemplate,
+    MnaStructure,
+    MnaSystem,
+    _concrete_structure,
+)
 from repro.spice.netlist import GROUND, Circuit, canonical_node
 from repro.tline.waveform import Waveform
 
@@ -113,44 +120,6 @@ class TransientResult:
         return self.times.size - 1
 
 
-def _time_grid(t_start: float, t_stop: float, dt: float) -> np.ndarray:
-    """Uniform grid from ``t_start`` to exactly ``t_stop``.
-
-    ``dt`` caps the step; the count is ``ceil(span / dt)`` with a
-    one-part-in-1e12 snap so a span that divides ``dt`` up to float
-    round-off keeps its intended step count instead of gaining a
-    near-degenerate extra step.
-    """
-    span = t_stop - t_start
-    n_steps = max(1, int(np.ceil((span / dt) * (1.0 - 1e-12))))
-    return np.linspace(t_start, t_stop, n_steps + 1)
-
-
-def _initial_state(
-    system: MnaSystem,
-    initial: str | np.ndarray,
-    t0: float,
-    backend: SimulationBackend,
-) -> np.ndarray:
-    if isinstance(initial, np.ndarray):
-        if initial.shape != (system.size,):
-            raise ParameterError(
-                f"initial state must have shape ({system.size},), got {initial.shape}"
-            )
-        return initial.astype(float).copy()
-    if initial == "zero":
-        return np.zeros(system.size)
-    if initial == "dc":
-        try:
-            return backend.factorize(system.g_coo).solve(system.rhs(t0))
-        except SimulationError as exc:
-            raise SimulationError(
-                "singular DC system while computing the initial operating "
-                "point; pass initial='zero' or an explicit state vector"
-            ) from exc
-    raise ParameterError(f"initial must be 'zero', 'dc' or a vector, got {initial!r}")
-
-
 def simulate_transient(
     circuit: Circuit,
     t_stop: float,
@@ -164,6 +133,12 @@ def simulate_transient(
     rom_error_bound: float | None = None,
 ) -> TransientResult:
     """Run a fixed-step transient analysis.
+
+    A batch of one: the circuit's structure steps through
+    :func:`simulate_transient_batch`, and row 0 of the batch comes back
+    as a :class:`TransientResult`.  Circuits holding
+    :class:`~repro.spice.netlist.Param` slots are rejected, as by
+    :func:`~repro.spice.mna.build_mna`.
 
     Parameters
     ----------
@@ -194,7 +169,8 @@ def simulate_transient(
         ``rom_order``, see :mod:`repro.rom`), or ``"auto"`` (reduced for
         large systems when the a-posteriori error estimate stays under
         ``rom_error_bound``, full otherwise; the decision is recorded as
-        a :class:`~repro.rom.model.ModelSelection`).
+        a :class:`~repro.rom.model.ModelSelection` by
+        :func:`~repro.rom.model.serve_tiered`).
     rom_order:
         Reduced order ``q`` for the non-full tiers (default
         :data:`repro.rom.prima.DEFAULT_ORDER`).
@@ -216,156 +192,15 @@ def simulate_transient(
     the source value at ``t_start``, so place the step one ``dt`` later (or
     start from ``initial='zero'``) to capture the onset.
     """
-    method = IntegrationMethod(method)
-    if dt <= 0 or not np.isfinite(dt):
-        raise ParameterError(f"dt must be positive and finite, got {dt}")
-    if t_stop <= t_start:
-        raise ParameterError("t_stop must exceed t_start")
-    from repro.rom.model import resolve_model
-
-    model = resolve_model(model)
-
-    with obs.span("transient.simulate", method=method.value) as sp:
-        system = build_mna(circuit)
-        if model != "full":
-            from repro.rom.model import record_model_selection
-
-            result, selection = _transient_reduced_scalar(
-                system, t_stop, dt, method, initial, t_start, backend,
-                model, rom_order, rom_error_bound,
-            )
-            record_model_selection(selection)
-            sp.set(model=selection.model, model_rule=selection.rule)
-            if result is not None:
-                return result
-        times = _time_grid(t_start, t_stop, dt)
-        n_steps = times.size - 1
-        dt_eff = (t_stop - t_start) / n_steps
-
-        if method is IntegrationMethod.BACKWARD_EULER:
-            lhs = system.combine(1.0, 1.0 / dt_eff)
-            history = system.c_coo.scaled(1.0 / dt_eff)
-        else:
-            lhs = system.combine(1.0, 2.0 / dt_eff)
-            history = system.combine(-1.0, 2.0 / dt_eff)
-
-        backend = resolve_backend(backend, lhs)
-        sp.set(n=system.size, steps=n_steps, backend=backend.name)
-        obs.inc("spice.transient.runs")
-        obs.inc("spice.transient.steps", n_steps)
-        obs.observe(
-            "spice.transient.steps_per_run",
-            n_steps,
-            buckets=obs.COUNT_BUCKETS,
-        )
-        # Factor the stepping matrix before the initial-state solve: the
-        # banded backend memoizes its last RCM profile, and the DC solve's
-        # different G-only pattern would otherwise evict the profile that
-        # resolve_backend("auto") just seeded for the LHS.
-        try:
-            factorization = backend.factorize(lhs)
-        except SimulationError as exc:
-            raise SimulationError(
-                f"singular transient system matrix (backend={backend.name})"
-            ) from exc
-        history_op = history.to_csr()
-
-        x = np.empty((n_steps + 1, system.size))
-        x[0] = _initial_state(system, initial, t_start, backend)
-        b_all = system.rhs_matrix(times)
-
-        if method is IntegrationMethod.BACKWARD_EULER:
-            for k in range(n_steps):
-                rhs = b_all[k + 1] + history_op @ x[k]
-                x[k + 1] = factorization.solve(rhs)
-        else:
-            for k in range(n_steps):
-                rhs = b_all[k + 1] + b_all[k] + history_op @ x[k]
-                x[k + 1] = factorization.solve(rhs)
-
-        if not np.all(np.isfinite(x)):
-            raise SimulationError(
-                "transient solution diverged (non-finite values); reduce dt"
-            )
-        return TransientResult(times=times, states=x, system=system)
-
-
-def _transient_reduced_scalar(
-    system: MnaSystem,
-    t_stop: float,
-    dt: float,
-    method: IntegrationMethod,
-    initial,
-    t_start: float,
-    backend,
-    model: str,
-    rom_order: int | None,
-    rom_error_bound: float | None,
-):
-    """Serve one transient query from the reduced tier, or decline.
-
-    Returns ``(result, selection)``.  ``result`` is ``None`` when the
-    query must run on the full path instead: ``model="auto"`` declines
-    for small systems, failed projection builds, or error estimates
-    over the bound (all recorded in the selection's rule), while
-    ``model="reduced"`` propagates build/solve errors to the caller.
-    The error estimate folds the build-time moment defect with the
-    nested-suborder convergence defect of the integrated waveforms.
-    """
-    from repro import rom as rom_pkg
-
-    n = system.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
+    structure = _concrete_structure(circuit)
+    batch = simulate_transient_batch(
+        structure, {}, t_stop, dt, method=method, initial=initial,
+        t_start=t_start, backend=backend, model=model, rom_order=rom_order,
+        rom_error_bound=rom_error_bound,
     )
-    if model == "auto" and n <= rom_pkg.ROM_SIZE_CUTOFF:
-        return None, rom_pkg.ModelSelection("full", "auto-small-system", n)
-    try:
-        reduced = rom_pkg.prima_reduce(system, order=rom_order, backend=backend)
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection("full", "auto-build-fallback", n)
-        raise
-    try:
-        times, z = reduced.transient(
-            t_stop, dt, method=method, initial=initial, t_start=t_start
-        )
-        states = reduced.reconstruct(z)
-        estimate = reduced.moment_error
-        q2 = reduced.suborder()
-        if q2 < reduced.order:
-            _, z2 = reduced.transient(
-                t_stop, dt, method=method, initial=initial,
-                t_start=t_start, order=q2,
-            )
-            defect = float(np.max(np.abs(states - reduced.reconstruct(z2))))
-            denom = float(np.max(np.abs(states)))
-            estimate = max(estimate, defect / (denom if denom > 0.0 else 1.0))
-    except SimulationError:
-        if model == "auto":
-            return None, rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", n, order=reduced.order,
-                error_estimate=float("inf"), error_bound=bound,
-            )
-        raise
-    if model == "auto" and not estimate <= bound:
-        return None, rom_pkg.ModelSelection(
-            "full", "auto-error-fallback", n, order=reduced.order,
-            error_estimate=estimate, error_bound=bound,
-        )
-    selection = rom_pkg.ModelSelection(
-        "reduced",
-        "explicit" if model == "reduced" else "auto-within-bound",
-        n,
-        order=reduced.order,
-        error_estimate=estimate,
-        error_bound=bound,
+    return TransientResult(
+        times=batch.times, states=batch.states[0], system=structure.system()
     )
-    reduced.selection = selection
-    result = TransientResult(times=times, states=states, system=system)
-    return result, selection
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +371,10 @@ def simulate_transient_batch(
     state: per step, one history matvec, one source add and one solve
     through :func:`~repro.spice.backend.stack_factorizations` (a single
     ``*gbtrs`` call on the banded backend), and points with identical
-    matrices share one factorization.  Results are identical to running
-    :func:`simulate_transient` on ``template.bind(point)`` per point
-    (the equivalence suite pins this to <= 1e-12 across all backends).
+    matrices share one factorization.  Results match
+    :func:`simulate_transient` (itself a batch of one) on
+    ``template.bind(point)`` per point (the equivalence suite pins this
+    to <= 1e-12 across all backends).
 
     Parameters
     ----------
@@ -629,8 +465,8 @@ def simulate_transient_batch(
     if shared_grid:
         times: np.ndarray = np.linspace(t_start, float(t_stop[0]), n_steps + 1)
     else:
-        # Per-point grids, built with the same linspace as the scalar
-        # path so batch and per-point runs sample identical instants.
+        # Per-point grids, each the linspace its point would get alone,
+        # so batch and per-point runs sample identical instants.
         times = np.empty((n_points, n_steps + 1))
         for j in range(n_points):
             times[j] = np.linspace(t_start, float(t_stop[j]), n_steps + 1)
@@ -644,7 +480,7 @@ def simulate_transient_batch(
     ) as sp:
         if model != "full":
             reduced_result = _transient_batch_reduced(
-                template, structure, columns, n_points, times, dt_eff,
+                structure, columns, n_points, times, dt_eff,
                 t_stop, dt, method, initial, t_start, backend, record,
                 model, rom_order, rom_error_bound, sp,
             )
@@ -759,7 +595,6 @@ def simulate_transient_batch(
 
 
 def _transient_batch_reduced(
-    template,
     structure: MnaStructure,
     columns: dict,
     n_points: int,
@@ -779,33 +614,17 @@ def _transient_batch_reduced(
 ):
     """Serve a lockstep batch from the reduced tier, or decline.
 
-    Returns a :class:`TransientBatchResult`, or ``None`` when the whole
-    batch must run on the full path (``model="auto"`` on a small system
-    or after a failed projection build).  Under ``model="auto"``,
-    individual points whose a-posteriori error estimate exceeds the
-    bound are transparently re-run through
-    :func:`simulate_transient_batch` with ``model="full"`` and merged
-    back, so the caller always receives one result covering every
-    point.  The projection is resolved through
-    :func:`repro.rom.prima.cached_reduced_template`, so chunked sweeps
-    over the same structure pay the Arnoldi build once.
+    Supplies the build, serve and full-rerun callables of
+    :func:`~repro.rom.model.serve_tiered`, which makes every tier
+    decision.  Returns a :class:`TransientBatchResult`, or ``None`` when
+    the whole batch must run on the full path.  The projection is
+    resolved through :func:`repro.rom.prima.cached_reduced_template`,
+    so chunked sweeps over the same structure pay the Arnoldi build
+    once.
     """
     from repro import rom as rom_pkg
-    from repro.rom.model import record_model_selection
 
     size = structure.size
-    bound = (
-        rom_pkg.DEFAULT_ERROR_BOUND
-        if rom_error_bound is None
-        else float(rom_error_bound)
-    )
-    if model == "auto" and size <= rom_pkg.ROM_SIZE_CUTOFF:
-        record_model_selection(
-            rom_pkg.ModelSelection("full", "auto-small-system", size), n_points
-        )
-        sp.set(model="full", model_rule="auto-small-system")
-        return None
-
     # One basis serves the whole batch: project at the box midpoint and
     # enrich so accuracy holds across the value range, not just near
     # one point.  On a shared time grid the enrichment is POD-style --
@@ -818,6 +637,9 @@ def _transient_batch_reduced(
     sample_params: tuple = samples
     snapshot_key = None
     snapshot_builder = None
+    per_point_initial = (
+        isinstance(initial, np.ndarray) and initial.shape == (n_points, size)
+    )
     if samples and times.ndim == 1:
         n_steps = times.shape[0] - 1
         if isinstance(initial, np.ndarray):
@@ -836,10 +658,6 @@ def _transient_batch_reduced(
                 name: np.asarray([point[name] for point in snap_points])
                 for name in nominal
             }
-            per_point_initial = (
-                isinstance(initial, np.ndarray)
-                and initial.shape == (n_points, size)
-            )
             result = simulate_transient_batch(
                 structure,
                 cols,
@@ -862,97 +680,41 @@ def _transient_batch_reduced(
                 snaps = np.hstack([snaps, initial[picks].T])
             return snaps
 
-    try:
-        reduced_template = rom_pkg.cached_reduced_template(
+    def build():
+        return rom_pkg.cached_reduced_template(
             structure, rom_order, nominal, backend=backend,
             sample_params=sample_params,
             snapshot_key=snapshot_key,
             snapshot_builder=snapshot_builder,
         )
-    except SimulationError:
-        if model == "auto":
-            record_model_selection(
-                rom_pkg.ModelSelection("full", "auto-build-fallback", size),
-                n_points,
-            )
-            sp.set(model="full", model_rule="auto-build-fallback")
-            return None
-        raise
 
-    rom = reduced_template.rom
     rec_rows = _recorded_rows(structure, record)
-    states, estimates = rom_pkg.reduced_transient_batch(
-        reduced_template, columns, times, dt_eff, method, initial, rec_rows,
-        estimates=(model == "auto"),
-    )
-    sp.set(n=size, order=rom.order)
 
-    if model == "reduced":
-        if not np.all(np.isfinite(states)):
-            raise SimulationError(
-                "reduced batched transient solution diverged (non-finite "
-                "values); raise rom_order, reduce dt, or use model='full'"
-            )
-        selection = rom_pkg.ModelSelection(
-            "reduced", "explicit", size, order=rom.order,
-            error_estimate=rom.moment_error, error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_points)
-        sp.set(model="reduced", model_rule="explicit")
-        return TransientBatchResult(
-            times=times,
-            states=states,
-            structure=structure,
-            recorded_rows=tuple(int(r) for r in rec_rows),
+    def serve(reduced_template, estimates):
+        return rom_pkg.reduced_transient_batch(
+            reduced_template, columns, times, dt_eff, method, initial,
+            rec_rows, estimates=estimates,
         )
 
-    # model == "auto": points over the bound (or with non-finite
-    # estimates) fall back to the full path individually.
-    bad = ~(estimates <= bound)
-    n_bad = int(np.count_nonzero(bad))
-    n_ok = n_points - n_bad
-    if n_ok:
-        selection = rom_pkg.ModelSelection(
-            "reduced", "auto-within-bound", size, order=rom.order,
-            error_estimate=float(np.max(estimates[~bad])), error_bound=bound,
-        )
-        rom.selection = selection
-        record_model_selection(selection, n_ok)
-    if n_bad:
-        worst = float(np.max(estimates[bad]))
-        record_model_selection(
-            rom_pkg.ModelSelection(
-                "full", "auto-error-fallback", size, order=rom.order,
-                error_estimate=worst, error_bound=bound,
-            ),
-            n_bad,
-        )
-        sub_params = {name: col[bad] for name, col in columns.items()}
-        sub_initial = (
-            initial[bad]
-            if isinstance(initial, np.ndarray)
-            and initial.shape == (n_points, size)
-            else initial
-        )
-        full_result = simulate_transient_batch(
+    def full_rerun(bad):
+        return simulate_transient_batch(
             structure,
-            sub_params,
+            {name: col[bad] for name, col in columns.items()},
             t_stop[bad],
             dt[bad],
             method=method,
-            initial=sub_initial,
+            initial=initial[bad] if per_point_initial else initial,
             t_start=t_start,
             backend=backend,
             record=record,
             model="full",
-        )
-        states[bad] = full_result.states
-    sp.set(
-        model="reduced" if n_ok else "full",
-        model_rule="auto-within-bound" if n_ok else "auto-error-fallback",
-        rom_fallbacks=n_bad,
+        ).states
+
+    states = rom_pkg.serve_tiered(
+        model, size, n_points, rom_error_bound, build, serve, full_rerun, sp
     )
+    if states is None:
+        return None
     return TransientBatchResult(
         times=times,
         states=states,

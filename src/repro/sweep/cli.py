@@ -41,7 +41,59 @@ from repro.errors import ReproError
 from repro.sweep.grid import Axis, ParameterGrid, Sweep
 from repro.sweep.runner import QUANTITIES, SweepRunner
 
-__all__ = ["add_sweep_arguments", "build_sweep", "run_sweep"]
+__all__ = [
+    "add_simulation_arguments",
+    "add_sweep_arguments",
+    "build_sweep",
+    "run_sweep",
+]
+
+
+def add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the simulation options both ``run`` and ``sweep`` take.
+
+    One argument group -- ``--netlist``, ``--node``, ``--dt``,
+    ``--backend``, ``--model``, ``--rom-order`` and
+    ``--rom-error-bound`` -- so the two subcommands cannot drift apart
+    in option names, types or help.  Every option defaults to ``None``
+    (the callee's default).
+    """
+    group = parser.add_argument_group("simulation options")
+    group.add_argument(
+        "--netlist",
+        metavar="FILE",
+        help="SPICE-like netlist file to simulate (run) or whose {...} "
+        "parameter slots to sweep (sweep)",
+    )
+    group.add_argument(
+        "--node",
+        help="netlist node to measure (default: last node in the file)",
+    )
+    group.add_argument(
+        "--dt",
+        type=float,
+        help="MNA time step in seconds (default: from the window and "
+        "sample count)",
+    )
+    group.add_argument(
+        "--backend",
+        help="MNA linear-solver backend (auto | dense | sparse | banded)",
+    )
+    group.add_argument(
+        "--model",
+        help="evaluation-model tier for MNA simulation "
+        "(full | reduced | auto)",
+    )
+    group.add_argument(
+        "--rom-order",
+        type=int,
+        help="reduced order q for --model reduced/auto",
+    )
+    group.add_argument(
+        "--rom-error-bound",
+        type=float,
+        help="error bound gating reduced answers under --model auto",
+    )
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -56,16 +108,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         dest="list_quantities",
         help="list the available quantities and exit",
-    )
-    parser.add_argument(
-        "--netlist",
-        metavar="FILE",
-        help="sweep a parametric netlist file's {...} slots instead of "
-        "a named quantity",
-    )
-    parser.add_argument(
-        "--node",
-        help="netlist node to measure (default: last node in the file)",
     )
     parser.add_argument(
         "--axis",
@@ -104,28 +146,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--window", type=float, help="simulated span multiplier"
     )
-    parser.add_argument(
-        "--dt", type=float, help="time step for the MNA route (seconds)"
-    )
-    parser.add_argument(
-        "--backend",
-        help="MNA linear-solver backend (auto | dense | sparse | banded)",
-    )
-    parser.add_argument(
-        "--model",
-        help="evaluation-model tier for the MNA route "
-        "(full | reduced | auto)",
-    )
-    parser.add_argument(
-        "--rom-order",
-        type=int,
-        help="reduced order q for --model reduced/auto",
-    )
-    parser.add_argument(
-        "--rom-error-bound",
-        type=float,
-        help="error bound gating reduced answers under --model auto",
-    )
+    add_simulation_arguments(parser)
     parser.add_argument(
         "--workers",
         type=int,

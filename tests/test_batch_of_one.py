@@ -1,0 +1,394 @@
+"""Scalar transient, AC and delay queries are batches of one.
+
+:func:`repro.spice.transient.simulate_transient` and
+:func:`repro.spice.ac.ac_sweep` return row 0 of
+:func:`~repro.spice.transient.simulate_transient_batch` /
+:func:`~repro.spice.ac.ac_sweep_batch` over the circuit's structure, and
+every reduced/auto tier decision goes through
+:func:`repro.rom.model.serve_tiered`.  These tests pin that:
+
+- full-tier ``times``/``states`` are ``==`` to frozen copies of the
+  scalar loops the batch of one replaced, over PI/L/T ladders, a 4-line
+  bus, the ``tests/netlists`` corpus (controlled sources included) and
+  H-tree/fanout/mesh circuits, on every backend, both integrators and
+  ``dc``/``zero``/explicit-vector starts;
+- ``simulated_delay_50(route="mna")`` equals the batch entry point bit
+  for bit, and the full-window scalar path to ~1e-13;
+- ``model="auto"`` AC folds each point's exact probe residual into its
+  estimate, so a point whose residual exceeds the bound falls back even
+  when its suborder defect does not;
+- a reduced transient serve that raises falls back under ``"auto"`` and
+  raises under ``"reduced"``.
+"""
+
+from __future__ import annotations
+
+import functools
+import pathlib
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro import rom as rom_pkg
+from repro.bus.builder import build_bus_circuit
+from repro.bus.spec import BusSpec
+from repro.core.canonical import DriverLineLoad
+from repro.core.simulate import (
+    _time_window,
+    simulated_delay_50,
+    simulated_delay_50_batch,
+)
+from repro.errors import NetlistError, SimulationError
+from repro.rom.prima import ReducedSystem
+from repro.spice.ac import ac_sweep, ac_sweep_batch
+from repro.spice.backend import resolve_backend
+from repro.spice.ladder import (
+    LadderSpec,
+    build_ladder_circuit,
+    build_ladder_template,
+)
+from repro.spice.mna import build_mna
+from repro.spice.netlist import (
+    Capacitor,
+    Circuit,
+    Param,
+    Resistor,
+    VoltageSource,
+)
+from repro.spice.parser import parse_netlist_file, suggest_transient_window
+from repro.spice.transient import (
+    IntegrationMethod,
+    simulate_transient,
+    simulate_transient_batch,
+)
+from repro.topology import (
+    FanoutTreeSpec,
+    HTreeSpec,
+    MeshSpec,
+    build_fanout_circuit,
+    build_htree_circuit,
+    build_mesh_circuit,
+)
+
+NETLIST_DIR = pathlib.Path(__file__).parent / "netlists"
+BACKENDS = ["dense", "sparse", "banded", "auto"]
+LINE = dict(rt=200.0, lt=5e-8, ct=1e-12, rtr=50.0, cl=1e-13)
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the scalar full-tier loops the batch of one replaced.
+# ---------------------------------------------------------------------------
+
+
+def _old_transient(circuit, t_stop, dt, method="trapezoidal", initial="dc",
+                   t_start=0.0, backend="auto"):
+    method = IntegrationMethod(method)
+    system = build_mna(circuit)
+    span = t_stop - t_start
+    n_steps = max(1, int(np.ceil((span / dt) * (1.0 - 1e-12))))
+    times = np.linspace(t_start, t_stop, n_steps + 1)
+    dt_eff = (t_stop - t_start) / n_steps
+    if method is IntegrationMethod.BACKWARD_EULER:
+        lhs = system.combine(1.0, 1.0 / dt_eff)
+        history = system.c_coo.scaled(1.0 / dt_eff)
+    else:
+        lhs = system.combine(1.0, 2.0 / dt_eff)
+        history = system.combine(-1.0, 2.0 / dt_eff)
+    backend = resolve_backend(backend, lhs)
+    factorization = backend.factorize(lhs)
+    history_op = history.to_csr()
+    x = np.empty((n_steps + 1, system.size))
+    if isinstance(initial, np.ndarray):
+        x[0] = initial.astype(float).copy()
+    elif initial == "zero":
+        x[0] = np.zeros(system.size)
+    else:
+        x[0] = backend.factorize(system.g_coo).solve(system.rhs(t_start))
+    b_all = system.rhs_matrix(times)
+    if method is IntegrationMethod.BACKWARD_EULER:
+        for k in range(n_steps):
+            x[k + 1] = factorization.solve(b_all[k + 1] + history_op @ x[k])
+    else:
+        for k in range(n_steps):
+            rhs = b_all[k + 1] + b_all[k] + history_op @ x[k]
+            x[k + 1] = factorization.solve(rhs)
+    return times, x
+
+
+def _old_ac(circuit, omegas, input_source, backend="auto"):
+    system = build_mna(circuit)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    b = np.zeros(system.size, dtype=complex)
+    b[system.current_row(input_source)] = 1.0
+    pattern = system.combine(1.0, 1.0j)
+    backend = resolve_backend(backend, pattern)
+    factorizer = backend.factorizer(pattern)
+    g_data = system.g_coo.data.astype(complex)
+    c_data = system.c_coo.data
+    states = np.empty((omegas.size, system.size), dtype=complex)
+    for k, w in enumerate(omegas):
+        data = np.concatenate([g_data, 1j * w * c_data])
+        states[k] = factorizer.refactorize(data).solve(b)
+    return states
+
+
+# ---------------------------------------------------------------------------
+# The circuit corpus
+# ---------------------------------------------------------------------------
+
+
+def _ladder(topology, n):
+    return build_ladder_circuit(
+        LadderSpec(**LINE, n_segments=n, topology=topology)
+    )
+
+
+CIRCUITS = {
+    **{
+        f"ladder-{topology}-{n}": functools.partial(_ladder, topology, n)
+        for topology in ("PI", "L", "T")
+        for n in (20, 150, 300)
+    },
+    "bus-4": lambda: build_bus_circuit(
+        BusSpec(
+            n_lines=4, rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
+            rtr=50.0, cl=5e-14, n_segments=10,
+        ),
+        "rise",
+    ),
+    **{
+        f"netlist-{name}": functools.partial(
+            lambda name: parse_netlist_file(NETLIST_DIR / name).bind(), name
+        )
+        for name in (
+            "rc_ladder.cir", "rlc_param.cir", "sources_zoo.cir",
+            "wires_short.cir",
+        )
+    },
+    "htree": lambda: build_htree_circuit(HTreeSpec(
+        levels=2, rt=200.0, lt=2e-8, ct=2e-12, rtr=50.0, cl=2e-13,
+        n_segments=4,
+    )),
+    "fanout": lambda: build_fanout_circuit(FanoutTreeSpec(
+        fanout=3, brt=150.0, blt=1.5e-8, bct=1.5e-12, rtr=40.0, cl=1e-13,
+        rt=100.0, lt=1e-8, ct=1e-12, trunk_segments=4, branch_segments=4,
+    )),
+    "mesh": lambda: build_mesh_circuit(MeshSpec(
+        rows=3, cols=4, r_edge=20.0, rtr=25.0, l_edge=5e-10, c_node=5e-14,
+        cl=2e-13,
+    )),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _case(name):
+    circuit = CIRCUITS[name]()
+    t_stop, dt = suggest_transient_window(circuit, n_samples=120)
+    return circuit, t_stop, dt
+
+
+def _first_vsource(circuit):
+    return next(
+        e.name for e in circuit.elements if isinstance(e, VoltageSource)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Full tier: bit-identical to the frozen scalar loops
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("initial", ["dc", "zero"])
+@pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_transient_matches_frozen_scalar_loop(name, backend, method, initial):
+    circuit, t_stop, dt = _case(name)
+    times, states = _old_transient(
+        circuit, t_stop, dt, method=method, initial=initial, backend=backend
+    )
+    result = simulate_transient(
+        circuit, t_stop, dt, method=method, initial=initial, backend=backend
+    )
+    assert np.array_equal(result.times, times)
+    assert np.array_equal(result.states, states)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_transient_explicit_start_matches_frozen_loop(name, backend):
+    circuit, t_stop, dt = _case(name)
+    x0 = np.linspace(-0.5, 0.5, build_mna(circuit).size)
+    times, states = _old_transient(
+        circuit, t_stop, dt, initial=x0, t_start=t_stop / 7, backend=backend
+    )
+    result = simulate_transient(
+        circuit, t_stop, dt, initial=x0, t_start=t_stop / 7, backend=backend
+    )
+    assert np.array_equal(result.times, times)
+    assert np.array_equal(result.states, states)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_ac_matches_frozen_scalar_loop(name, backend):
+    circuit, _, _ = _case(name)
+    source = _first_vsource(circuit)
+    omegas = np.concatenate([[0.0], np.geomspace(1e6, 1e11, 11)])
+    result = ac_sweep(circuit, omegas, input_source=source, backend=backend)
+    reference = _old_ac(circuit, omegas, source, backend)
+    assert np.array_equal(result.states, reference)
+
+
+def test_result_system_and_indices_match_build_mna():
+    circuit, t_stop, dt = _case("netlist-sources_zoo.cir")
+    system = build_mna(circuit)
+    result = simulate_transient(circuit, t_stop, dt)
+    assert result.system.node_index == system.node_index
+    assert result.system.branch_index == system.branch_index
+    assert np.array_equal(result.system.g, system.g)
+    assert np.array_equal(result.system.c, system.c)
+    ac = ac_sweep(circuit, [1e8], input_source="V1")
+    assert ac.node_index == system.node_index
+    assert ac.branch_index == system.branch_index
+
+
+def test_param_slot_circuits_rejected_as_by_build_mna():
+    circuit = Circuit()
+    circuit.add(VoltageSource("V1", "in", "0", 1.0))
+    circuit.add(Resistor("R1", "in", "out", Param("r")))
+    circuit.add(Capacitor("C1", "out", "0", 1e-12))
+    with pytest.raises(NetlistError, match="unbound parameters"):
+        simulate_transient(circuit, 1e-9, 1e-11)
+    with pytest.raises(NetlistError, match="unbound parameters"):
+        ac_sweep(circuit, [1e8])
+
+
+# ---------------------------------------------------------------------------
+# Scalar MNA delay = batch of one
+# ---------------------------------------------------------------------------
+
+
+def _random_lines(seed, count):
+    rng = np.random.default_rng(seed)
+    return [
+        DriverLineLoad(
+            rt=float(rng.uniform(50, 2000)),
+            lt=float(10 ** rng.uniform(-9, -6)),
+            ct=float(rng.uniform(0.2e-12, 2e-12)),
+            rtr=float(rng.uniform(20, 500)),
+            cl=float(rng.choice([0.0, rng.uniform(1e-14, 5e-13)])),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_scalar_mna_delay_is_the_batch_entry_point():
+    lines = _random_lines(3, 8)
+    kwargs = dict(route="mna", n_segments=40, n_samples=601)
+    scalar = np.asarray([simulated_delay_50(line, **kwargs) for line in lines])
+    assert np.array_equal(scalar, simulated_delay_50_batch(lines, **kwargs))
+    for line, t50 in zip(lines, scalar):
+        assert simulated_delay_50_batch([line], **kwargs)[0] == t50
+
+
+def test_scalar_mna_delay_matches_full_window_run():
+    # Template revaluation against concrete stamps: ulp-level moves only.
+    for line in _random_lines(11, 6):
+        spec = line.ladder(n_segments=40)
+        span = _time_window(line, 12.0)
+        result = simulate_transient(
+            build_ladder_circuit(spec), span, dt=span / 600
+        )
+        reference = result.voltage(spec.output_node).delay_50(v_final=1.0)
+        t50 = simulated_delay_50(
+            line, route="mna", n_segments=40, n_samples=601
+        )
+        assert abs(t50 - reference) <= 1e-12 * reference
+
+
+# ---------------------------------------------------------------------------
+# One tier policy: checks that the scalar paths had and the batch lacked
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def _captured():
+    with obs.capture():
+        yield
+    obs.reset()
+    obs.disable()
+
+
+def _selections():
+    entries = obs.REGISTRY.snapshot()["counters"].get("rom.model_selected", [])
+    return {
+        (entry["labels"]["model"], entry["labels"]["rule"]): entry["value"]
+        for entry in entries
+    }
+
+
+#: An RC-dominated 150-segment ladder (n > ROM_SIZE_CUTOFF) swept far
+#: past its bandwidth at q = 12.  The suborder defect is relative to the
+#: large low-frequency response and reads about 0.04; the exact residual
+#: at the high probe frequencies reads about 0.34.  The bound sits
+#: between them.
+AC_LINE = dict(rt=1000.0, lt=1e-8, ct=1e-12, rtr=500.0, cl=5e-13)
+AC_OMEGAS = np.geomspace(1e5, 1e12, 15)
+AC_KW = dict(rom_order=12, rom_error_bound=0.1)
+
+
+def _ac_queries():
+    """The AC case as a scalar query and as a one-point template batch."""
+    circuit = build_ladder_circuit(LadderSpec(**AC_LINE, n_segments=150))
+    template = build_ladder_template(150, "PI", loaded=True)
+    return (
+        lambda **kw: ac_sweep(circuit, AC_OMEGAS, **kw).states,
+        lambda **kw: ac_sweep_batch(
+            template, [AC_LINE], AC_OMEGAS, **kw
+        ).states[0],
+    )
+
+
+@pytest.mark.parametrize("query", [0, 1], ids=["scalar", "batch"])
+def test_ac_auto_falls_back_on_probe_residual(_captured, monkeypatch, query):
+    run = _ac_queries()[query]
+    full = run()
+    assert np.array_equal(run(model="auto", **AC_KW), full)
+    assert _selections() == {("full", "auto-error-fallback"): 1.0}
+
+    # Without the residual term the same point is served reduced: its
+    # moment error and suborder defect stay within the bound.
+    obs.reset()
+    monkeypatch.setattr(
+        ReducedSystem, "ac_residuals",
+        lambda self, row, omegas, z, g_csr, c_csr: np.zeros(len(omegas)),
+    )
+    assert not np.array_equal(run(model="auto", **AC_KW), full)
+    assert _selections() == {("reduced", "auto-within-bound"): 1.0}
+
+
+def _failing_serve(*args, **kwargs):
+    raise SimulationError("singular reduced transient system matrix in batch")
+
+
+def test_transient_serve_error_falls_back_under_auto(_captured, monkeypatch):
+    circuit, t_stop, dt = _case("ladder-PI-150")
+    template = build_ladder_template(150, "PI", loaded=True)
+    points = [dict(LINE, rt=LINE["rt"] * s) for s in (0.8, 1.0, 1.25)]
+    full = simulate_transient(circuit, t_stop, dt)
+    full_batch = simulate_transient_batch(template, points, t_stop, dt)
+    monkeypatch.setattr(rom_pkg, "reduced_transient_batch", _failing_serve)
+    auto = simulate_transient(circuit, t_stop, dt, model="auto", rom_order=8)
+    assert np.array_equal(auto.states, full.states)
+    auto_batch = simulate_transient_batch(
+        template, points, t_stop, dt, model="auto", rom_order=8
+    )
+    assert np.array_equal(auto_batch.states, full_batch.states)
+    assert _selections() == {("full", "auto-error-fallback"): 4.0}
+    with pytest.raises(SimulationError, match="singular reduced"):
+        simulate_transient(circuit, t_stop, dt, model="reduced", rom_order=8)
+    with pytest.raises(SimulationError, match="singular reduced"):
+        simulate_transient_batch(
+            template, points, t_stop, dt, model="reduced", rom_order=8
+        )

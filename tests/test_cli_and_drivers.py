@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.experiments import crosstalk_study, refit, zeta_collapse
 
 
@@ -26,6 +28,31 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "EXP-NOPE"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    SHARED = (
+        "--netlist", "--node", "--dt", "--backend", "--model",
+        "--rom-order", "--rom-error-bound",
+    )
+
+    @staticmethod
+    def _options(subcommand):
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        return {
+            option: (tuple(action.option_strings), action.dest, action.type,
+                     action.default, action.help)
+            for action in sub.choices[subcommand]._actions
+            for option in action.option_strings
+        }
+
+    def test_run_and_sweep_share_the_simulation_options(self):
+        run, sweep = self._options("run"), self._options("sweep")
+        for option in self.SHARED:
+            assert run[option] == sweep[option]
+        assert run["--dt"][2] is float and run["--rom-order"][2] is int
+        assert run["--rom-error-bound"][2] is float
 
 
 class TestZetaCollapseDriver:
