@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core import delay as delay_mod
 from repro.errors import ConvergenceError, ParameterError
@@ -81,8 +80,10 @@ def fit_delay_model(
         raise ParameterError("zeta_values and scaled_delays must be equal 1-D arrays")
     if z.size < 4:
         raise ParameterError("need at least 4 fit points")
+    from scipy.optimize import curve_fit  # deferred: keeps ``import repro`` light
+
     try:
-        params, _ = optimize.curve_fit(
+        params, _ = curve_fit(
             delay_model_form, z, d, p0=initial_guess, maxfev=20000
         )
     except RuntimeError as exc:
@@ -115,8 +116,10 @@ def fit_error_factor(
         raise ParameterError("need at least 3 fit points")
     if np.any(f <= 0) or np.any(f > 1.0 + 1e-9):
         raise ParameterError("error factors must lie in (0, 1]")
+    from scipy.optimize import curve_fit  # deferred: keeps ``import repro`` light
+
     try:
-        params, _ = optimize.curve_fit(
+        params, _ = curve_fit(
             error_factor_form, t, f, p0=initial_guess, maxfev=20000
         )
     except RuntimeError as exc:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.canonical import DriverLineLoad
 from repro.errors import AnalysisError
@@ -111,6 +110,8 @@ def two_pole_delay_50(line: DriverLineLoad) -> float:
     The response is searched on ``[0, 40 * a1]``; two-pole responses
     always reach 0.5 well inside that window.
     """
+    from scipy.optimize import brentq  # deferred: keeps ``import repro`` light
+
     a1, _ = two_pole_coefficients(line)
     if a1 <= 0:
         raise AnalysisError("two-pole model needs a1 > 0")

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.canonical import DriverLineLoad
 from repro.core.delay import propagation_delay, scaled_delay
@@ -321,6 +320,8 @@ def numerical_optimal_design(
     log-coordinates (guaranteeing positivity).  Raises
     :class:`~repro.errors.ConvergenceError` if the simplex fails.
     """
+    from scipy import optimize  # deferred: keeps ``import repro`` light
+
     system = RepeaterSystem(line, buffer)
     seed = optimal_rlc_design(line, buffer)
 
@@ -363,6 +364,8 @@ def practical_design(
     returns the fastest.  ``max_sections`` caps the search (defaults to
     twice the RC optimum).
     """
+    from scipy import optimize  # deferred: keeps ``import repro`` light
+
     system = RepeaterSystem(line, buffer)
     continuous = numerical_optimal_design(line, buffer)
     rc = bakoglu_rc_design(line, buffer)

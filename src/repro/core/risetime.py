@@ -25,8 +25,9 @@ zeta >= 1.  Use the model as a band-center estimate below zeta ~ 0.8.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.core.canonical import DriverLineLoad
 from repro.errors import ParameterError
@@ -63,7 +64,17 @@ _HEAD_EXPONENT = float(
     / np.log(RISE_TABLE_ZETA[1] / RISE_TABLE_ZETA[0])
 )
 
-_INTERPOLATOR = PchipInterpolator(RISE_TABLE_ZETA, RISE_TABLE_VALUES)
+
+@functools.cache
+def _interpolator():
+    """Monotone cubic through the table, built on first use.
+
+    ``scipy.interpolate`` is imported here, not at module level, so
+    that ``import repro`` does not load it.
+    """
+    from scipy.interpolate import PchipInterpolator
+
+    return PchipInterpolator(RISE_TABLE_ZETA, RISE_TABLE_VALUES)
 
 
 def scaled_rise_time(zeta_value):
@@ -81,7 +92,7 @@ def scaled_rise_time(zeta_value):
     above = z > z_hi
     inside = ~(below | above)
     out = np.empty_like(z)
-    out[inside] = _INTERPOLATOR(z[inside])
+    out[inside] = _interpolator()(z[inside])
     if np.any(below):
         safe = np.where(below, z, z_lo)
         out[below] = RISE_TABLE_VALUES[0] * (safe[below] / z_lo) ** _HEAD_EXPONENT

@@ -69,8 +69,10 @@ __all__ = [
 #: Version 2: the MNA transient grid now ends exactly at ``t_stop``
 #: (previously it could overshoot by up to one ``dt``).  Version 3: a
 #: scalar MNA delay is a batch of one, stamped through the ladder
-#: template (delays move by about 1e-13 relative).
-SIMULATOR_VERSION = 3
+#: template (delays move by about 1e-13 relative).  Version 4: banded
+#: MNA solves of tridiagonal bands (every ladder) use LAPACK's
+#: tridiagonal LU (delays move by up to about 3e-12 relative).
+SIMULATOR_VERSION = 4
 
 
 class SimulatorRoute(str, enum.Enum):

@@ -36,9 +36,11 @@ The three implementations:
     systems of arbitrary structure (coupled buses, meshes).
 
 ``banded``
-    Reverse-Cuthill-McKee reordering + LAPACK ``*gbtrf``/``*gbtrs``.
-    For ladder chains the permuted system is a narrow band solved in
-    O(n * bw^2); the fastest path for the paper's workloads.
+    Reverse-Cuthill-McKee reordering + LAPACK banded LU.  A tridiagonal
+    profile (``kl = ku = 1``: every ladder chain) factors with the
+    tridiagonal ``*gttrf``/``*gttrs``, a wider band (coupled buses) with
+    ``*gbtrf``/``*gbtrs``; either way the permuted system is solved in
+    O(n * bw^2), the fastest path for the paper's workloads.
 
 Matrices move through the module in backend-neutral triplet
 (:class:`CooMatrix`) form; each backend materializes only the storage
@@ -49,6 +51,9 @@ All backends report an exactly singular matrix uniformly by raising
 :class:`~repro.errors.SimulationError` from :meth:`factorize`, so the
 ``initial="dc"`` / floating-node error paths behave identically no
 matter which implementation is active.
+
+Every factorization solves a complex right-hand side, also against a
+real factor (as its real and imaginary parts).
 """
 
 from __future__ import annotations
@@ -433,15 +438,33 @@ class SimulationBackend(abc.ABC):
         )
 
 
+def _typed_solve(solve, rhs, dtype: np.dtype) -> np.ndarray:
+    """``solve(rhs)`` for a factor of ``dtype``, ``rhs`` cast to it.
+
+    A complex ``rhs`` against a real factor is solved as its real and
+    imaginary parts: casting it would drop the imaginary part.
+    """
+    rhs = np.asarray(rhs)
+    if np.iscomplexobj(rhs) and dtype.kind != "c":
+        out = np.empty(rhs.shape, dtype=np.result_type(dtype, 1j))
+        out.real = solve(np.asarray(rhs.real, dtype=dtype))
+        out.imag = solve(np.asarray(rhs.imag, dtype=dtype))
+        return out
+    return solve(np.asarray(rhs, dtype=dtype))
+
+
 class _DenseFactorization(LinearFactorization):
     def __init__(self, lu: np.ndarray, piv: np.ndarray) -> None:
         self._lu = lu
         self._piv = piv
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+    def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(
             (self._lu, self._piv), rhs, check_finite=False
         )
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return _typed_solve(self._lu_solve, rhs, self._lu.dtype)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         _count("solve", "dense")
@@ -501,7 +524,7 @@ class _SparseFactorization(LinearFactorization):
         self._dtype = dtype
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(rhs, dtype=self._dtype))
+        return _typed_solve(self._lu.solve, rhs, self._dtype)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         _count("solve", "sparse")
@@ -568,6 +591,16 @@ class SparseLuBackend(SimulationBackend):
         return _SparseFactorizer(pattern)
 
 
+def _unpermute(solution: tuple[np.ndarray, int], perm: np.ndarray) -> np.ndarray:
+    """LAPACK's ``(x, info)`` for the RCM-permuted system, in RHS order."""
+    x, info = solution
+    if info != 0:  # pragma: no cover - the factorization vetted the factor
+        raise SimulationError(f"banded solve failed (LAPACK info={info})")
+    out = np.empty_like(x)
+    out[perm] = x
+    return out
+
+
 class _BandedFactorization(LinearFactorization):
     def __init__(self, lu_band, piv, kl, ku, perm, gbtrs, dtype) -> None:
         self._lu_band = lu_band
@@ -578,17 +611,15 @@ class _BandedFactorization(LinearFactorization):
         self._gbtrs = gbtrs
         self._dtype = dtype
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        permuted = np.asarray(rhs, dtype=self._dtype)[self._perm]
-        x, info = self._gbtrs(
-            self._lu_band, self._kl, self._ku, permuted, self._piv,
+    def _permuted_solve(self, rhs: np.ndarray) -> np.ndarray:
+        # The permuted copy is fresh, so gbtrs may overwrite it.
+        return _unpermute(self._gbtrs(
+            self._lu_band, self._kl, self._ku, rhs[self._perm], self._piv,
             overwrite_b=True,
-        )
-        if info != 0:  # pragma: no cover - gbtrf already vetted the factor
-            raise SimulationError(f"banded solve failed (LAPACK info={info})")
-        out = np.empty_like(x)
-        out[self._perm] = x
-        return out
+        ), self._perm)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return _typed_solve(self._permuted_solve, rhs, self._dtype)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         _count("solve", "banded")
@@ -601,9 +632,112 @@ class _BandedFactorization(LinearFactorization):
         _count("solve_many_rhs", "banded", rhs.shape[1] if rhs.ndim > 1 else 1)
         return self._solve(rhs)
 
+    @classmethod
+    def stack(cls, factors: list["_BandedFactorization"], owner: np.ndarray):
+        """The per-point bands side by side, pivots offset by ``j * n``.
+
+        The band cells that reach across a block boundary lie outside
+        each point's matrix; ``gbtrf`` never writes them, so they hold
+        exact zeros and every cross-block update is ``x - 0 * y``.
+        """
+        first = factors[0]
+        n = first._perm.size
+        offsets = n * np.arange(owner.size)
+        lu_band = np.empty(
+            (first._lu_band.shape[0], owner.size * n),
+            dtype=first._lu_band.dtype, order="F",
+        )
+        for j, g in enumerate(owner):
+            lu_band[:, j * n:(j + 1) * n] = factors[g]._lu_band
+        piv = np.concatenate(
+            [factors[g]._piv + offset for g, offset in zip(owner, offsets)]
+        ).astype(first._piv.dtype, copy=False)
+        return cls(
+            lu_band, piv, first._kl, first._ku, _stacked_perm(first._perm, owner),
+            first._gbtrs, first._dtype,
+        )
+
+
+class _TridiagonalFactorization(LinearFactorization):
+    """Tridiagonal LU (``*gttrf``) of a ``kl = ku = 1`` RCM profile.
+
+    ``dl``/``d``/``du``/``du2`` and ``ipiv`` are ``*gttrf``'s outputs
+    for the permuted matrix: the multipliers, ``U``'s diagonal and its
+    first and second super-diagonals, and the row interchanges.
+    """
+
+    def __init__(self, dl, d, du, du2, ipiv, perm, gttrs, dtype) -> None:
+        self._dl = dl
+        self._d = d
+        self._du = du
+        self._du2 = du2
+        self._ipiv = ipiv
+        self._perm = perm
+        self._gttrs = gttrs
+        self._dtype = dtype
+
+    def _permuted_solve(self, rhs: np.ndarray) -> np.ndarray:
+        # The permuted copy is fresh, so gttrs may overwrite it.
+        return _unpermute(self._gttrs(
+            self._dl, self._d, self._du, self._du2, self._ipiv,
+            rhs[self._perm], overwrite_b=True,
+        ), self._perm)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return _typed_solve(self._permuted_solve, rhs, self._dtype)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        _count("solve", "banded")
+        return self._solve(rhs)
+
+    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
+        """Single multi-RHS ``*gttrs`` call over the ``(n, k)`` block."""
+        rhs = np.asarray(rhs)
+        _count("solve_many", "banded")
+        _count("solve_many_rhs", "banded", rhs.shape[1] if rhs.ndim > 1 else 1)
+        return self._solve(rhs)
+
+    @classmethod
+    def stack(cls, factors: list["_TridiagonalFactorization"], owner: np.ndarray):
+        """The per-point factors end to end, pivots offset by ``j * n``.
+
+        Each block boundary gets one zero ``dl``/``du`` entry and two
+        zero ``du2`` entries, and a point's last pivot never swaps
+        (``ipiv[n - 1] = n``), so every cross-block update is
+        ``x - 0 * y``.
+        """
+        n = factors[0]._perm.size
+
+        def end_to_end(name: str) -> np.ndarray:
+            parts = [getattr(f, name) for f in factors]
+            out = np.zeros((owner.size, n), dtype=parts[0].dtype)
+            for j, g in enumerate(owner):
+                out[j, :parts[g].size] = parts[g]
+            # The last block keeps no boundary padding.
+            return out.ravel()[: out.size - n + parts[0].size]
+
+        ipiv = end_to_end("_ipiv") + np.repeat(
+            n * np.arange(owner.size, dtype=factors[0]._ipiv.dtype), n
+        )
+        return cls(
+            end_to_end("_dl"), end_to_end("_d"), end_to_end("_du"),
+            end_to_end("_du2"), ipiv, _stacked_perm(factors[0]._perm, owner),
+            factors[0]._gttrs, factors[0]._dtype,
+        )
+
+
+def _stacked_perm(perm: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``perm`` repeated per batch point, offset by ``j * n`` for block ``j``."""
+    n = perm.size
+    return (perm[None, :] + n * np.arange(owner.size)[:, None]).ravel()
+
 
 class BandedLuBackend(SimulationBackend):
-    """RCM reordering + LAPACK banded LU (``*gbtrf``/``*gbtrs``).
+    """RCM reordering + LAPACK banded LU.
+
+    A tridiagonal RCM profile (``kl = ku = 1``, every ladder chain)
+    factors with the tridiagonal ``*gttrf``/``*gttrs``, and a wider band
+    with ``*gbtrf``/``*gbtrs``; the profile alone picks the kernel.
 
     The permutation depends only on a matrix's sparsity pattern, so the
     last few computed profiles are memoized against the exact triplet
@@ -702,17 +836,31 @@ class _BandedFactorizer(PatternFactorizer):
         data = np.asarray(data)
         kl, ku = self._kl, self._ku
         ab = self._assemble(data)
+        if kl == ku == 1:
+            # Rows 1-3 of the band are the super-, main and sub-diagonals.
+            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (ab,))
+            *lu, info = gttrf(
+                ab[3, :-1], ab[2], ab[1, 1:],
+                overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+            )
+            _check_pivots(info)
+            return _TridiagonalFactorization(*lu, self._perm, gttrs, ab.dtype)
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         lu_band, piv, info = gbtrf(ab, kl, ku)
-        if info > 0:
-            raise SimulationError(
-                f"singular matrix (banded LU: zero pivot at row {info})"
-            )
-        if info < 0:  # pragma: no cover - argument error, not data-driven
-            raise SimulationError(f"banded factorization failed (info={info})")
+        _check_pivots(info)
         return _BandedFactorization(
             lu_band, piv, kl, ku, self._perm, gbtrs, ab.dtype
         )
+
+
+def _check_pivots(info: int) -> None:
+    """Raise for a failed ``*gttrf``/``*gbtrf`` (``info != 0``)."""
+    if info > 0:
+        raise SimulationError(
+            f"singular matrix (banded LU: zero pivot at row {info})"
+        )
+    if info < 0:  # pragma: no cover - argument error, not data-driven
+        raise SimulationError(f"banded factorization failed (info={info})")
 
 
 class _StackedFactorization(LinearFactorization):
@@ -760,36 +908,20 @@ def stack_factorizations(
     their solutions stacked the same way, equal bit for bit to solving
     each block with its own factorization.
 
-    Banded factorizations stack into a single banded LU: the per-point
-    ``gbtrf`` bands are laid side by side and each point's pivots are
-    offset by ``j * n``, so one ``*gbtrs`` call solves every point.  The
-    band cells that reach across a block boundary lie outside each
-    point's matrix; ``gbtrf`` never writes them, so they hold exact
-    zeros and every cross-block update is ``x - 0 * y``.  Other
-    backends keep one solve per distinct factorization, looped over.  A
-    batch of one is its own factorization.
+    The banded backend's factorizations stack into one factorization of
+    their own kind, the per-point LU factors laid end to end with each
+    point's pivots offset by ``j * n``, so one ``*gttrs`` or ``*gbtrs``
+    call solves every point.  Other backends keep one solve per distinct
+    factorization, looped over.  A batch of one is its own
+    factorization.
     """
     owner = np.asarray(owner, dtype=np.intp)
     if owner.size == 1:
         return factors[owner[0]]
-    if not all(isinstance(f, _BandedFactorization) for f in factors):
-        return _StackedFactorization(factors, owner)
-    first = factors[0]
-    n = first._perm.size
-    offsets = n * np.arange(owner.size)
-    lu_band = np.empty(
-        (first._lu_band.shape[0], owner.size * n),
-        dtype=first._lu_band.dtype, order="F",
-    )
-    for j, g in enumerate(owner):
-        lu_band[:, j * n:(j + 1) * n] = factors[g]._lu_band
-    piv = np.concatenate(
-        [factors[g]._piv + offset for g, offset in zip(owner, offsets)]
-    ).astype(first._piv.dtype, copy=False)
-    perm = (first._perm[None, :] + offsets[:, None]).ravel()
-    return _BandedFactorization(
-        lu_band, piv, first._kl, first._ku, perm, first._gbtrs, first._dtype
-    )
+    for kind in (_TridiagonalFactorization, _BandedFactorization):
+        if all(type(f) is kind for f in factors):
+            return kind.stack(factors, owner)
+    return _StackedFactorization(factors, owner)
 
 
 #: Name -> class registry of the selectable implementations.

@@ -370,8 +370,8 @@ def simulate_transient_batch(
     together as one block-diagonal system over the stacked ``(B * n,)``
     state: per step, one history matvec, one source add and one solve
     through :func:`~repro.spice.backend.stack_factorizations` (a single
-    ``*gbtrs`` call on the banded backend), and points with identical
-    matrices share one factorization.  Results match
+    ``*gttrs`` or ``*gbtrs`` call on the banded backend), and points with
+    identical matrices share one factorization.  Results match
     :func:`simulate_transient` (itself a batch of one) on
     ``template.bind(point)`` per point (the equivalence suite pins this
     to <= 1e-12 across all backends).

@@ -7,7 +7,9 @@ final value, with a step applied at ``t = 0``).
 
 All functions take sampled data and interpolate linearly between samples;
 :class:`Waveform` packages a ``(t, v)`` pair with the common measurements
-as methods.
+as methods.  The functions validate their samples on every call; a
+:class:`Waveform` validates once, at construction, and its methods
+measure the stored (read-only) arrays directly.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ def first_crossing(
         If the waveform never crosses the level in the given direction.
     """
     t, v = _validate(t, v)
+    return _first_crossing(t, v, level, rising)
+
+
+def _first_crossing(t: np.ndarray, v: np.ndarray, level: float, rising: bool) -> float:
+    """:func:`first_crossing` on already validated samples."""
     if rising:
         satisfied = v >= level
     else:
@@ -120,6 +127,13 @@ def propagation_delay_50(t, v, v_final: float | None = None) -> float:
     response) when the simulated window is short.
     """
     t, v = _validate(t, v)
+    return _propagation_delay_50(t, v, v_final)
+
+
+def _propagation_delay_50(
+    t: np.ndarray, v: np.ndarray, v_final: float | None
+) -> float:
+    """:func:`propagation_delay_50` on already validated samples."""
     if v_final is None:
         v_final = float(v[-1])
     if v_final <= v[0]:
@@ -127,7 +141,7 @@ def propagation_delay_50(t, v, v_final: float | None = None) -> float:
             f"final value {v_final:g} does not exceed initial value {v[0]:g}"
         )
     level = v[0] + 0.5 * (v_final - v[0])
-    return first_crossing(t, v, level, rising=True)
+    return _first_crossing(t, v, level, rising=True)
 
 
 def rise_time(
@@ -139,6 +153,13 @@ def rise_time(
 ) -> float:
     """10%-90% (by default) rise time of a rising step response."""
     t, v = _validate(t, v)
+    return _rise_time(t, v, v_final, low, high)
+
+
+def _rise_time(
+    t: np.ndarray, v: np.ndarray, v_final: float | None, low: float, high: float
+) -> float:
+    """:func:`rise_time` on already validated samples."""
     if not 0.0 <= low < high <= 1.0:
         raise ParameterError(f"need 0 <= low < high <= 1, got {low}, {high}")
     if v_final is None:
@@ -147,8 +168,8 @@ def rise_time(
     span = v_final - v0
     if span <= 0:
         raise AnalysisError("waveform does not rise")
-    t_low = first_crossing(t, v, v0 + low * span, rising=True)
-    t_high = first_crossing(t, v, v0 + high * span, rising=True)
+    t_low = _first_crossing(t, v, v0 + low * span, rising=True)
+    t_high = _first_crossing(t, v, v0 + high * span, rising=True)
     return t_high - t_low
 
 
@@ -159,6 +180,11 @@ def overshoot(t, v, v_final: float | None = None) -> float:
     not.  The paper's Table 1 sweep includes both regimes.
     """
     t, v = _validate(t, v)
+    return _overshoot(v, v_final)
+
+
+def _overshoot(v: np.ndarray, v_final: float | None) -> float:
+    """:func:`overshoot` on already validated samples."""
     if v_final is None:
         v_final = float(v[-1])
     if v_final == 0:
@@ -170,6 +196,13 @@ def overshoot(t, v, v_final: float | None = None) -> float:
 def settling_time(t, v, v_final: float | None = None, band: float = 0.05) -> float:
     """Time after which the waveform stays within ``band`` of final value."""
     t, v = _validate(t, v)
+    return _settling_time(t, v, v_final, band)
+
+
+def _settling_time(
+    t: np.ndarray, v: np.ndarray, v_final: float | None, band: float
+) -> float:
+    """:func:`settling_time` on already validated samples."""
     if v_final is None:
         v_final = float(v[-1])
     if not 0 < band < 1:
@@ -195,15 +228,22 @@ class Waveform:
     >>> w = Waveform(t, 1 - np.exp(-t))
     >>> round(w.delay_50(v_final=1.0), 3)
     0.693
+
+    ``times`` and ``values`` are validated once, here, and stored as
+    read-only views, so the measurements need not validate them again;
+    the arrays passed in stay writeable.
     """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        t, v = _validate(self.times, self.values)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        for name, samples in zip(
+            ("times", "values"), _validate(self.times, self.values)
+        ):
+            view = samples.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @classmethod
     def from_samples(cls, times: Sequence[float], values: Sequence[float]) -> "Waveform":
@@ -217,23 +257,23 @@ class Waveform:
 
     def crossing(self, level: float, rising: bool = True) -> float:
         """First crossing time of ``level``."""
-        return first_crossing(self.times, self.values, level, rising)
+        return _first_crossing(self.times, self.values, level, rising)
 
     def delay_50(self, v_final: float | None = None) -> float:
         """50% propagation delay."""
-        return propagation_delay_50(self.times, self.values, v_final)
+        return _propagation_delay_50(self.times, self.values, v_final)
 
     def rise_time(self, v_final: float | None = None) -> float:
         """10-90% rise time."""
-        return rise_time(self.times, self.values, v_final)
+        return _rise_time(self.times, self.values, v_final, 0.1, 0.9)
 
     def overshoot(self, v_final: float | None = None) -> float:
         """Fractional peak overshoot."""
-        return overshoot(self.times, self.values, v_final)
+        return _overshoot(self.values, v_final)
 
     def settling_time(self, v_final: float | None = None, band: float = 0.05) -> float:
         """Settling time to within ``band`` of the final value."""
-        return settling_time(self.times, self.values, v_final, band)
+        return _settling_time(self.times, self.values, v_final, band)
 
     def resampled(self, times) -> "Waveform":
         """Linear re-interpolation onto a new time grid."""

@@ -8,6 +8,8 @@ exception class no matter which implementation is active.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,33 @@ class TestSingularPaths:
             backend=backend,
         )
         assert np.all(np.isfinite(result.states))
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+class TestComplexRhsAgainstRealFactor:
+    """A real factor solves a complex RHS in full, imaginary part kept."""
+
+    @staticmethod
+    def _check(backend, rng, n_rhs):
+        spec = LadderSpec(
+            rt=1000.0, lt=1e-7, ct=1e-12, rtr=100.0, cl=1e-13, n_segments=20
+        )
+        matrix = build_mna(build_ladder_circuit(spec)).combine(1.0, 1e11)
+        factor = resolve_backend(backend).factorize(matrix)
+        shape = (matrix.shape[0],) + ((n_rhs,) if n_rhs else ())
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.linalg.solve(matrix.to_dense().astype(complex), rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            x = factor.solve_many(rhs) if n_rhs else factor.solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_solve(self, backend, rng):
+        self._check(backend, rng, None)
+
+    def test_solve_many(self, backend, rng):
+        self._check(backend, rng, 3)
 
 
 def _chain_matrix(n: int) -> CooMatrix:

@@ -180,3 +180,42 @@ class TestWaveformClass:
     def test_immutable_validation(self):
         with pytest.raises(ParameterError):
             Waveform(np.array([1.0]), np.array([1.0]))
+
+    def test_stores_read_only_views(self):
+        t, v = exponential_rise()
+        w = Waveform(t, v)
+        for stored, given in ((w.times, t), (w.values, v)):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 5.0
+            assert given.flags.writeable
+
+    def test_methods_match_the_validating_functions(self):
+        t = np.linspace(0.0, 10.0, 2001)
+        v = 1.0 - np.exp(-0.4 * t) * np.cos(2.0 * t)
+        w = Waveform(t, v)
+        assert w.delay_50() == propagation_delay_50(t, v)
+        assert w.delay_50(v_final=1.0) == propagation_delay_50(t, v, 1.0)
+        assert w.crossing(0.3, rising=True) == first_crossing(t, v, 0.3)
+        assert w.rise_time(1.0) == rise_time(t, v, 1.0)
+        assert w.overshoot(1.0) == overshoot(t, v, 1.0)
+        assert w.settling_time(1.0, band=0.1) == settling_time(t, v, 1.0, band=0.1)
+
+    def test_methods_do_not_revalidate(self, monkeypatch):
+        import repro.tline.waveform as waveform
+
+        t, v = exponential_rise()
+        w = Waveform(t, v)
+        calls = []
+        original = waveform._validate
+        monkeypatch.setattr(
+            waveform, "_validate", lambda *a: calls.append(1) or original(*a)
+        )
+        w.delay_50()
+        w.crossing(0.5)
+        w.rise_time()
+        w.overshoot()
+        w.settling_time()
+        assert calls == []
+        propagation_delay_50(t, v)
+        assert calls == [1]
