@@ -1034,13 +1034,16 @@ def _batch_recurrence(
         raise SimulationError(
             "singular reduced transient system matrix in batch"
         ) from exc
-    states = _step_states(
-        solved[:, :, :q], solved[:, :, q : q + n_drive], w_terms, fac, z0,
-        rec_basis,
-    )
-    if not bordered:
-        return states, None
+    # A diverging recurrence of either order overflows quietly: the
+    # caller turns non-finite states into an infinite error estimate
+    # (a full-path rerun under model="auto", an error under "reduced").
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        states = _step_states(
+            solved[:, :, :q], solved[:, :, q : q + n_drive], w_terms, fac, z0,
+            rec_basis,
+        )
+        if not bordered:
+            return states, None
         sub = _drop_last_direction(solved, q + n_drive)
         states_sub = _step_states(
             sub[:, :, : q - 1], sub[:, :, q:], w_terms, fac, z0_sub,

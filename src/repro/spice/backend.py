@@ -59,6 +59,7 @@ real factor (as its real and imaginary parts).
 from __future__ import annotations
 
 import abc
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -214,27 +215,49 @@ class _PatternCsr:
             self._indptr,
         ) = _compressed_dedup_map(pattern.rows, pattern.cols, pattern.shape[0])
 
-    def block_diagonal(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
+    def block_diagonal(
+        self, data: np.ndarray, order: np.ndarray | None = None
+    ) -> scipy.sparse.csr_matrix:
         """Block-diagonal CSR of ``B`` revaluations, one per row of ``data``.
 
         Block ``j`` is the canonical CSR matrix of ``data[j]``: its
         duplicates summed in triplet order, every row's entries in
         column order.  A matvec with the stacked ``(B * n,)`` vector
         therefore reproduces each point's own matvec bit for bit.
+
+        With ``order`` (a permutation of the ``n`` rows) every block is
+        ``M_j[order][:, order]`` instead, each row keeping its entries'
+        order, so its matvec with ``x_j[order]`` is ``(M_j @
+        x_j)[order]`` bit for bit.
         """
         n_points = data.shape[0]
         n = self._shape[0]
         acc = np.empty((n_points, self._n_unique), dtype=data.dtype)
         for j in range(n_points):
             acc[j] = _scatter_dedup(self._order, self._slot, self._n_unique, data[j])
+        indices, indptr = self._indices, self._indptr
+        if order is not None:
+            counts = np.diff(indptr)[order]
+            starts = indptr[order]
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            take = np.arange(self._n_unique) + np.repeat(starts - indptr[:-1], counts)
+            indices = _inverse_permutation(order)[indices[take]]
+            acc = acc[:, take]
         offsets = np.arange(n_points)[:, None]
-        indices = (self._indices + n * offsets).ravel()
+        indices = (indices + n * offsets).ravel()
         indptr = np.concatenate((
-            [0], (self._indptr[1:] + self._n_unique * offsets).ravel()
+            [0], (indptr[1:] + self._n_unique * offsets).ravel()
         ))
         return scipy.sparse.csr_matrix(
             (acc.ravel(), indices, indptr), shape=(n_points * n, n_points * n)
         )
+
+
+def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    """Where each index lands under ``perm``: ``inverse[perm[i]] = i``."""
+    inverse = np.empty(perm.size, dtype=np.intp)
+    inverse[perm] = np.arange(perm.size, dtype=np.intp)
+    return inverse
 
 
 def combine(*terms: tuple[float, CooMatrix]) -> CooMatrix:
@@ -284,8 +307,7 @@ def rcm_band_profile(matrix: CooMatrix) -> BandProfile:
         (np.ones(matrix.nnz), (matrix.rows, matrix.cols)), shape=matrix.shape
     )
     perm = np.asarray(reverse_cuthill_mckee(pattern, symmetric_mode=False))
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[perm] = np.arange(n, dtype=np.intp)
+    inverse = _inverse_permutation(perm)
     prows = inverse[matrix.rows]
     pcols = inverse[matrix.cols]
     kl = int(max(0, np.max(prows - pcols)))
@@ -316,6 +338,19 @@ class LinearFactorization(abc.ABC):
         return np.stack(
             [self.solve(rhs[:, k]) for k in range(rhs.shape[1])], axis=1
         )
+
+    def in_factor_order(self) -> tuple[np.ndarray | None, "LinearFactorization"]:
+        """This factorization over vectors in its own row order.
+
+        Returns ``(order, factor)``: ``factor.solve(b[order])`` equals
+        ``self.solve(b)[order]`` bit for bit, but skips the gather and
+        scatter a caller-order solve pays around the kernel, so a loop
+        that keeps its vectors in ``order`` solves without permutation
+        work.  ``order`` is ``None`` when the factorization already
+        works in the caller's order (dense and sparse); a banded
+        factorization returns its RCM permutation.
+        """
+        return None, self
 
 
 class PatternFactorizer(abc.ABC):
@@ -453,15 +488,31 @@ def _typed_solve(solve, rhs, dtype: np.dtype) -> np.ndarray:
     return solve(np.asarray(rhs, dtype=dtype))
 
 
+def _checked(solution: tuple[np.ndarray, int], kind: str) -> np.ndarray:
+    """The solution of a LAPACK ``(x, info)`` solve, vetted."""
+    x, info = solution
+    if info != 0:  # pragma: no cover - the factorization vetted the factor
+        raise SimulationError(f"{kind} solve failed (LAPACK info={info})")
+    return x
+
+
 class _DenseFactorization(LinearFactorization):
+    """Dense LU solved through the raw ``*getrs``.
+
+    :func:`scipy.linalg.lu_solve` makes the same ``*getrs`` call behind
+    a batch-aware wrapper whose per-call overhead dominates a lockstep
+    step on a few hundred unknowns.
+    """
+
     def __init__(self, lu: np.ndarray, piv: np.ndarray) -> None:
         self._lu = lu
         self._piv = piv
+        (self._getrs,) = get_lapack_funcs(("getrs",), (lu,))
 
     def _lu_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(
-            (self._lu, self._piv), rhs, check_finite=False
-        )
+        if not self._lu.size:  # getrs rejects an empty system
+            return rhs.copy()
+        return _checked(self._getrs(self._lu, self._piv, rhs), "dense")
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         return _typed_solve(self._lu_solve, rhs, self._lu.dtype)
@@ -591,32 +642,32 @@ class SparseLuBackend(SimulationBackend):
         return _SparseFactorizer(pattern)
 
 
-def _unpermute(solution: tuple[np.ndarray, int], perm: np.ndarray) -> np.ndarray:
-    """LAPACK's ``(x, info)`` for the RCM-permuted system, in RHS order."""
-    x, info = solution
-    if info != 0:  # pragma: no cover - the factorization vetted the factor
-        raise SimulationError(f"banded solve failed (LAPACK info={info})")
-    out = np.empty_like(x)
-    out[perm] = x
-    return out
+class _RcmFactorization(LinearFactorization):
+    """A banded LU of ``A[perm][:, perm]`` that solves ``A x = b``.
 
+    Subclasses supply the LAPACK kernel; this base gathers the
+    right-hand side into the RCM order ``perm`` and scatters the
+    solution back.  A factorization with ``perm = None`` (from
+    :meth:`in_factor_order`) hands its right-hand sides to the kernel
+    as they are.
+    """
 
-class _BandedFactorization(LinearFactorization):
-    def __init__(self, lu_band, piv, kl, ku, perm, gbtrs, dtype) -> None:
-        self._lu_band = lu_band
-        self._piv = piv
-        self._kl = kl
-        self._ku = ku
+    def __init__(self, perm: np.ndarray | None, dtype: np.dtype) -> None:
         self._perm = perm
-        self._gbtrs = gbtrs
         self._dtype = dtype
 
+    @abc.abstractmethod
+    def _kernel(self, rhs: np.ndarray, overwrite: bool) -> tuple[np.ndarray, int]:
+        """LAPACK's ``(x, info)`` for ``rhs`` in factor order."""
+
     def _permuted_solve(self, rhs: np.ndarray) -> np.ndarray:
-        # The permuted copy is fresh, so gbtrs may overwrite it.
-        return _unpermute(self._gbtrs(
-            self._lu_band, self._kl, self._ku, rhs[self._perm], self._piv,
-            overwrite_b=True,
-        ), self._perm)
+        if self._perm is None:
+            return _checked(self._kernel(rhs, overwrite=False), "banded")
+        # The permuted copy is fresh, so the kernel may overwrite it.
+        x = _checked(self._kernel(rhs[self._perm], overwrite=True), "banded")
+        out = np.empty_like(x)
+        out[self._perm] = x
+        return out
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         return _typed_solve(self._permuted_solve, rhs, self._dtype)
@@ -626,11 +677,36 @@ class _BandedFactorization(LinearFactorization):
         return self._solve(rhs)
 
     def solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """Single multi-RHS ``*gbtrs`` call over the ``(n, k)`` block."""
+        """Single multi-RHS kernel call over the ``(n, k)`` block."""
         rhs = np.asarray(rhs)
         _count("solve_many", "banded")
         _count("solve_many_rhs", "banded", rhs.shape[1] if rhs.ndim > 1 else 1)
         return self._solve(rhs)
+
+    def in_factor_order(self) -> tuple[np.ndarray | None, LinearFactorization]:
+        if self._perm is None:
+            return None, self
+        twin = copy.copy(self)
+        twin._perm = None
+        return self._perm, twin
+
+
+class _BandedFactorization(_RcmFactorization):
+    """General banded LU (``*gbtrf``) of a wider RCM profile."""
+
+    def __init__(self, lu_band, piv, kl, ku, perm, gbtrs, dtype) -> None:
+        super().__init__(perm, dtype)
+        self._lu_band = lu_band
+        self._piv = piv
+        self._kl = kl
+        self._ku = ku
+        self._gbtrs = gbtrs
+
+    def _kernel(self, rhs: np.ndarray, overwrite: bool) -> tuple[np.ndarray, int]:
+        return self._gbtrs(
+            self._lu_band, self._kl, self._ku, rhs, self._piv,
+            overwrite_b=overwrite,
+        )
 
     @classmethod
     def stack(cls, factors: list["_BandedFactorization"], owner: np.ndarray):
@@ -641,7 +717,7 @@ class _BandedFactorization(LinearFactorization):
         exact zeros and every cross-block update is ``x - 0 * y``.
         """
         first = factors[0]
-        n = first._perm.size
+        n = first._lu_band.shape[1]
         offsets = n * np.arange(owner.size)
         lu_band = np.empty(
             (first._lu_band.shape[0], owner.size * n),
@@ -658,7 +734,7 @@ class _BandedFactorization(LinearFactorization):
         )
 
 
-class _TridiagonalFactorization(LinearFactorization):
+class _TridiagonalFactorization(_RcmFactorization):
     """Tridiagonal LU (``*gttrf``) of a ``kl = ku = 1`` RCM profile.
 
     ``dl``/``d``/``du``/``du2`` and ``ipiv`` are ``*gttrf``'s outputs
@@ -667,35 +743,19 @@ class _TridiagonalFactorization(LinearFactorization):
     """
 
     def __init__(self, dl, d, du, du2, ipiv, perm, gttrs, dtype) -> None:
+        super().__init__(perm, dtype)
         self._dl = dl
         self._d = d
         self._du = du
         self._du2 = du2
         self._ipiv = ipiv
-        self._perm = perm
         self._gttrs = gttrs
-        self._dtype = dtype
 
-    def _permuted_solve(self, rhs: np.ndarray) -> np.ndarray:
-        # The permuted copy is fresh, so gttrs may overwrite it.
-        return _unpermute(self._gttrs(
-            self._dl, self._d, self._du, self._du2, self._ipiv,
-            rhs[self._perm], overwrite_b=True,
-        ), self._perm)
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _typed_solve(self._permuted_solve, rhs, self._dtype)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        _count("solve", "banded")
-        return self._solve(rhs)
-
-    def solve_many(self, rhs: np.ndarray) -> np.ndarray:
-        """Single multi-RHS ``*gttrs`` call over the ``(n, k)`` block."""
-        rhs = np.asarray(rhs)
-        _count("solve_many", "banded")
-        _count("solve_many_rhs", "banded", rhs.shape[1] if rhs.ndim > 1 else 1)
-        return self._solve(rhs)
+    def _kernel(self, rhs: np.ndarray, overwrite: bool) -> tuple[np.ndarray, int]:
+        return self._gttrs(
+            self._dl, self._d, self._du, self._du2, self._ipiv, rhs,
+            overwrite_b=overwrite,
+        )
 
     @classmethod
     def stack(cls, factors: list["_TridiagonalFactorization"], owner: np.ndarray):
@@ -706,7 +766,7 @@ class _TridiagonalFactorization(LinearFactorization):
         (``ipiv[n - 1] = n``), so every cross-block update is
         ``x - 0 * y``.
         """
-        n = factors[0]._perm.size
+        n = factors[0]._d.size
 
         def end_to_end(name: str) -> np.ndarray:
             parts = [getattr(f, name) for f in factors]
@@ -726,8 +786,13 @@ class _TridiagonalFactorization(LinearFactorization):
         )
 
 
-def _stacked_perm(perm: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """``perm`` repeated per batch point, offset by ``j * n`` for block ``j``."""
+def _stacked_perm(perm: np.ndarray | None, owner: np.ndarray) -> np.ndarray | None:
+    """``perm`` repeated per batch point, offset by ``j * n`` for block ``j``.
+
+    Factor-order factorizations (``perm = None``) stack to one as well.
+    """
+    if perm is None:
+        return None
     n = perm.size
     return (perm[None, :] + n * np.arange(owner.size)[:, None]).ravel()
 
@@ -803,8 +868,7 @@ class _BandedFactorizer(PatternFactorizer):
 
     def __init__(self, pattern: CooMatrix, profile: BandProfile) -> None:
         n = pattern.shape[0]
-        inverse = np.empty(n, dtype=np.intp)
-        inverse[profile.perm] = np.arange(n, dtype=np.intp)
+        inverse = _inverse_permutation(profile.perm)
         prows = inverse[pattern.rows]
         pcols = inverse[pattern.cols]
         kl, ku = profile.kl, profile.ku

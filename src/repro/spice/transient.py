@@ -55,6 +55,7 @@ from repro import obs
 from repro.errors import ParameterError, SimulationError
 from repro.spice.backend import (
     SimulationBackend,
+    _inverse_permutation,
     _PatternCsr,
     stack_factorizations,
 )
@@ -368,10 +369,12 @@ def simulate_transient_batch(
     slots), each batch point only rewrites the COO ``data`` arrays and
     refactors numerically, and the time loop advances every point
     together as one block-diagonal system over the stacked ``(B * n,)``
-    state: per step, one history matvec, one source add and one solve
-    through :func:`~repro.spice.backend.stack_factorizations` (a single
-    ``*gttrs`` or ``*gbtrs`` call on the banded backend), and points with
-    identical matrices share one factorization.  Results match
+    state, kept in the factorizations' own row order (the RCM order on
+    the banded backend): per step, one history matvec, one source add,
+    one solve through :func:`~repro.spice.backend.stack_factorizations`
+    (a single ``*gttrs`` or ``*gbtrs`` call on the banded backend) and
+    one gather of the recorded rows, and points with identical matrices
+    share one factorization.  Results match
     :func:`simulate_transient` (itself a batch of one) on
     ``template.bind(point)`` per point (the equivalence suite pins this
     to <= 1e-12 across all backends).
@@ -538,26 +541,43 @@ def simulate_transient_batch(
             n_points - len(factors),
         )
         # The whole batch steps as one block-diagonal system over the
-        # stacked (B * n,) state: one history matvec, one source add and
-        # one solve per step, each block equal bit for bit to stepping
-        # its point alone.
-        stacked = stack_factorizations(factors, owner)
-        del factors  # a banded stack holds copies; free the originals
+        # stacked (B * n,) state -- point j's vector is x[j * size:(j + 1)
+        # * size] -- with each block in its factorization's own row
+        # order.  The order is applied once here, to the history
+        # operator, the state and the source and recorded rows, so a
+        # step is one matvec, one source add, one solve and one gather,
+        # each block equal bit for bit to stepping its point alone.
+        # One factorizer made every factor, so they share that order.
+        orders, factors = zip(*(f.in_factor_order() for f in factors))
+        order = orders[0]
+        stacked = stack_factorizations(list(factors), owner)
+        del factors, orders  # a banded stack holds copies; free the originals
         hist_op = _PatternCsr(pattern).block_diagonal(
-            np.concatenate([g_hist_sign * g_data, weight[:, None] * c_data], axis=1)
+            np.concatenate([g_hist_sign * g_data, weight[:, None] * c_data], axis=1),
+            order,
         )
-
-        # The stacked state: point j's vector is x[j * size:(j + 1) * size].
         x = _batch_initial_state(
             structure, g_data, initial, t_start, backend, group_members
-        ).reshape(-1)
+        )
 
         rec_rows = _recorded_rows(structure, record)
         states = np.empty((n_points, n_steps + 1, rec_rows.size))
-        states[:, 0, :] = x.reshape(n_points, size)[:, rec_rows]
+        states[:, 0, :] = x[:, rec_rows]
         src_rows, src_terms = _source_terms(
             structure, times, method is IntegrationMethod.TRAPEZOIDAL
         )
+        src_terms = np.broadcast_to(
+            src_terms, (n_steps, n_points, src_rows.size)
+        ).reshape(n_steps, -1)
+        src_at, rec_at = src_rows, rec_rows
+        if order is not None:
+            x = x[:, order]
+            position = _inverse_permutation(order)
+            src_at, rec_at = position[src_rows], position[rec_rows]
+        x = x.reshape(-1)
+        offsets = size * np.arange(n_points)[:, None]
+        src_at = (offsets + src_at).ravel()
+        rec_at = (offsets + rec_at).ravel()
 
         steps_run = n_steps
         if stop_at is not None:
@@ -565,9 +585,9 @@ def simulate_transient_batch(
             crossed = np.zeros(n_points, dtype=bool)
         for k in range(n_steps):
             rhs = hist_op @ x
-            rhs.reshape(n_points, size)[:, src_rows] += src_terms[k]
+            rhs[src_at] += src_terms[k]
             x = stacked.solve(rhs)
-            states[:, k + 1, :] = x.reshape(n_points, size)[:, rec_rows]
+            states[:, k + 1, :] = x[rec_at].reshape(n_points, -1)
             if stop_at is not None:
                 value = states[:, k + 1, 0]
                 crossed |= below & (value >= stop_at)

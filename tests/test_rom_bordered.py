@@ -26,6 +26,8 @@ into the suborder operators.  These tests pin that change:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -503,6 +505,36 @@ def test_nonfinite_estimate_falls_back_that_point_only(monkeypatch):
     assert np.array_equal(auto.states[2], full.states[2])
     keep = [0, 1, 3, 4]
     assert np.array_equal(auto.states[keep], reduced.states[keep])
+
+
+def test_diverging_reduced_point_falls_back_without_warnings():
+    """A point whose order-``q`` recurrence overflows warns nothing.
+
+    On this ladder grid one point's reduced recurrence diverges; the
+    serve maps it to an infinite estimate and the full tier answers it,
+    and no ``RuntimeWarning`` escapes the recurrence on the way.
+    """
+    from itertools import product
+
+    from repro.core.canonical import DriverLineLoad
+    from repro.core.simulate import simulated_delay_50_batch
+
+    rts = (1338.1813243678855, 1918.84923453283)
+    lts = (2.76553223350331e-07, 2.842571072192e-07,
+           3.8645751097360783e-07, 8.952230593947408e-07)
+    cl_values = (5.727843623447286e-13, 6.957747376869266e-13)
+    lines = [
+        DriverLineLoad(rt=rt, lt=lt, ct=1e-12, rtr=500.0, cl=cl)
+        for rt, lt, cl in product(rts, lts, cl_values)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        auto = simulated_delay_50_batch(
+            lines, route="mna", model="auto", n_samples=1001
+        )
+    full = simulated_delay_50_batch(lines, route="mna", model="full", n_samples=1001)
+    assert np.all(np.isfinite(auto))
+    np.testing.assert_allclose(auto, full, rtol=2e-3)
 
 
 def test_bad_initial_still_rejected(case):

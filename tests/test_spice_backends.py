@@ -202,6 +202,15 @@ class TestComplexRhsAgainstRealFactor:
         self._check(backend, rng, 3)
 
 
+def test_dense_empty_system_solves_to_empty():
+    empty = np.zeros(0, dtype=np.intp)
+    factor = resolve_backend("dense").factorize(
+        CooMatrix(empty, empty, np.zeros(0), (0, 0))
+    )
+    assert factor.solve(np.zeros(0)).shape == (0,)
+    assert factor.solve_many(np.zeros((0, 3))).shape == (0, 3)
+
+
 def _chain_matrix(n: int) -> CooMatrix:
     i = np.arange(n - 1)
     rows = np.concatenate([np.arange(n), i, i + 1])
