@@ -717,7 +717,7 @@ class _BandedFactorization(_RcmFactorization):
         exact zeros and every cross-block update is ``x - 0 * y``.
         """
         first = factors[0]
-        n = first._lu_band.shape[1]
+        n = first._perm.size
         offsets = n * np.arange(owner.size)
         lu_band = np.empty(
             (first._lu_band.shape[0], owner.size * n),
@@ -766,7 +766,7 @@ class _TridiagonalFactorization(_RcmFactorization):
         (``ipiv[n - 1] = n``), so every cross-block update is
         ``x - 0 * y``.
         """
-        n = factors[0]._d.size
+        n = factors[0]._perm.size
 
         def end_to_end(name: str) -> np.ndarray:
             parts = [getattr(f, name) for f in factors]
@@ -786,13 +786,8 @@ class _TridiagonalFactorization(_RcmFactorization):
         )
 
 
-def _stacked_perm(perm: np.ndarray | None, owner: np.ndarray) -> np.ndarray | None:
-    """``perm`` repeated per batch point, offset by ``j * n`` for block ``j``.
-
-    Factor-order factorizations (``perm = None``) stack to one as well.
-    """
-    if perm is None:
-        return None
+def _stacked_perm(perm: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``perm`` repeated per batch point, offset by ``j * n`` for block ``j``."""
     n = perm.size
     return (perm[None, :] + n * np.arange(owner.size)[:, None]).ravel()
 

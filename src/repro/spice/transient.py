@@ -542,19 +542,18 @@ def simulate_transient_batch(
         )
         # The whole batch steps as one block-diagonal system over the
         # stacked (B * n,) state -- point j's vector is x[j * size:(j + 1)
-        # * size] -- with each block in its factorization's own row
-        # order.  The order is applied once here, to the history
-        # operator, the state and the source and recorded rows, so a
-        # step is one matvec, one source add, one solve and one gather,
-        # each block equal bit for bit to stepping its point alone.
-        # One factorizer made every factor, so they share that order.
-        orders, factors = zip(*(f.in_factor_order() for f in factors))
-        order = orders[0]
-        stacked = stack_factorizations(list(factors), owner)
-        del factors, orders  # a banded stack holds copies; free the originals
+        # * size] -- in the stacked factorization's own row order.  The
+        # order is applied once here, to the history operator, the state
+        # and the source and recorded rows, so a step is one matvec, one
+        # source add, one solve and one gather, each block equal bit for
+        # bit to stepping its point alone.  The order keeps every block
+        # in place, so its first block is each point's own order.
+        stacked = stack_factorizations(factors, owner)
+        del factors  # a banded stack holds copies; free the originals
+        order, stacked = stacked.in_factor_order()
         hist_op = _PatternCsr(pattern).block_diagonal(
             np.concatenate([g_hist_sign * g_data, weight[:, None] * c_data], axis=1),
-            order,
+            None if order is None else order[:size],
         )
         x = _batch_initial_state(
             structure, g_data, initial, t_start, backend, group_members
@@ -569,15 +568,14 @@ def simulate_transient_batch(
         src_terms = np.broadcast_to(
             src_terms, (n_steps, n_points, src_rows.size)
         ).reshape(n_steps, -1)
-        src_at, rec_at = src_rows, rec_rows
-        if order is not None:
-            x = x[:, order]
-            position = _inverse_permutation(order)
-            src_at, rec_at = position[src_rows], position[rec_rows]
         x = x.reshape(-1)
         offsets = size * np.arange(n_points)[:, None]
-        src_at = (offsets + src_at).ravel()
-        rec_at = (offsets + rec_at).ravel()
+        src_at = (offsets + src_rows).ravel()
+        rec_at = (offsets + rec_rows).ravel()
+        if order is not None:
+            x = x[order]
+            position = _inverse_permutation(order)
+            src_at, rec_at = position[src_at], position[rec_at]
 
         steps_run = n_steps
         if stop_at is not None:

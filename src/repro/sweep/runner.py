@@ -455,7 +455,8 @@ def _disk_payload_problem(payload: dict, sweep: Sweep) -> str | None:
 
 #: Largest point count handed to one batched chunk evaluation.  Each
 #: distinct point in a transient batch holds its numeric factorization
-#: alive for the whole run, so chunks are capped to bound peak memory.
+#: alive for the whole run, so chunks are capped to bound peak memory
+#: (and to give the worker pool enough chunks to balance).
 MAX_CHUNK_POINTS = 32
 
 
@@ -505,14 +506,12 @@ class SweepRunner:
         CPU count; values <= 1 run serially in-process.
     executor:
         ``"thread"`` (default) or ``"process"`` -- the pool flavor for
-        simulator fan-out.  Thread chunks are sized by
-        :data:`MAX_CHUNK_POINTS` alone, so a grid that fits in one
-        chunk runs inline as one wide lockstep batch: the banded
-        solves and the sparse history matvec hold the GIL, so two
-        threads stepping two narrow batches take as long as running
-        them one after the other, and one wide batch pays the per-step
-        overhead once.  Process chunks also split the grid over the
-        workers, which sidesteps the GIL for every route.
+        simulator fan-out.  Both split a grid into one chunk per
+        worker (at most :data:`MAX_CHUNK_POINTS` points each).  Threads
+        avoid spawn overhead, but the banded solves (LAPACK through
+        f2py) and the sparse history matvec hold the GIL, so thread
+        chunks on the default MNA route run one after the other rather
+        than side by side; processes sidestep the GIL entirely.
     memory_entries:
         LRU capacity of the in-memory result cache.
     """
@@ -808,10 +807,7 @@ class SweepRunner:
         Points are split into contiguous chunks; each chunk is one
         payload (columns as plain tuples plus one shared, read-only
         options mapping) shipped to a worker, keeping pickling cost
-        O(chunks) rather than O(points) for process pools.  Thread
-        chunks hold up to :data:`MAX_CHUNK_POINTS` points, process
-        chunks also divide the grid over the workers, and a single
-        chunk runs inline (see :class:`SweepRunner`).  Inside a
+        O(chunks) rather than O(points) for process pools.  Inside a
         worker, :func:`repro.core.simulate.simulated_delay_50_batch`
         partitions the chunk into structure-equivalence classes and
         routes value-only classes through the batched template path.
@@ -824,9 +820,7 @@ class SweepRunner:
         if workers is None:
             workers = os.cpu_count() or 1
         workers = max(1, min(workers, size))
-        chunk_size = MAX_CHUNK_POINTS
-        if self.executor == "process":
-            chunk_size = min(chunk_size, -(-size // workers))
+        chunk_size = min(MAX_CHUNK_POINTS, -(-size // workers))
         bounds = list(range(0, size, chunk_size)) + [size]
         payloads = [
             (
