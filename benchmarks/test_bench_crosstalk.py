@@ -1,7 +1,7 @@
 """EXP-X6 benchmark: coupled-line crosstalk study (extension).
 
-Times the full spacing sweep (each point = three MNA transients of the
-coupled pair) and asserts the physical signatures.
+Times the full spacing sweep (each point = four MNA transients of the
+two-line bus) and asserts the physical signatures.
 """
 
 from __future__ import annotations

@@ -19,26 +19,13 @@ Run:  python examples/crosstalk.py
 
 import os
 
-from repro.analysis.crosstalk import analyze_crosstalk
-from repro.spice.coupled import CoupledLadderSpec
+from repro.analysis.bus import analyze_bus
+from repro.bus import BusSpec
+from repro.experiments.crosstalk_study import coupling_for_spacing
 from repro.technology.nodes import node_by_name
-from repro.technology.parasitics import coupling_capacitance_per_length
 from repro.units import format_si
 
 FAST = bool(os.environ.get("REPRO_EXAMPLES_FAST"))
-
-
-def coupling_for_spacing(node, spacing: float, length: float) -> tuple[float, float]:
-    """Total coupling cap and a spacing-decaying inductive coefficient."""
-    geometry = node.global_wire
-    cc = coupling_capacitance_per_length(
-        geometry.thickness, spacing, geometry.eps_r
-    ) * length
-    # Mutual coupling falls off slowly (log-like) with pitch; use a
-    # simple decaying model anchored at k ~ 0.6 for minimum spacing.
-    pitch = spacing + geometry.width
-    km = 0.6 / (1.0 + pitch / (4.0 * geometry.width))
-    return cc, km
 
 
 def main() -> None:
@@ -55,26 +42,28 @@ def main() -> None:
 
     for spacing_um in (0.6, 4.0) if FAST else (0.6, 1.0, 2.0, 4.0):
         spacing = spacing_um * 1e-6
-        cct, km = coupling_for_spacing(node, spacing, length)
-        spec = CoupledLadderSpec(
+        cct, km = coupling_for_spacing(node.global_wire, spacing, length)
+        spec = BusSpec(
+            n_lines=2,
             rt=r * length,
             lt=l * length,
             ct=c * length,
             cct=cct,
             km=km,
-            rtr_aggressor=driver,
-            rtr_victim=driver,
+            rtr=driver,
             cl=node.c0 * 150.0,
             n_segments=10 if FAST else 24,
         )
-        report = analyze_crosstalk(spec)
+        # Line 0 is measured: quiet while line 1 switches (noise), then
+        # switching alone / with line 1 (even) / against it (odd).
+        report = analyze_bus(spec, victim=0)
         print(
             f"{spacing_um:7.1f}u {format_si(cct, 'F'):>9s} {km:5.2f} "
             f"{100 * report.victim_peak_noise:12.1f}% "
             f"{100 * report.victim_min_noise:12.1f}% "
-            f"{format_si(report.aggressor_delay_quiet, 's'):>10s} "
-            f"{format_si(report.aggressor_delay_even, 's'):>9s} "
-            f"{format_si(report.aggressor_delay_odd, 's'):>9s}"
+            f"{format_si(report.delay_solo, 's'):>10s} "
+            f"{format_si(report.delay_even, 's'):>9s} "
+            f"{format_si(report.delay_odd, 's'):>9s}"
         )
 
     print("\nNote the regime crossover: at minimum spacing the huge coupling")

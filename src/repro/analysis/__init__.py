@@ -8,7 +8,8 @@
   length window criterion of the companion paper [8],
 - :mod:`repro.analysis.bus`               -- N-line bus crosstalk metrics
   (victim noise, worst-pattern delay push-out, settling, shield-count
-  trade-off curves) over :mod:`repro.bus` structures,
+  trade-off curves) over :mod:`repro.bus` structures, the two-line
+  aggressor/victim pair included,
 - :mod:`repro.analysis.comparison`        -- RC-vs-RLC repeater design
   comparison engine (model, simulation, area, power),
 - :mod:`repro.analysis.scaling_study`     -- penalties across technology

@@ -1,10 +1,10 @@
 """Bus-level crosstalk metrics: noise, delay push-out, shield trade-offs.
 
-Generalizes :mod:`repro.analysis.crosstalk` from the aggressor/victim
-pair to an N-line bus (:mod:`repro.bus`).  One transient simulation of
-the full bus yields *every* line's far-end waveform at once; the
-metrics here operate on that ``(n_times, n_lines)`` matrix with
-vectorized NumPy reductions (no per-line Python loops):
+Crosstalk on an N-line bus (:mod:`repro.bus`), the aggressor/victim
+pair included as ``n_lines=2``.  One transient simulation of the full
+bus yields *every* line's far-end waveform at once; the metrics here
+operate on that ``(n_times, n_lines)`` matrix with vectorized NumPy
+reductions (no per-line Python loops):
 
 - **victim noise**: the quiet victim's far-end excursion while every
   neighbor switches -- positive peaks are the capacitive signature,
@@ -13,7 +13,7 @@ vectorized NumPy reductions (no per-line Python loops):
   solo / even / odd switching patterns; on RC-dominated buses odd
   switching Miller-doubles the coupling capacitance (slowest), on
   inductance-dominated buses the loop inductance ``L*(1 - km)`` makes
-  odd *fastest* -- the same regime flip the two-line study shows;
+  odd *fastest* -- the regime flip EXP-X6 shows on a two-line bus;
 - **eye/settling metrics**: overshoot and 5% settling time of the
   victim under its worst pattern;
 - **shield trade-off curves**: the same metrics as grounded shields are
@@ -152,15 +152,16 @@ class BusWaveforms:
 def _default_window(spec: BusSpec) -> float:
     """Simulated span: 12x the slowest RC / flight scale over the lines.
 
-    Mirrors :func:`repro.analysis.crosstalk.analyze_crosstalk`; the
-    coupling capacitance (up to two switching neighbors) is charged
-    through the same driver, so it joins the RC scale.
+    The coupling capacitance to each neighbor (two at most, one on a
+    two-track bus, none on a lone line) is charged through the same
+    driver, so it joins both the RC and the flight scale.
     """
+    c_couple = min(2, spec.n_physical - 1) * spec.cct
     scales = []
     for line in range(spec.n_lines):
-        c_total = spec.ct[line] + 2.0 * spec.cct + spec.cl[line]
+        c_total = spec.ct[line] + c_couple + spec.cl[line]
         rc_scale = (spec.rtr[line] + spec.rt[line]) * c_total
-        flight = math.sqrt(spec.lt[line] * (spec.ct[line] + 2.0 * spec.cct))
+        flight = math.sqrt(spec.lt[line] * (spec.ct[line] + c_couple))
         scales.append(max(rc_scale, flight))
     return 12.0 * max(scales)
 

@@ -3,8 +3,8 @@
 The paper's wide upper-metal wires never run alone: a realistic workload
 is a multi-bit *bus* whose lines couple capacitively (sidewall ``Cc``)
 and magnetically (mutual inductance ``km``) to their neighbors.  This
-subpackage generalizes the two-conductor ladder of
-:mod:`repro.spice.coupled` into an arbitrary N-line bus:
+subpackage models an arbitrary N-line bus; ``n_lines=2`` is the classic
+aggressor/victim pair:
 
 - :mod:`repro.bus.spec` -- :class:`BusSpec`: per-line RLC totals,
   nearest-neighbor and configurable-range coupling with separation

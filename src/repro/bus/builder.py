@@ -20,17 +20,15 @@ One materializer emits both flavors of the bus:
   so they cannot drift structurally; the equivalence suite additionally
   pins ``template.bind(values)`` against the concrete builder.
 
-Node naming (prefix ``P`` is :meth:`BusSpec.slot_prefix`, default
+Node naming (prefix ``P`` is :meth:`BusSpec.slot_prefix`, i.e.
 ``b{slot}_``): driver source node ``inP``, ladder nodes ``P0 .. Pn``,
-internal R-L split nodes ``xP1 .. xPn``.  The two-line wrapper in
-:mod:`repro.spice.coupled` overrides the prefixes to the legacy
-``a`` / ``v`` names.
+internal R-L split nodes ``xP1 .. xPn``.  A two-line spec is the
+classic aggressor/victim pair: slot 0 is ``b0_``, slot 1 ``b1_``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 from repro.bus.spec import BusSpec, LineSwitch
 from repro.errors import ParameterError
@@ -64,20 +62,6 @@ def _pi_weights(n: int) -> list[float]:
     return weights
 
 
-def _checked_prefixes(spec: BusSpec, prefixes) -> list[str]:
-    """Default or validate the per-slot node-name prefixes."""
-    n_physical = spec.n_physical
-    if prefixes is None:
-        return [spec.slot_prefix(slot) for slot in range(n_physical)]
-    prefixes = list(prefixes)
-    if len(prefixes) != n_physical or len(set(prefixes)) != n_physical:
-        raise ParameterError(
-            f"prefixes must be {n_physical} distinct strings, "
-            f"got {prefixes!r}"
-        )
-    return prefixes
-
-
 def _is_nonzero(value) -> bool:
     """True for a Param (always a live slot) or a nonzero number."""
     return isinstance(value, Param) or value > 0.0
@@ -87,8 +71,6 @@ def _materialize_bus(
     spec: BusSpec,
     switches: tuple[LineSwitch, ...],
     v_step: float,
-    prefixes,
-    title: str | None,
     parametric: bool,
 ) -> Circuit:
     """Shared element loop behind the concrete and template builders.
@@ -101,14 +83,13 @@ def _materialize_bus(
     """
     n = spec.n_segments
     n_physical = spec.n_physical
-    prefixes = _checked_prefixes(spec, prefixes)
-    if title is None:
-        kind = "bus template" if parametric else "bus"
-        title = (
-            f"{kind} n_lines={spec.n_lines} shields={len(spec.shields)} "
-            f"n={n} (Cc={spec.cct:g}, km={spec.km:g}, "
-            f"pattern={'/'.join(s.value for s in switches)})"
-        )
+    prefixes = [spec.slot_prefix(slot) for slot in range(n_physical)]
+    kind = "bus template" if parametric else "bus"
+    title = (
+        f"{kind} n_lines={spec.n_lines} shields={len(spec.shields)} "
+        f"n={n} (Cc={spec.cct:g}, km={spec.km:g}, "
+        f"pattern={'/'.join(s.value for s in switches)})"
+    )
 
     if parametric:
         def line_rtr(line: int):
@@ -202,8 +183,6 @@ def build_bus_circuit(
     spec: BusSpec,
     pattern=LineSwitch.RISE,
     v_step: float = 1.0,
-    prefixes: Sequence[str] | None = None,
-    title: str | None = None,
 ) -> Circuit:
     """Build the coupled-bus netlist for one switching pattern.
 
@@ -218,18 +197,9 @@ def build_bus_circuit(
         even mode (all lines rise).
     v_step:
         Driver swing (V).
-    prefixes:
-        Optional per-physical-slot node-name prefixes (length
-        ``spec.n_physical``); defaults to ``b{slot}_``.  Used by the
-        legacy two-line wrapper to keep its historical ``a``/``v``
-        names.
-    title:
-        Circuit title override.
     """
     switches = spec.normalized_pattern(pattern)
-    return _materialize_bus(
-        spec, switches, v_step, prefixes, title, parametric=False
-    )
+    return _materialize_bus(spec, switches, v_step, parametric=False)
 
 
 def _require_uniform(spec: BusSpec) -> None:
@@ -250,11 +220,8 @@ def _cached_bus_template(
     spec: BusSpec,
     switches: tuple[LineSwitch, ...],
     v_step: float,
-    prefixes: tuple[str, ...] | None,
 ) -> CircuitTemplate:
-    circuit = _materialize_bus(
-        spec, switches, v_step, prefixes, None, parametric=True
-    )
+    circuit = _materialize_bus(spec, switches, v_step, parametric=True)
     defaults = {
         "rt": spec.rt[0],
         "lt": spec.lt[0],
@@ -277,7 +244,6 @@ def build_bus_template(
     spec: BusSpec,
     pattern=LineSwitch.RISE,
     v_step: float = 1.0,
-    prefixes: Sequence[str] | None = None,
 ) -> CircuitTemplate:
     """Parameterized bus: structure fixed, electrical values as Params.
 
@@ -295,11 +261,9 @@ def build_bus_template(
     per-line variation is a structural difference, use the concrete
     builder for those.
 
-    Templates are memoized per ``(spec, pattern, v_step, prefixes)``,
-    so repeated calls (one per sweep chunk, say) share one cached MNA
-    structure.
+    Templates are memoized per ``(spec, pattern, v_step)``, so repeated
+    calls (one per sweep chunk, say) share one cached MNA structure.
     """
     switches = spec.normalized_pattern(pattern)
     _require_uniform(spec)
-    prefixes = tuple(prefixes) if prefixes is not None else None
-    return _cached_bus_template(spec, switches, float(v_step), prefixes)
+    return _cached_bus_template(spec, switches, float(v_step))

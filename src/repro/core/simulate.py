@@ -72,7 +72,9 @@ __all__ = [
 #: template (delays move by about 1e-13 relative).  Version 4: banded
 #: MNA solves of tridiagonal bands (every ladder) use LAPACK's
 #: tridiagonal LU (delays move by up to about 3e-12 relative).
-SIMULATOR_VERSION = 4
+#: Version 5: the default bus analysis window charges a line for its
+#: real neighbors only (one on a two-track bus, not two).
+SIMULATOR_VERSION = 5
 
 
 class SimulatorRoute(str, enum.Enum):

@@ -5,19 +5,38 @@ wide upper-metal wires whose self-inductance invalidates RC delay models
 (Sections II-III) also couple to neighbors; Deutsch [7], the paper's
 impedance source, studied exactly such coupled bus structures.  This
 study sweeps line-to-line spacing on the 250 nm global layer and
-simulates noise and switching-window metrics with the full MNA engine
-(mutual inductances included).
+simulates noise and switching-window metrics of a two-line bus with the
+full MNA engine (mutual inductances included).
 """
 
 from __future__ import annotations
 
-from repro.analysis.crosstalk import analyze_crosstalk
+from repro.analysis.bus import analyze_bus
+from repro.bus.spec import BusSpec
 from repro.experiments.common import ExperimentTable, render_table
-from repro.spice.coupled import CoupledLadderSpec
 from repro.technology.nodes import node_by_name
-from repro.technology.parasitics import coupling_capacitance_per_length
+from repro.technology.parasitics import (
+    WireGeometry,
+    coupling_capacitance_per_length,
+)
 
-__all__ = ["run", "main"]
+__all__ = ["coupling_for_spacing", "run", "main"]
+
+
+def coupling_for_spacing(
+    geometry: WireGeometry, spacing: float, length: float
+) -> tuple[float, float]:
+    """Total coupling cap and a spacing-decaying inductive coefficient.
+
+    Mutual coupling falls off slowly (log-like) with pitch; the model
+    decays from ``km = 0.6`` as the pitch grows past the wire width.
+    """
+    cct = coupling_capacitance_per_length(
+        geometry.thickness, spacing, geometry.eps_r
+    ) * length
+    pitch = spacing + geometry.width
+    km = 0.6 / (1.0 + pitch / (4.0 * geometry.width))
+    return cct, km
 
 
 def run(
@@ -35,24 +54,19 @@ def run(
 
     rows = []
     for spacing_um in spacings_um:
-        spacing = spacing_um * 1e-6
-        cct = coupling_capacitance_per_length(
-            geometry.thickness, spacing, geometry.eps_r
-        ) * length
-        pitch = spacing + geometry.width
-        km = 0.6 / (1.0 + pitch / (4.0 * geometry.width))
-        spec = CoupledLadderSpec(
+        cct, km = coupling_for_spacing(geometry, spacing_um * 1e-6, length)
+        spec = BusSpec(
+            n_lines=2,
             rt=r * length,
             lt=l * length,
             ct=c * length,
             cct=cct,
             km=km,
-            rtr_aggressor=driver,
-            rtr_victim=driver,
+            rtr=driver,
             cl=node.c0 * driver_size,
             n_segments=n_segments,
         )
-        report = analyze_crosstalk(spec)
+        report = analyze_bus(spec, victim=0)
         rows.append(
             (
                 spacing_um,
@@ -60,9 +74,9 @@ def run(
                 round(km, 2),
                 round(100 * report.victim_peak_noise, 1),
                 round(100 * report.victim_min_noise, 1),
-                round(report.aggressor_delay_quiet * 1e12, 1),
-                round(report.aggressor_delay_even * 1e12, 1),
-                round(report.aggressor_delay_odd * 1e12, 1),
+                round(report.delay_solo * 1e12, 1),
+                round(report.delay_even * 1e12, 1),
+                round(report.delay_odd * 1e12, 1),
             )
         )
     notes = (

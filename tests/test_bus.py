@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.analysis.bus import (
+    _default_window,
     analyze_bus,
     batch_delay_50,
     evenly_spread_shields,
@@ -24,11 +26,6 @@ from repro.bus import (
     solo_pattern,
 )
 from repro.errors import ParameterError
-from repro.spice.coupled import (
-    CoupledLadderSpec,
-    VictimMode,
-    build_coupled_ladder_circuit,
-)
 from repro.spice.netlist import Circuit, Step
 from repro.spice.transient import simulate_transient
 
@@ -104,6 +101,7 @@ class TestBusSpec:
             {"cct_decay": 1.5},
             {"rtr_shield": 0.0},
             {"n_segments": 0},
+            {"rtr": (50.0, 0.0)},
         ],
     )
     def test_domain_errors(self, overrides):
@@ -164,28 +162,40 @@ class TestBusSpec:
         assert k2 == pytest.approx(0.5 * SPEC3["km"])
 
 
+#: Victim behaviour of the legacy pair -> bus pattern (aggressor rises).
+_MODE_PATTERNS = {
+    "quiet": ("rise", "quiet"),
+    "even": ("rise", "rise"),
+    "odd": ("rise", "fall"),
+}
+
+
 def _legacy_coupled_circuit(
-    spec: CoupledLadderSpec, mode: VictimMode, v_step: float = 1.0
+    spec: BusSpec, mode: str, v_step: float = 1.0
 ) -> Circuit:
     """The pre-bus two-line builder, frozen here as the reference.
 
-    Copied verbatim from the original ``repro.spice.coupled`` so the
-    bus-based reimplementation is pinned to the historical netlist.
+    Copied from the original aggressor (``a``) / victim (``v``) pair
+    builder, reading the pair's values off a two-line spec whose lines
+    differ only in ``rtr``, so the bus builder stays pinned to the
+    historical netlist.
     """
     n = spec.n_segments
+    rt, lt, ct, cl = spec.rt[0], spec.lt[0], spec.ct[0], spec.cl[0]
+    rtr_aggressor, rtr_victim = spec.rtr
     ckt = Circuit("legacy coupled pair")
     ckt.add_voltage_source("vina", "ina", "0", Step(0.0, v_step))
-    ckt.add_resistor("rtra", "ina", "a0", spec.rtr_aggressor)
-    if mode is VictimMode.QUIET:
+    ckt.add_resistor("rtra", "ina", "a0", rtr_aggressor)
+    if mode == "quiet":
         victim_wave = Step(0.0, 0.0)
-    elif mode is VictimMode.EVEN:
+    elif mode == "even":
         victim_wave = Step(0.0, v_step)
     else:
         victim_wave = Step(v_step, 0.0)
     ckt.add_voltage_source("vinv", "inv", "0", victim_wave)
-    ckt.add_resistor("rtrv", "inv", "v0", spec.rtr_victim)
-    r_seg, l_seg = spec.rt / n, spec.lt / n
-    c_seg, cc_seg = spec.ct / n, spec.cct / n
+    ckt.add_resistor("rtrv", "inv", "v0", rtr_victim)
+    r_seg, l_seg = rt / n, lt / n
+    c_seg, cc_seg = ct / n, spec.cct / n
     for prefix in ("a", "v"):
         for i in range(n):
             ckt.add_resistor(
@@ -201,66 +211,63 @@ def _legacy_coupled_circuit(
             ckt.add_capacitor(f"cg{prefix}{i}", f"{prefix}{i}", "0", w * c_seg)
         if spec.cct > 0:
             ckt.add_capacitor(f"cc{i}", f"a{i}", f"v{i}", w * cc_seg)
-    if spec.cl > 0:
-        ckt.add_capacitor("cla", spec.aggressor_output, "0", spec.cl)
-        ckt.add_capacitor("clv", spec.victim_output, "0", spec.cl)
+    if cl > 0:
+        ckt.add_capacitor("cla", f"a{n}", "0", cl)
+        ckt.add_capacitor("clv", f"v{n}", "0", cl)
     if spec.km > 0:
         for i in range(1, n + 1):
             ckt.add_mutual_inductance(f"k{i}", f"la{i}", f"lv{i}", spec.km)
     return ckt
 
 
+#: Legacy pair line letter -> bus slot prefix.
+_NODE_MAP = {"a": "b0_", "v": "b1_"}
+
+
+def _bus_node(legacy: str) -> str:
+    """Bus name of a legacy pair node (``ina`` -> ``inb0_``, ``xv3`` ->
+    ``xb1_3``, ``a6`` -> ``b0_6``)."""
+    head, line, index = re.fullmatch(r"(in|x|)([av])(\d*)", legacy).groups()
+    return f"{head}{_NODE_MAP[line]}{index}"
+
+
 class TestLegacyAgreement:
     """The bus builder must reproduce the historical two-line netlist."""
 
-    SPEC = CoupledLadderSpec(
-        rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
-        rtr_aggressor=50.0, rtr_victim=80.0, cl=5e-14, n_segments=6,
+    SPEC = BusSpec(
+        n_lines=2, rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
+        rtr=(50.0, 80.0), cl=5e-14, n_segments=6,
     )
 
-    @pytest.mark.parametrize("mode", list(VictimMode))
+    @pytest.mark.parametrize("mode", list(_MODE_PATTERNS))
     def test_states_match_legacy_path(self, mode):
         window, dt = 2e-9, 1e-12
         new = simulate_transient(
-            build_coupled_ladder_circuit(self.SPEC, mode=mode),
+            build_bus_circuit(self.SPEC, _MODE_PATTERNS[mode]),
             t_stop=window, dt=dt, backend="dense",
         )
         old = simulate_transient(
             _legacy_coupled_circuit(self.SPEC, mode),
             t_stop=window, dt=dt, backend="dense",
         )
-        new_nodes = set(new.system.node_index)
         old_nodes = set(old.system.node_index)
-        assert new_nodes == old_nodes
+        assert set(new.system.node_index) == {_bus_node(n) for n in old_nodes}
         scale = float(np.max(np.abs(old.states)))
         worst = 0.0
         for node in old_nodes:
-            va = new.states[:, new.system.voltage_row(node)]
+            va = new.states[:, new.system.voltage_row(_bus_node(node))]
             vb = old.states[:, old.system.voltage_row(node)]
             worst = max(worst, float(np.max(np.abs(va - vb))) / scale)
         assert worst <= 1e-9
 
     def test_output_node_names_preserved(self):
-        ckt = build_coupled_ladder_circuit(self.SPEC)
-        nodes = set(ckt.node_names())
-        assert self.SPEC.aggressor_output in nodes
-        assert self.SPEC.victim_output in nodes
-
-    def test_as_bus_spec(self):
-        bus = self.SPEC.as_bus_spec()
-        assert bus.n_lines == 2
-        assert bus.rtr == (50.0, 80.0)
-        assert bus.cct == self.SPEC.cct and bus.km == self.SPEC.km
+        nodes = set(build_bus_circuit(self.SPEC).node_names())
+        assert _bus_node("a6") == self.SPEC.output_node(0) == "b0_6"
+        assert _bus_node("v6") == self.SPEC.output_node(1) == "b1_6"
+        assert {"b0_6", "b1_6"} <= nodes
 
 
 class TestBuilder:
-    def test_prefix_validation(self):
-        spec = BusSpec(n_lines=2, **SPEC3)
-        with pytest.raises(ParameterError):
-            build_bus_circuit(spec, prefixes=("a",))
-        with pytest.raises(ParameterError):
-            build_bus_circuit(spec, prefixes=("a", "a"))
-
     def test_shield_elements_present(self):
         spec = BusSpec(n_lines=2, **SPEC3, shields=(1,))
         ckt = build_bus_circuit(spec)
@@ -322,6 +329,38 @@ class TestSimulateBus:
         spec = BusSpec(n_lines=2, **SPEC3)
         with pytest.raises(ParameterError):
             simulate_bus(spec, window=-1.0)
+        with pytest.raises(ParameterError):
+            analyze_bus(spec, victim=0, window=-1.0)
+
+
+class TestDefaultWindow:
+    """The default span charges a line for its real neighbors only."""
+
+    @staticmethod
+    def _window(spec: BusSpec, n_neighbors: int) -> float:
+        c = spec.ct[0] + n_neighbors * spec.cct
+        rc_scale = (spec.rtr[0] + spec.rt[0]) * (c + spec.cl[0])
+        return 12.0 * max(rc_scale, math.sqrt(spec.lt[0] * c))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"rt": 10.0, "rtr": 5.0}],
+        ids=["rc", "flight"],
+    )
+    def test_two_tracks_charge_one_neighbor(self, overrides):
+        spec = BusSpec(n_lines=2, **{**SPEC3, **overrides})
+        assert _default_window(spec) == pytest.approx(
+            self._window(spec, 1), rel=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "layout", [dict(n_lines=3), dict(n_lines=2, shields=(1,))]
+    )
+    def test_three_tracks_charge_two_neighbors(self, layout):
+        spec = BusSpec(**layout, **SPEC3)
+        assert _default_window(spec) == pytest.approx(
+            self._window(spec, 2), rel=1e-15
+        )
 
 
 class TestAnalyzeBus:
@@ -349,26 +388,6 @@ class TestAnalyzeBus:
         spec = BusSpec(n_lines=3, **SPEC3)
         with pytest.raises(ParameterError):
             analyze_bus(spec, victim=3)
-
-    def test_two_line_matches_crosstalk_report(self):
-        """The 2-line bus must agree with the legacy pair analysis."""
-        from repro.analysis.crosstalk import analyze_crosstalk
-
-        pair = CoupledLadderSpec(
-            rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
-            rtr_aggressor=50.0, rtr_victim=50.0, cl=5e-14, n_segments=6,
-        )
-        window, dt = 6e-9, 1.5e-12
-        legacy = analyze_crosstalk(pair, window=window, dt=dt)
-        report = analyze_bus(pair.as_bus_spec(), victim=0, window=window, dt=dt)
-        # Identical circuits on an identical grid: the victim-0 even/odd
-        # delays are the legacy aggressor delays under the same modes.
-        assert report.delay_even == pytest.approx(
-            legacy.aggressor_delay_even, rel=1e-9
-        )
-        assert report.delay_odd == pytest.approx(
-            legacy.aggressor_delay_odd, rel=1e-9
-        )
 
 
 class TestShields:

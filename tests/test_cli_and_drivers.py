@@ -86,7 +86,12 @@ class TestCrosstalkStudyDriver:
         table = crosstalk_study.run(
             spacings_um=(0.6, 4.0), n_segments=12
         )
-        assert len(table.rows) == 2
+        # Rows of the original two-line pair analysis, which the two-line
+        # bus analysis must reproduce exactly.
+        assert table.rows == (
+            (0.6, 1151.0, 0.47, 16.5, -5.3, 120.5, 114.5, 144.3),
+            (4.0, 172.7, 0.4, 7.0, -19.5, 107.3, 112.3, 94.5),
+        )
         close, far = table.rows
         assert close[1] > far[1]  # coupling cap falls with spacing
         assert close[3] > far[3]  # so does the positive glitch

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.bus import BusSpec, build_bus_circuit
 from repro.errors import ParameterError, SimulationError
 from repro.spice.ac import ac_sweep
 from repro.spice.backend import (
@@ -24,7 +25,6 @@ from repro.spice.backend import (
     rcm_band_profile,
     resolve_backend,
 )
-from repro.spice.coupled import CoupledLadderSpec, build_coupled_ladder_circuit
 from repro.spice.dc import dc_operating_point
 from repro.spice.ladder import LadderSpec, build_ladder_circuit
 from repro.spice.mna import build_mna
@@ -60,18 +60,18 @@ def ladder_circuit() -> Circuit:
 
 
 def coupled_circuit() -> Circuit:
-    spec = CoupledLadderSpec(
+    spec = BusSpec(
+        n_lines=2,
         rt=100.0,
         lt=25e-9,
         ct=2e-12,
         cct=1e-12,
         km=0.5,
-        rtr_aggressor=50.0,
-        rtr_victim=50.0,
+        rtr=50.0,
         cl=5e-14,
         n_segments=6,
     )
-    return build_coupled_ladder_circuit(spec)
+    return build_bus_circuit(spec, ("rise", "quiet"))
 
 
 def floating_node_circuit() -> Circuit:
@@ -125,7 +125,7 @@ class TestEquivalence:
         omegas = np.geomspace(1e6, 1e10, 9)
         kwargs = {}
         if circuit_name == "coupled":
-            kwargs["input_source"] = "vina"
+            kwargs["input_source"] = "vinb0_"
         reference = ac_sweep(
             CIRCUITS[circuit_name](), omegas, backend="dense", **kwargs
         )
