@@ -5,10 +5,11 @@ across the simulation stack: :mod:`repro.rom.model` resolves and
 records which tier serves each query (mirroring
 :func:`repro.spice.backend.resolve_backend`), and
 :mod:`repro.rom.prima` builds PRIMA-style block-Arnoldi projections of
-the MNA system -- once per structure -- that answer transient, AC and
-delay queries from dense ``q x q`` models with pinned a-posteriori
-error checks.  See ``docs/rom.md`` for the projection math and the
-``"auto"`` decision rules.
+the MNA system -- one :class:`~repro.rom.prima.ReducedTemplate` per
+structure -- that answer transient, AC and delay queries from dense
+``q x q`` models with pinned a-posteriori error checks.  See
+``docs/rom.md`` for the projection math and the ``"auto"`` decision
+rules.
 """
 
 from repro.rom.model import (
@@ -22,11 +23,9 @@ from repro.rom.model import (
 )
 from repro.rom.prima import (
     DEFAULT_ORDER,
-    ReducedSystem,
     ReducedTemplate,
     cached_reduced_template,
     corner_samples,
-    prima_reduce,
     reduced_transient_batch,
 )
 
@@ -36,11 +35,9 @@ __all__ = [
     "DEFAULT_ORDER",
     "ROM_SIZE_CUTOFF",
     "ModelSelection",
-    "ReducedSystem",
     "ReducedTemplate",
     "cached_reduced_template",
     "corner_samples",
-    "prima_reduce",
     "record_model_selection",
     "reduced_transient_batch",
     "resolve_model",

@@ -78,9 +78,7 @@ class ModelSelection:
     """Which evaluation tier served a query, and the evidence why.
 
     The :class:`~repro.spice.backend.BackendSelection` counterpart for
-    model tiers: attached to reduced systems
-    (:attr:`repro.rom.prima.ReducedSystem.selection`), surfaced in
-    their ``repr``, and recorded as the
+    model tiers: made by :func:`serve_tiered` and recorded as the
     ``rom.model_selected{model=,rule=}`` counter while instrumentation
     is enabled.
 
@@ -231,17 +229,16 @@ def serve_tiered(
         if not auto:
             raise
         return decline(ModelSelection("full", "auto-build-fallback", size))
-    rom = template.rom
     try:
         states, errors = serve(template, auto)
     except SimulationError:
         if not auto:
             raise
         return decline(ModelSelection(
-            "full", "auto-error-fallback", size, order=rom.order,
+            "full", "auto-error-fallback", size, order=template.order,
             error_estimate=math.inf, error_bound=bound,
         ))
-    span.set(n=size, order=rom.order)
+    span.set(n=size, order=template.order)
 
     if not auto:
         if not np.all(np.isfinite(states)):
@@ -249,10 +246,10 @@ def serve_tiered(
                 "reduced-tier solution is non-finite (diverged); raise "
                 "rom_order, reduce dt, or use model='full'"
             )
-        rom.selection = record_model_selection(
+        record_model_selection(
             ModelSelection(
-                "reduced", "explicit", size, order=rom.order,
-                error_estimate=rom.moment_error, error_bound=bound,
+                "reduced", "explicit", size, order=template.order,
+                error_estimate=template.moment_error, error_bound=bound,
             ),
             n_points,
         )
@@ -263,9 +260,9 @@ def serve_tiered(
     n_bad = int(np.count_nonzero(bad))
     n_ok = n_points - n_bad
     if n_ok:
-        rom.selection = record_model_selection(
+        record_model_selection(
             ModelSelection(
-                "reduced", "auto-within-bound", size, order=rom.order,
+                "reduced", "auto-within-bound", size, order=template.order,
                 error_estimate=float(np.max(errors[~bad])), error_bound=bound,
             ),
             n_ok,
@@ -273,7 +270,7 @@ def serve_tiered(
     if n_bad:
         record_model_selection(
             ModelSelection(
-                "full", "auto-error-fallback", size, order=rom.order,
+                "full", "auto-error-fallback", size, order=template.order,
                 error_estimate=float(np.max(errors[bad])), error_bound=bound,
             ),
             n_bad,

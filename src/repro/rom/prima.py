@@ -16,25 +16,23 @@ transfer function (``m`` input columns) and answers transient, AC and
 delay queries from dense ``q x q`` solves; full-space waveforms are
 recovered as ``x ~= V z``.
 
-Two usage shapes:
-
-- :func:`prima_reduce` projects one concrete :class:`~repro.spice.mna.MnaSystem`
-  into a :class:`ReducedSystem` (the basis owner and its evidence).
-- :class:`ReducedTemplate` composes with the stamp-once / re-value-many
-  split of :class:`~repro.spice.mna.CircuitTemplate`: the basis is built
-  once at a nominal parameter point and each COO revaluation *group* is
-  pre-projected to a ``q x q`` matrix, so a value-only batch point costs
-  ``O(groups * q^2)`` -- no O(nnz) work per point -- and the batched
-  reduced recurrence (:func:`reduced_transient_batch`) integrates every
-  point with stacked ``q x q`` operations.
+:class:`ReducedTemplate` is the one projection object.  It composes
+with the stamp-once / re-value-many split of
+:class:`~repro.spice.mna.MnaStructure`: the basis is built once at a
+nominal parameter point and each COO revaluation *group* is
+pre-projected to a ``q x q`` matrix, so a value-only batch point costs
+``O(groups * q^2)`` -- no O(nnz) work per point -- and the batched
+reduced recurrence (:func:`reduced_transient_batch`) integrates every
+point with stacked ``q x q`` operations.  A concrete circuit is
+projected with ``ReducedTemplate(build_mna_structure(circuit), order=q)``.
 
 Every reduced answer carries pinned a-posteriori error evidence: the
-build-time moment-matching defect (:attr:`ReducedSystem.moment_error`),
+build-time moment-matching defect (:attr:`ReducedTemplate.moment_error`),
 the nested-suborder convergence defect (basis prefixes stay
 orthonormal, so re-answering with the weakest trailing direction
 dropped and comparing outputs costs only ``O(q^2)`` per point), and
 for AC the exact per-point residual ``||(G + jwC) V z - e|| / ||e||``
-at probe frequencies (:meth:`ReducedSystem.ac_residuals`).
+at probe frequencies (:meth:`ReducedTemplate.ac_residuals`).
 ``model="auto"`` callers fall back to full MNA whenever these
 estimates exceed the requested bound.
 """
@@ -42,6 +40,7 @@ estimates exceed the requested bound.
 from __future__ import annotations
 
 import itertools
+import threading
 import warnings
 import weakref
 from typing import Mapping
@@ -51,21 +50,13 @@ import scipy.linalg
 
 from repro import obs
 from repro.errors import ParameterError, SimulationError
-from repro.spice.backend import SimulationBackend, resolve_backend
-from repro.spice.mna import (
-    CircuitTemplate,
-    MnaStructure,
-    MnaSystem,
-    _key_value,
-    _MatrixPlan,
-)
+from repro.spice.backend import CooMatrix, SimulationBackend, resolve_backend
+from repro.spice.mna import CircuitTemplate, MnaStructure, _key_value, _MatrixPlan
 
 __all__ = [
     "DEFAULT_ORDER",
-    "ReducedSystem",
     "ReducedTemplate",
     "corner_samples",
-    "prima_reduce",
     "cached_reduced_template",
     "reduced_transient_batch",
 ]
@@ -249,248 +240,35 @@ def _moment_defect(g_fact, c_csr, b_dense, basis, gq_lu, cq, bq, n_orders) -> fl
     return worst
 
 
-class ReducedSystem:
-    """A PRIMA projection of one MNA system, ready for q-space queries.
-
-    Produced by :func:`prima_reduce`.  Holds the orthonormal basis
-    ``V`` (``n x q``), the projected matrices ``Gq``/``Cq``/``Bq``, the
-    index maps of the source system, and the build-time error evidence;
-    :class:`ReducedTemplate` serves queries from it, and
-    :meth:`reconstruct` lifts reduced states back to MNA rows.
-    """
-
-    #: The :class:`~repro.rom.model.ModelSelection` that routed a query
-    #: to this projection, or ``None`` for directly built instances.
-    selection = None
-
-    def __init__(
-        self,
-        *,
-        basis: np.ndarray,
-        gq: np.ndarray,
-        cq: np.ndarray,
-        bq: np.ndarray,
-        signs: np.ndarray,
-        node_index: dict[str, int],
-        branch_index: dict[str, int],
-        source_rows,
-        moment_error: float,
-        requested_order: int,
-        g_csr,
-        c_csr,
-        b_dense: np.ndarray,
-        snapshot_enriched: bool = False,
-    ) -> None:
-        self._basis = basis
-        self._gq = gq
-        self._cq = cq
-        self._bq = bq
-        self._signs = signs
-        self._node_index = node_index
-        self._branch_index = branch_index
-        self._source_rows = tuple(source_rows)
-        self._moment_error = float(moment_error)
-        self._requested_order = int(requested_order)
-        self._g_csr = g_csr
-        self._c_csr = c_csr
-        self._b_dense = b_dense
-        self._snapshot_enriched = bool(snapshot_enriched)
-
-    @property
-    def snapshot_enriched(self) -> bool:
-        """Whether trajectory snapshots contributed basis columns.
-
-        Snapshot (POD) bases do not aim at exact moment matching, so
-        their :attr:`moment_error` is descriptive build evidence rather
-        than a fidelity bound -- a-posteriori checks on such systems
-        should lean on the nested suborder convergence defect instead.
-        """
-        return self._snapshot_enriched
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The orthonormal projection basis ``V``, shape ``(n, q)``."""
-        return self._basis
-
-    @property
-    def gq(self) -> np.ndarray:
-        """Projected conductance matrix ``V^T G V``, shape ``(q, q)``."""
-        return self._gq
-
-    @property
-    def cq(self) -> np.ndarray:
-        """Projected dynamic matrix ``V^T C V``, shape ``(q, q)``."""
-        return self._cq
-
-    @property
-    def bq(self) -> np.ndarray:
-        """Projected input map ``V^T B``, shape ``(q, m)``."""
-        return self._bq
-
-    @property
-    def order(self) -> int:
-        """Achieved reduced order ``q`` (deflation may trim the request)."""
-        return self._basis.shape[1]
-
-    @property
-    def full_size(self) -> int:
-        """Unknown count ``n`` of the source MNA system."""
-        return self._basis.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        """Number of independent-source input columns ``m``."""
-        return self._bq.shape[1]
-
-    @property
-    def source_rows(self):
-        """The source system's ``(row, sign, waveform)`` triples."""
-        return self._source_rows
-
-    @property
-    def moment_error(self) -> float:
-        """Build-time block-moment matching defect (a-posteriori check)."""
-        return self._moment_error
-
-    def voltage_row(self, node) -> int:
-        """Row index of a node voltage in the *full* MNA ordering."""
-        from repro.spice.mna import _voltage_row
-
-        return _voltage_row(self._node_index, node)
-
-    def current_row(self, element_name: str) -> int:
-        """Row index of a branch current in the *full* MNA ordering."""
-        from repro.spice.mna import _current_row
-
-        return _current_row(self._branch_index, element_name)
-
-    def suborder(self) -> int:
-        """Nested comparison order ``q2 = q - 1`` for convergence checks.
-
-        Basis prefixes stay orthonormal, so the leading ``q2 x q2``
-        principal blocks of ``Gq``/``Cq`` are themselves a valid
-        Galerkin projection; re-answering a query with the weakest
-        trailing direction removed (the last Arnoldi vector, or the
-        smallest-singular-value union direction for sample-enriched
-        bases) and comparing outputs estimates convergence in the basis
-        with no full-space work.  Dropping exactly one direction keeps
-        the estimate sharp -- deeper truncations of an enriched basis
-        can go unstable and read as huge defects on projections whose
-        true error is tiny.  A heuristic, not a bound: an unconverged
-        answer can in principle move little under the drop, which is
-        why ``model="auto"`` folds it with the build-time moment defect
-        rather than trusting it alone.
-        """
-        q = self.order
-        if q <= 1:
-            return q
-        return q - 1
-
-    def _source_matrix(self, times: np.ndarray) -> np.ndarray:
-        """Waveform samples ``w(t)``, shape ``times.shape + (m,)``."""
-        times = np.asarray(times, dtype=float)
-        w = np.empty(times.shape + (len(self._source_rows),))
-        for s, (_row, _sign, waveform) in enumerate(self._source_rows):
-            w[..., s] = np.asarray(waveform(times), dtype=float)
-        return w
-
-    def projected_unit_rhs(self, input_row: int) -> np.ndarray:
-        """Projection ``W^T e_row`` of a unit stimulus at one MNA row.
-
-        With the sign-corrected test basis ``W = D V`` (see
-        :func:`_row_signs`), the projection of a unit right-hand side at
-        ``input_row`` is exactly ``signs[row] * V[row]`` -- no matvec
-        needed.  Shape ``(q,)``; slice to a prefix for suborder solves.
-        """
-        return self._signs[input_row] * self._basis[input_row]
-
-    def reconstruct(self, z: np.ndarray, rows=None) -> np.ndarray:
-        """Lift reduced states back to MNA rows: ``x = V[:, :q_used] z``.
-
-        ``z`` has shape ``(..., q_used)`` (``q_used`` inferred from the
-        last axis, so suborder states lift correctly); ``rows`` selects
-        full-space rows (``None`` reconstructs all of them).
-        """
-        z = np.asarray(z)
-        basis = self._basis if rows is None else self._basis[np.asarray(rows)]
-        return z @ basis[:, : z.shape[-1]].T
-
-    def ac_residuals(
-        self, input_row: int, omegas, z: np.ndarray, g_csr=None, c_csr=None
-    ) -> np.ndarray:
-        """Exact per-frequency relative residuals of reduced AC states.
-
-        ``z`` holds reduced phasor solutions (``(F, q_used)``) for a unit
-        stimulus at ``input_row``; each lifted solution is checked
-        against the *full* system:
-        ``||(G + jw C) V z_k - e_input|| / ||e_input||`` with
-        ``||e_input|| = 1``.  ``g_csr``/``c_csr`` name that system --
-        by default the one this projection was built from; a value
-        batch passes each point's own revalued ``G_j``/``C_j``.  Only
-        sparse matvecs -- no full solve -- so ``model="auto"`` can pin
-        its fallback decision on an exact a-posteriori quantity at the
-        swept frequencies themselves.
-        """
-        g_csr = self._g_csr if g_csr is None else g_csr
-        c_csr = self._c_csr if c_csr is None else c_csr
-        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        x = self.reconstruct(z).T  # (n, F), complex
-        resid = (g_csr @ x) + 1j * omegas[None, :] * (c_csr @ x)
-        resid[input_row, :] -= 1.0
-        return np.linalg.norm(resid, axis=0)
-
-    def __repr__(self) -> str:
-        head = (
-            f"ReducedSystem(order={self.order}, n={self.full_size}, "
-            f"inputs={self.n_inputs}, moment_error={self._moment_error:.2e}"
-        )
-        if self.selection is not None:
-            return f"{head}, {self.selection!r})"
-        return head + ")"
-
-
-def prima_reduce(
-    system: MnaSystem,
-    order: int | None = None,
-    backend: SimulationBackend | str = "auto",
-    samples: tuple = (),
-    snapshots: np.ndarray | None = None,
-) -> ReducedSystem:
-    """Project one MNA system to a :class:`ReducedSystem` of order ``q``.
+def _build_projection(
+    structure: MnaStructure,
+    nominal: dict[str, float],
+    order: int | None,
+    backend: SimulationBackend | str,
+    sample_params: tuple,
+    snapshots: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """PRIMA basis of ``structure`` at ``nominal``: ``(V, signs, Bq, defect)``.
 
     Factors ``G`` once through the resolved backend, grows the block
     Krylov basis from the independent-source columns, forms the
-    sign-corrected congruence projections (see :func:`_row_signs` --
-    this is what makes the reduced pencil provably stable), and runs
-    the build-time moment-matching check.  Raises
-    :class:`~repro.errors.SimulationError` when the projection cannot
-    be built (no sources, singular ``G``, or a non-finite basis) --
-    ``model="auto"`` callers treat that as an automatic fallback to
-    full MNA.
-
-    ``samples`` is an optional tuple of structure-identical
-    :class:`~repro.spice.mna.MnaSystem` instances at *other* parameter
-    points (typically box corners of a value sweep): each contributes
-    its own order-``q`` Krylov basis, and the union is merged by
-    :func:`_union_basis` so the one projection stays accurate across
-    the whole sampled box -- a single-point basis loses roughly a
-    percent of 50% delay per 50% parameter excursion, which is exactly
-    what value sweeps cannot afford.  The achieved order then exceeds
-    ``q`` (up to ``q * (1 + len(samples))``).
-
-    ``snapshots`` is an optional ``(n, k)`` matrix of full-space state
-    snapshots (e.g. transient trajectories at a few sample points, as
-    collected by the batch dispatch).  Its normalized columns join the
-    union, POD-style; the moment-anchoring Arnoldi block then shrinks
-    to :data:`_SNAPSHOT_ARNOLDI_ORDER` and the merged basis is capped
-    at ``order`` columns (default :data:`_SNAPSHOT_ORDER_CAP`), kept in
-    decreasing singular-value order.  Snapshot bases track the actual
-    waveforms far more efficiently per column than corner Krylov
-    unions on strongly coupled structures.
+    sign-corrected projected input map (see :func:`_row_signs`) and runs
+    the build-time moment-matching check; see :class:`ReducedTemplate`
+    for the sample and snapshot enrichment.
     """
     with obs.span("rom.build") as sp:
-        n = system.size
-        m = len(system.source_rows)
+        n = structure.size
+        g_plan, c_plan = structure.g_plan, structure.c_plan
+        # (G as COO, C as CSR) at the nominal point, then at each sample.
+        pencils = []
+        for point in (nominal, *({**nominal, **dict(p)} for p in sample_params)):
+            g_data, c_data = structure.revalue(point)
+            pencils.append((
+                CooMatrix(g_plan.rows, g_plan.cols, g_data, (n, n)),
+                CooMatrix(c_plan.rows, c_plan.cols, c_data, (n, n)).to_csr(),
+            ))
+        (g_coo, c_csr), samples = pencils[0], pencils[1:]
+        m = len(structure.source_rows)
         if m == 0:
             raise SimulationError(
                 "reduced-order projection needs at least one independent "
@@ -502,17 +280,16 @@ def prima_reduce(
             q_req = int(order)
         if q_req < 1:
             raise ParameterError(f"rom order must be >= 1, got {order!r}")
-        backend = resolve_backend(backend, system.g_coo)
+        backend = resolve_backend(backend, g_coo)
         try:
-            g_fact = backend.factorize(system.g_coo)
+            g_fact = backend.factorize(g_coo)
         except SimulationError as exc:
             raise SimulationError(
                 "singular DC (G) matrix; cannot build a reduced-order basis "
                 f"(backend={backend.name})"
             ) from exc
-        c_csr = system.c_coo.to_csr()
         b_dense = np.zeros((n, m))
-        for s, (row, sign, _waveform) in enumerate(system.source_rows):
+        for s, (row, sign, _waveform) in enumerate(structure.source_rows):
             b_dense[row, s] = sign
 
         arnoldi_q = min(q_req, n)
@@ -522,21 +299,16 @@ def prima_reduce(
         moment_depth = basis.shape[1]
         if samples:
             parts = [basis]
-            for sample in samples:
+            for sample_g, sample_c in samples:
                 try:
-                    sample_fact = backend.factorize(sample.g_coo)
+                    sample_fact = backend.factorize(sample_g)
                 except SimulationError as exc:
                     raise SimulationError(
                         "singular DC (G) matrix at a sample point; cannot "
                         f"enrich the reduced basis (backend={backend.name})"
                     ) from exc
                 parts.append(
-                    _block_arnoldi(
-                        sample_fact,
-                        sample.c_coo.to_csr(),
-                        b_dense,
-                        arnoldi_q,
-                    )
+                    _block_arnoldi(sample_fact, sample_c, b_dense, arnoldi_q)
                 )
             basis = _union_basis(parts)
             moment_depth = basis.shape[1]
@@ -565,8 +337,8 @@ def prima_reduce(
                 "block-Arnoldi basis construction failed (empty or "
                 "non-finite basis)"
             )
-        g_csr = system.g_coo.to_csr()
-        signs = _row_signs(system.branch_index, n)
+        g_csr = g_coo.to_csr()
+        signs = _row_signs(structure.branch_index, n)
         gq = basis.T @ (signs[:, None] * (g_csr @ basis))
         cq = basis.T @ (signs[:, None] * (c_csr @ basis))
         bq = basis.T @ (signs[:, None] * b_dense)
@@ -590,25 +362,10 @@ def prima_reduce(
             order=basis.shape[1],
             inputs=m,
             backend=backend.name,
-            samples=len(samples),
+            samples=len(sample_params),
             snapshots=0 if snapshots is None else int(snapshots.shape[1]),
         )
-        return ReducedSystem(
-            basis=basis,
-            gq=gq,
-            cq=cq,
-            bq=bq,
-            signs=signs,
-            node_index=system.node_index,
-            branch_index=system.branch_index,
-            source_rows=system.source_rows,
-            moment_error=moment_error,
-            requested_order=q_req,
-            g_csr=g_csr,
-            c_csr=c_csr,
-            b_dense=b_dense,
-            snapshot_enriched=snapshots is not None,
-        )
+        return basis, signs, bq, float(moment_error)
 
 
 def _project_plan(
@@ -638,19 +395,43 @@ def _project_plan(
 
 
 class ReducedTemplate:
-    """A PRIMA projection composed with the stamp-once/revalue-many split.
+    """A PRIMA projection of one MNA structure, ready for q-space queries.
 
-    Builds the basis once from the template's structure at a *nominal*
-    parameter point (:func:`prima_reduce`), then pre-projects the
-    ``G``/``C`` revaluation plans so any other value point's projected
-    matrices come from :meth:`reduce` / :meth:`reduce_many` in
+    Builds the orthonormal basis ``V`` (``n x q``) once at a *nominal*
+    parameter point: factors ``G`` once through the resolved backend,
+    grows the block Krylov basis from the independent-source columns,
+    forms the sign-corrected congruence projections (see
+    :func:`_row_signs` -- this is what makes the reduced pencil provably
+    stable) and runs the build-time moment-matching check.  It then
+    pre-projects the ``G``/``C`` revaluation plans, so any value point's
+    projected matrices come from :meth:`reduce_many` in
     ``O(groups * q^2)`` -- the reduced-tier analogue of
-    :meth:`~repro.spice.mna.MnaStructure.revalue`.  The basis is exact
-    at the nominal point and approximate elsewhere, so value sweeps
-    should pass ``sample_params`` -- extra parameter points (typically
+    :meth:`~repro.spice.mna.MnaStructure.revalue_many` -- and
+    :meth:`reconstruct` lifts reduced states back to MNA rows.  Raises
+    :class:`~repro.errors.SimulationError` when the projection cannot be
+    built (no sources, singular ``G``, or a non-finite basis) --
+    ``model="auto"`` callers treat that as an automatic fallback to full
+    MNA.
+
+    The basis is exact at the nominal point and approximate elsewhere:
+    a single-point basis loses roughly a percent of 50% delay per 50%
+    parameter excursion, which is exactly what value sweeps cannot
+    afford.  ``sample_params`` names extra parameter points (typically
     the box corners the batch dispatch derives via
-    :func:`corner_samples`) whose Krylov bases are merged in, keeping
-    one shared basis accurate across the whole box; the per-point
+    :func:`corner_samples`); each contributes its own order-``q``
+    Krylov basis, and :func:`_union_basis` merges them so one basis
+    stays accurate across the whole sampled box.  The achieved order
+    then exceeds ``q`` (up to ``q * (1 + len(sample_params))``).
+
+    ``snapshots`` is an optional ``(n, k)`` matrix of full-space state
+    snapshots (e.g. transient trajectories at a few sample points, as
+    collected by the batch dispatch).  Its normalized columns join the
+    union, POD-style; the moment-anchoring Arnoldi block then shrinks
+    to :data:`_SNAPSHOT_ARNOLDI_ORDER` and the merged basis is capped
+    at ``order`` columns (default :data:`_SNAPSHOT_ORDER_CAP`), kept in
+    decreasing singular-value order.  Snapshot bases track the actual
+    waveforms far more efficiently per column than corner Krylov
+    unions on strongly coupled structures.  The per-point
     nested-suborder convergence check in the batch paths is what keeps
     ``model="auto"`` honest for points the samples did not bracket.
     """
@@ -675,19 +456,14 @@ class ReducedTemplate:
                 f"expected a CircuitTemplate or MnaStructure, got {template!r}"
             )
         self._structure = structure
-        self._nominal = nominal
-        self._rom = prima_reduce(
-            structure.system(nominal),
-            order=order,
-            backend=backend,
-            samples=tuple(
-                structure.system({**nominal, **dict(point)})
-                for point in sample_params
-            ),
-            snapshots=snapshots,
+        basis, signs, bq, moment_error = _build_projection(
+            structure, nominal, order, backend, sample_params, snapshots
         )
-        basis = self._rom.basis
-        signs = self._rom._signs
+        self._basis = basis
+        self._signs = signs
+        self._bq = bq
+        self._moment_error = moment_error
+        self._snapshot_enriched = snapshots is not None
         self._g_const, self._g_groups = _project_plan(
             structure.g_plan, basis, signs
         )
@@ -696,45 +472,112 @@ class ReducedTemplate:
         )
 
     @property
-    def rom(self) -> ReducedSystem:
-        """The nominal-point :class:`ReducedSystem` (basis owner)."""
-        return self._rom
-
-    @property
     def structure(self) -> MnaStructure:
         """The shared :class:`~repro.spice.mna.MnaStructure`."""
         return self._structure
 
     @property
-    def nominal(self) -> dict[str, float]:
-        """Copy of the nominal parameter point the basis was built at."""
-        return dict(self._nominal)
+    def basis(self) -> np.ndarray:
+        """The orthonormal projection basis ``V``, shape ``(n, q)``."""
+        return self._basis
+
+    @property
+    def bq(self) -> np.ndarray:
+        """Projected input map ``V^T D B``, shape ``(q, m)``."""
+        return self._bq
 
     @property
     def order(self) -> int:
-        """Achieved reduced order ``q``."""
-        return self._rom.order
+        """Achieved reduced order ``q`` (deflation may trim the request)."""
+        return self._basis.shape[1]
 
-    def reduce(self, params: Mapping[str, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Projected ``(Gq, Cq)`` at one parameter point (``q x q`` each)."""
-        params = self._structure._check_params(params)
+    @property
+    def moment_error(self) -> float:
+        """Build-time block-moment matching defect (a-posteriori check)."""
+        return self._moment_error
 
-        def get(name: str) -> np.float64:
-            return np.float64(params[name])
+    @property
+    def snapshot_enriched(self) -> bool:
+        """Whether trajectory snapshots contributed basis columns.
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gq = self._g_const.copy()
-            for key, mat in self._g_groups:
-                gq += float(_key_value(key, get)) * mat
-            cq = self._c_const.copy()
-            for key, mat in self._c_groups:
-                cq += float(_key_value(key, get)) * mat
-        if not (np.isfinite(gq).all() and np.isfinite(cq).all()):
-            raise ParameterError(
-                f"parameter values {params!r} produce non-finite projected "
-                "matrices (zero resistance or non-finite value?)"
-            )
-        return gq, cq
+        Snapshot (POD) bases do not aim at exact moment matching, so
+        their :attr:`moment_error` is descriptive build evidence rather
+        than a fidelity bound -- a-posteriori checks on such projections
+        should lean on the nested suborder convergence defect instead.
+        """
+        return self._snapshot_enriched
+
+    def suborder(self) -> int:
+        """Nested comparison order ``q2 = q - 1`` for convergence checks.
+
+        Basis prefixes stay orthonormal, so the leading ``q2 x q2``
+        principal blocks of ``Gq``/``Cq`` are themselves a valid
+        Galerkin projection; re-answering a query with the weakest
+        trailing direction removed (the last Arnoldi vector, or the
+        smallest-singular-value union direction for sample-enriched
+        bases) and comparing outputs estimates convergence in the basis
+        with no full-space work.  Dropping exactly one direction keeps
+        the estimate sharp -- deeper truncations of an enriched basis
+        can go unstable and read as huge defects on projections whose
+        true error is tiny.  A heuristic, not a bound: an unconverged
+        answer can in principle move little under the drop, which is
+        why ``model="auto"`` folds it with the build-time moment defect
+        rather than trusting it alone.
+        """
+        q = self.order
+        if q <= 1:
+            return q
+        return q - 1
+
+    def _source_matrix(self, times: np.ndarray) -> np.ndarray:
+        """Waveform samples ``w(t)``, shape ``times.shape + (m,)``."""
+        times = np.asarray(times, dtype=float)
+        source_rows = self._structure.source_rows
+        w = np.empty(times.shape + (len(source_rows),))
+        for s, (_row, _sign, waveform) in enumerate(source_rows):
+            w[..., s] = np.asarray(waveform(times), dtype=float)
+        return w
+
+    def projected_unit_rhs(self, input_row: int) -> np.ndarray:
+        """Projection ``W^T e_row`` of a unit stimulus at one MNA row.
+
+        With the sign-corrected test basis ``W = D V`` (see
+        :func:`_row_signs`), the projection of a unit right-hand side at
+        ``input_row`` is exactly ``signs[row] * V[row]`` -- no matvec
+        needed.  Shape ``(q,)``; slice to a prefix for suborder solves.
+        """
+        return self._signs[input_row] * self._basis[input_row]
+
+    def reconstruct(self, z: np.ndarray, rows=None) -> np.ndarray:
+        """Lift reduced states back to MNA rows: ``x = V[:, :q_used] z``.
+
+        ``z`` has shape ``(..., q_used)`` (``q_used`` inferred from the
+        last axis, so suborder states lift correctly); ``rows`` selects
+        full-space rows (``None`` reconstructs all of them).
+        """
+        z = np.asarray(z)
+        basis = self._basis if rows is None else self._basis[np.asarray(rows)]
+        return z @ basis[:, : z.shape[-1]].T
+
+    def ac_residuals(
+        self, input_row: int, omegas, z: np.ndarray, g_csr, c_csr
+    ) -> np.ndarray:
+        """Exact per-frequency relative residuals of reduced AC states.
+
+        ``z`` holds reduced phasor solutions (``(F, q_used)``) for a unit
+        stimulus at ``input_row``; each lifted solution is checked
+        against the *full* system ``g_csr``/``c_csr`` (one batch point's
+        own revalued ``G_j``/``C_j``):
+        ``||(G + jw C) V z_k - e_input|| / ||e_input||`` with
+        ``||e_input|| = 1``.  Only sparse matvecs -- no full solve -- so
+        ``model="auto"`` can pin its fallback decision on an exact
+        a-posteriori quantity at the swept frequencies themselves.
+        """
+        omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        x = self.reconstruct(z).T  # (n, F), complex
+        resid = (g_csr @ x) + 1j * omegas[None, :] * (c_csr @ x)
+        resid[input_row, :] -= 1.0
+        return np.linalg.norm(resid, axis=0)
 
     def _batch_columns(self, columns: Mapping[str, np.ndarray]):
         """Validated, broadcast parameter columns: ``(n_points, get)``."""
@@ -801,7 +644,7 @@ class ReducedTemplate:
     def reduce_many(
         self, columns: Mapping[str, np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`reduce`: stacked ``(B, q, q)`` projections.
+        """Projected ``(Gq, Cq)`` of a value batch, stacked ``(B, q, q)``.
 
         ``columns`` maps every structure parameter to a length-``B``
         array (scalars broadcast), exactly like
@@ -845,7 +688,7 @@ class ReducedTemplate:
     def __repr__(self) -> str:
         return (
             f"ReducedTemplate(order={self.order}, "
-            f"n={self._rom.full_size}, "
+            f"n={self._basis.shape[0]}, "
             f"groups={len(self._g_groups) + len(self._c_groups)})"
         )
 
@@ -905,8 +748,11 @@ def corner_samples(
 #: entry point once per chunk, and rebuilding the basis per chunk would
 #: eat most of the reduced tier's speedup.  Keyed by structure identity
 #: (with a weakref guard against id reuse), requested order, backend,
-#: the nominal point and the enrichment samples; bounded FIFO.
+#: the nominal point and the enrichment samples; bounded FIFO.  Sweep
+#: chunks call in from pool threads, so every read and write of the
+#: dict holds :data:`_TEMPLATE_CACHE_LOCK` (the build itself does not).
 _TEMPLATE_CACHE: dict[tuple, tuple[weakref.ref, ReducedTemplate]] = {}
+_TEMPLATE_CACHE_LOCK = threading.Lock()
 
 
 def cached_reduced_template(
@@ -931,7 +777,8 @@ def cached_reduced_template(
     pass everything the trajectories depend on (sample points, time
     grid, method, initial state).  The cache holds strong references to
     at most :data:`_CACHE_LIMIT` projections and drops entries whose
-    structure has been garbage collected.
+    structure has been garbage collected.  Thread-safe; two threads
+    that miss on the same key both build, and the later one is kept.
     """
     q_req = DEFAULT_ORDER if order is None else int(order)
     backend_name = backend if isinstance(backend, str) else backend.name
@@ -947,7 +794,8 @@ def cached_reduced_template(
         sample_key,
         snapshot_key,
     )
-    entry = _TEMPLATE_CACHE.get(key)
+    with _TEMPLATE_CACHE_LOCK:
+        entry = _TEMPLATE_CACHE.get(key)
     if entry is not None and entry[0]() is structure:
         obs.inc("rom.projection_reuse")
         return entry[1]
@@ -959,12 +807,13 @@ def cached_reduced_template(
         sample_params=sample_key,
         snapshots=None if snapshot_builder is None else snapshot_builder(),
     )
-    dead = [k for k, (ref, _t) in _TEMPLATE_CACHE.items() if ref() is None]
-    for k in dead:
-        del _TEMPLATE_CACHE[k]
-    while len(_TEMPLATE_CACHE) >= _CACHE_LIMIT:
-        del _TEMPLATE_CACHE[next(iter(_TEMPLATE_CACHE))]
-    _TEMPLATE_CACHE[key] = (weakref.ref(structure), template)
+    with _TEMPLATE_CACHE_LOCK:
+        dead = [k for k, (ref, _t) in _TEMPLATE_CACHE.items() if ref() is None]
+        for k in dead:
+            del _TEMPLATE_CACHE[k]
+        while len(_TEMPLATE_CACHE) >= _CACHE_LIMIT:
+            del _TEMPLATE_CACHE[next(iter(_TEMPLATE_CACHE))]
+        _TEMPLATE_CACHE[key] = (weakref.ref(structure), template)
     return template
 
 
@@ -1116,7 +965,7 @@ def _start_states(
         if wq.ndim == 2:
             return template.batch_dc_states(columns, wq[0, :q], order=q)
         return None
-    basis = template.rom.basis
+    basis = template.basis
     n = basis.shape[0]
     if isinstance(initial, np.ndarray):
         if initial.shape == (n,):
@@ -1217,16 +1066,15 @@ def reduced_transient_batch(
     """
     from repro.spice.transient import IntegrationMethod
 
-    rom = template.rom
     trapezoidal = IntegrationMethod(method) is IntegrationMethod.TRAPEZOIDAL
     fac = 2.0 if trapezoidal else 1.0
     n_points, get = template._batch_columns(columns)
-    w_samples = rom._source_matrix(times)
-    bq = rom._bq
+    w_samples = template._source_matrix(times)
+    bq = template.bq
     wq = w_samples @ bq.T
-    rec_basis = rom.basis[np.asarray(rec_rows, dtype=np.intp)]
-    q = rom.order
-    q_sub = q - 1 if estimates and rom.suborder() < q else 0
+    rec_basis = template.basis[np.asarray(rec_rows, dtype=np.intp)]
+    q = template.order
+    q_sub = q - 1 if estimates and template.suborder() < q else 0
     n_steps = wq.shape[-2] - 1
 
     # The per-step source terms live in the m-dimensional span of Bq,
@@ -1285,7 +1133,7 @@ def reduced_transient_batch(
     # every query; a snapshot (POD) basis does not target moments at
     # all, so there the per-point suborder convergence defect is the
     # whole a-posteriori story.
-    base_error = 0.0 if rom.snapshot_enriched else rom.moment_error
+    base_error = 0.0 if template.snapshot_enriched else template.moment_error
     with np.errstate(invalid="ignore"):
         folded = np.maximum(base_error, defect)
     finite = np.isfinite(folded) & np.all(np.isfinite(states), axis=(1, 2))

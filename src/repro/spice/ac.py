@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import NetlistError, ParameterError, SimulationError
-from repro.spice.backend import SimulationBackend, resolve_backend
+from repro.spice.backend import CooMatrix, SimulationBackend, resolve_backend
 from repro.spice.mna import CircuitTemplate, MnaStructure, _concrete_structure
 from repro.spice.netlist import Circuit, VoltageSource, canonical_node
 
@@ -419,7 +419,7 @@ def _ac_batch_reduced(
     convergence defect, and its exact relative residual
     ``||(G_j + jw C_j) V z - e_input|| / ||e_input||`` at up to
     :data:`_AC_PROBES` frequencies spread across the sweep
-    (:meth:`~repro.rom.prima.ReducedSystem.ac_residuals`).
+    (:meth:`~repro.rom.prima.ReducedTemplate.ac_residuals`).
     """
     from repro import rom as rom_pkg
 
@@ -431,20 +431,19 @@ def _ac_batch_reduced(
             sample_params=samples,
         )
 
-    def serve(reduced_template, estimates):
-        rom = reduced_template.rom
-        q = rom.order
-        gq, cq = reduced_template.reduce_many(columns)
-        vq = rom.projected_unit_rhs(input_row).astype(complex)
+    def serve(reduced, estimates):
+        q = reduced.order
+        gq, cq = reduced.reduce_many(columns)
+        vq = reduced.projected_unit_rhs(input_row).astype(complex)
         z = _ac_batch_solve(gq, cq, vq, omegas)
-        rec_basis = rom.basis[rec_rows]
+        rec_basis = reduced.basis[rec_rows]
         states = z @ rec_basis.T
         if not estimates:
             return states, None
         errors = np.full(
-            n_points, 0.0 if rom.snapshot_enriched else rom.moment_error
+            n_points, 0.0 if reduced.snapshot_enriched else reduced.moment_error
         )
-        q2 = rom.suborder()
+        q2 = reduced.suborder()
         if q2 < q:
             try:
                 z2 = _ac_batch_solve(
@@ -463,13 +462,14 @@ def _ac_batch_reduced(
         probes = np.unique(
             np.linspace(0, omegas.size - 1, n_probes).astype(np.intp)
         )
+        g_data, c_data = structure.revalue_many(columns)
+        g_plan, c_plan = structure.g_plan, structure.c_plan
+        shape = (structure.size, structure.size)
         for j in range(n_points):
-            system = structure.system(
-                {name: col[j] for name, col in columns.items()}
-            )
-            residuals = rom.ac_residuals(
+            residuals = reduced.ac_residuals(
                 input_row, omegas[probes], z[j, probes],
-                system.g_coo.to_csr(), system.c_coo.to_csr(),
+                CooMatrix(g_plan.rows, g_plan.cols, g_data[j], shape).to_csr(),
+                CooMatrix(c_plan.rows, c_plan.cols, c_data[j], shape).to_csr(),
             )
             errors[j] = np.maximum(errors[j], np.max(residuals))
         finite = np.all(np.isfinite(states), axis=(1, 2)) & np.isfinite(errors)

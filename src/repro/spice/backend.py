@@ -374,20 +374,6 @@ class PatternFactorizer(abc.ABC):
         """
 
 
-class _OneShotFactorizer(PatternFactorizer):
-    """Fallback factorizer: re-runs the backend's full factorize."""
-
-    def __init__(self, backend: "SimulationBackend", pattern: CooMatrix) -> None:
-        self._backend = backend
-        self._pattern = pattern
-
-    def refactorize(self, data: np.ndarray) -> LinearFactorization:
-        matrix = CooMatrix(
-            self._pattern.rows, self._pattern.cols, data, self._pattern.shape
-        )
-        return self._backend.factorize(matrix)
-
-
 @dataclass(frozen=True)
 class BackendSelection:
     """Why ``resolve_backend("auto")`` picked a backend (the evidence).
@@ -443,26 +429,29 @@ class SimulationBackend(abc.ABC):
     #: instance, or ``None`` for explicitly constructed backends.
     selection: BackendSelection | None = None
 
-    @abc.abstractmethod
     def factorize(self, matrix: CooMatrix) -> LinearFactorization:
         """Factor ``matrix`` once for many solves.
+
+        One structure-reusing :meth:`factorizer` call and one
+        refactorization of the matrix's own data; counted as
+        ``spice.backend.factorize{backend=}``.
 
         Raises
         ------
         SimulationError
             If the matrix is exactly singular.
         """
+        _count("factorize", self.name)
+        return self.factorizer(matrix).refactorize(matrix.data)
 
+    @abc.abstractmethod
     def factorizer(self, pattern: CooMatrix) -> PatternFactorizer:
         """Structure-reusing factorizer for one sparsity pattern.
 
-        The default implementation simply re-runs :meth:`factorize` per
-        revaluation (correct for any backend); the built-in backends
-        override it to hoist their pattern-dependent work -- RCM
+        Implementations hoist their pattern-dependent work -- RCM
         profiles and banded index maps, COO-to-CSC duplicate-summing
         maps, dense scatter indices -- out of the revaluation loop.
         """
-        return _OneShotFactorizer(self, pattern)
 
     def __repr__(self) -> str:
         if self.selection is None:
@@ -555,10 +544,6 @@ class DenseLuBackend(SimulationBackend):
 
     name = "dense"
 
-    def factorize(self, matrix: CooMatrix) -> LinearFactorization:
-        _count("factorize", "dense")
-        return self.factorizer(matrix).refactorize(matrix.data)
-
     def factorizer(self, pattern: CooMatrix) -> PatternFactorizer:
         """Dense scatter pattern; refactorize rebuilds and refactors."""
         _count("factorizer", "dense")
@@ -627,10 +612,6 @@ class SparseLuBackend(SimulationBackend):
     """CSC + SuperLU (:func:`scipy.sparse.linalg.splu`)."""
 
     name = "sparse"
-
-    def factorize(self, matrix: CooMatrix) -> LinearFactorization:
-        _count("factorize", "sparse")
-        return self.factorizer(matrix).refactorize(matrix.data)
 
     def factorizer(self, pattern: CooMatrix) -> PatternFactorizer:
         """CSC assembly map reused across revaluations of one pattern."""
@@ -838,10 +819,6 @@ class BandedLuBackend(SimulationBackend):
     def _seed_profile(self, matrix: CooMatrix, profile: BandProfile) -> None:
         """Adopt a profile already computed for ``matrix``'s pattern."""
         self._remember(self._pattern_key(matrix), profile)
-
-    def factorize(self, matrix: CooMatrix) -> LinearFactorization:
-        _count("factorize", "banded")
-        return self.factorizer(matrix).refactorize(matrix.data)
 
     def factorizer(self, pattern: CooMatrix) -> PatternFactorizer:
         """RCM profile and banded index map reused across revaluations."""

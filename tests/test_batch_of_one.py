@@ -40,7 +40,7 @@ from repro.core.simulate import (
     simulated_delay_50_batch,
 )
 from repro.errors import NetlistError, SimulationError
-from repro.rom.prima import ReducedSystem
+from repro.rom.prima import ReducedTemplate
 from repro.spice.ac import ac_sweep, ac_sweep_batch
 from repro.spice.backend import resolve_backend
 from repro.spice.ladder import (
@@ -361,7 +361,7 @@ def test_ac_auto_falls_back_on_probe_residual(_captured, monkeypatch, query):
     # moment error and suborder defect stay within the bound.
     obs.reset()
     monkeypatch.setattr(
-        ReducedSystem, "ac_residuals",
+        ReducedTemplate, "ac_residuals",
         lambda self, row, omegas, z, g_csr, c_csr: np.zeros(len(omegas)),
     )
     assert not np.array_equal(run(model="auto", **AC_KW), full)

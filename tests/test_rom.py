@@ -22,6 +22,10 @@ regressions without flaking on backend noise.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -37,17 +41,19 @@ from repro.rom import (
     MODELS,
     ROM_SIZE_CUTOFF,
     ModelSelection,
-    prima_reduce,
+    ReducedTemplate,
+    cached_reduced_template,
     resolve_model,
 )
+from repro.rom import prima
 from repro.spice.ac import ac_sweep, ac_sweep_batch
 from repro.spice.ladder import (
     LadderSpec,
     build_ladder_circuit,
     build_ladder_template,
 )
-from repro.spice.mna import build_mna
-from repro.spice.parser import suggest_transient_window
+from repro.spice.mna import build_mna, build_mna_structure
+from repro.spice.parser import parse_netlist_file, suggest_transient_window
 from repro.spice.transient import simulate_transient, simulate_transient_batch
 from repro.sweep import Axis, ParameterGrid, Sweep, SweepRunner
 from repro.topology import (
@@ -60,6 +66,8 @@ from repro.topology import (
 )
 
 ALL_BACKENDS = ("dense", "sparse", "banded")
+
+NETLIST_DIR = pathlib.Path(__file__).parent / "netlists"
 
 #: RC-dominated Table 1 corner: smooth response, fast Krylov convergence.
 OVERDAMPED = dict(rt=1000.0, lt=1e-8, ct=1e-12, rtr=500.0, cl=5e-13)
@@ -144,10 +152,10 @@ class TestResolveModel:
 class TestPrimaApi:
     def test_projection_shapes_and_checks(self):
         _, circuit, _, _ = _ladder(OVERDAMPED, 40)
-        system = build_mna(circuit)
-        rom = prima_reduce(system, order=12)
-        n = system.g.shape[0]
-        assert rom.full_size == n
+        structure = build_mna_structure(circuit)
+        rom = ReducedTemplate(structure, order=12)
+        n = structure.size
+        assert rom.basis.shape == (n, rom.order)
         assert 0 < rom.order <= n
         assert np.isfinite(rom.moment_error)
         z = np.zeros((5, rom.order))
@@ -156,13 +164,31 @@ class TestPrimaApi:
 
     def test_projected_unit_rhs_matches_test_basis(self):
         _, circuit, _, _ = _ladder(OVERDAMPED, 24)
-        system = build_mna(circuit)
-        rom = prima_reduce(system, order=10)
+        rom = ReducedTemplate(build_mna_structure(circuit), order=10)
         row = 3
         vq = rom.projected_unit_rhs(row)
         assert vq.shape == (rom.order,)
         # W = D V with unit +-1 signs, so |W^T e_row| == |V[row]|.
         assert np.allclose(np.abs(vq), np.abs(rom.basis[row]))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: on a Krylov space that saturates below n "
+        "(C singular), the banded factorization of G turns the pencil's "
+        "infinite pole into a spurious finite one and the reduced "
+        "transient diverges; dense and sparse are right",
+    )
+    def test_banded_explicit_reduced_matches_dense(self):
+        circuit = parse_netlist_file(NETLIST_DIR / "rlc_param.cir").bind()
+        t_stop, dt = suggest_transient_window(circuit)
+        finals = {
+            backend: simulate_transient(
+                circuit, t_stop, dt, backend=backend, model="reduced",
+                rom_order=6,
+            ).voltage("out").final_value
+            for backend in ("dense", "banded")
+        }
+        assert abs(finals["banded"] - finals["dense"]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +473,47 @@ class TestProjectionCache:
             circuit, t_stop, dt, model="reduced", rom_order=12
         )
         assert obs.REGISTRY.snapshot()["counters"] == {}
+
+    def test_concurrent_lookups_raise_nothing(self):
+        """Pool threads share the cache: lookups, evictions of dead and
+        oldest entries, and insertions race under a tiny switch
+        interval without raising."""
+        circuits = [
+            build_ladder_circuit(LadderSpec(**OVERDAMPED, n_segments=n))
+            for n in (2, 3, 4)
+        ]
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        errors = []
+
+        def worker(seed):
+            try:
+                barrier.wait(timeout=60)
+                structures = []
+                for i in range(50):
+                    if i % 10 == 0:  # drop the last set: dead entries
+                        structures = [build_mna_structure(c) for c in circuits]
+                    structure = structures[(seed + i) % len(structures)]
+                    template = cached_reduced_template(structure, 4, {})
+                    assert template.structure is structure
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            prima._TEMPLATE_CACHE.clear()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 # ---------------------------------------------------------------------------

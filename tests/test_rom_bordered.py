@@ -27,6 +27,7 @@ into the suborder operators.  These tests pin that change:
 from __future__ import annotations
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from repro.bus.builder import build_bus_template
 from repro.bus.spec import BusSpec
 from repro.errors import ParameterError, SimulationError
 from repro.rom import prima
-from repro.rom.prima import ReducedSystem, ReducedTemplate
+from repro.rom.prima import ReducedTemplate
 from repro.spice.ladder import build_ladder_template
 from repro.spice.transient import simulate_transient_batch
 from repro.spice.netlist import Step
@@ -117,13 +118,12 @@ def _old_initial(gq, wq0, initial, basis, n_points, q):
 
 def _old_serve(template, columns, times, dt_eff, method, initial, rec_rows,
                estimates=True):
-    rom = template.rom
     trapezoidal = method == "trapezoidal"
     gq, cq = template.reduce_many(columns)
-    w_samples = rom._source_matrix(times)
-    bq = rom._bq
+    w_samples = template._source_matrix(times)
+    bq = template.bq
     wq = w_samples @ bq.T
-    basis = rom.basis
+    basis = template.basis
     rec_basis = basis[np.asarray(rec_rows, dtype=np.intp)]
     z0 = None
     if isinstance(initial, str) and initial == "dc" and wq.ndim == 2:
@@ -134,10 +134,10 @@ def _old_serve(template, columns, times, dt_eff, method, initial, rec_rows,
     )
     if not estimates:
         return states, None
-    base_error = 0.0 if rom.snapshot_enriched else rom.moment_error
+    base_error = 0.0 if template.snapshot_enriched else template.moment_error
     est = np.full(states.shape[0], base_error)
-    q2 = rom.suborder()
-    if q2 < rom.order:
+    q2 = template.suborder()
+    if q2 < template.order:
         states2 = _old_recurrence(
             gq[:, :q2, :q2], cq[:, :q2, :q2], wq[..., :q2], dt_eff,
             trapezoidal, initial, basis, rec_basis[:, :q2],
@@ -369,7 +369,7 @@ def test_bordered_suborder_matches_direct_solve(case, method):
     reduced = case["reduced"]
     gq, cq = reduced.reduce_many(_columns(case, 17))
     q = reduced.order
-    bq = reduced.rom.bq
+    bq = reduced.bq
     weight = (2.0 if method == "trapezoidal" else 1.0) / (case["t_stop"] / case["steps"])
     lhs = gq + weight * cq
     rhs = np.concatenate(
@@ -428,24 +428,25 @@ def test_serve_blocks_cover_points_without_lone_tail(n_points):
 # ---------------------------------------------------------------------------
 
 
-class _PencilTemplate:
+class _PencilTemplate(ReducedTemplate):
     """A hand-built order-3 reduced template: point ``j``'s pencil is
 
         G = [[a_j, 0, 1], [0, 1, 0], [-1, 0, 1]],   C = diag(0, 1, 1),
 
     so ``G + w C`` is invertible for every ``w`` while its leading
-    ``2 x 2`` block is singular exactly when ``a_j = 0``."""
+    ``2 x 2`` block is singular exactly when ``a_j = 0``.  No projection
+    is built: the attributes the serve reads are set directly."""
 
     def __init__(self):
         q = 3
-        self.rom = ReducedSystem(
-            basis=np.eye(q), gq=np.eye(q), cq=np.eye(q),
-            bq=np.asarray([[1.0], [1.0], [0.0]]), signs=np.ones(q),
-            node_index={}, branch_index={},
-            source_rows=[(0, 1.0, Step(0.0, 1.0))], moment_error=0.0,
-            requested_order=q, g_csr=None, c_csr=None,
-            b_dense=np.zeros((q, 1)),
+        self._structure = SimpleNamespace(
+            source_rows=((0, 1.0, Step(0.0, 1.0)),)
         )
+        self._basis = np.eye(q)
+        self._signs = np.ones(q)
+        self._bq = np.asarray([[1.0], [1.0], [0.0]])
+        self._moment_error = 0.0
+        self._snapshot_enriched = False
 
     def _batch_columns(self, columns):
         a = np.asarray(columns["a"], dtype=float)
