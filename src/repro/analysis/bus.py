@@ -204,7 +204,7 @@ def simulate_bus(
     circuit = build_bus_circuit(spec, switches, v_step=v_step)
     result = simulate_transient(circuit, t_stop=window, dt=dt, backend=backend)
     rows = [
-        result.system.voltage_row(spec.output_node(line))
+        result.structure.voltage_row(spec.output_node(line))
         for line in range(spec.n_lines)
     ]
     voltages = result.states[:, rows]

@@ -74,7 +74,11 @@ __all__ = [
 #: tridiagonal LU (delays move by up to about 3e-12 relative).
 #: Version 5: the default bus analysis window charges a line for its
 #: real neighbors only (one on a two-track bus, not two).
-SIMULATOR_VERSION = 5
+#: Version 6: list-of-dicts batches order their parameter columns by
+#: name, not by hash-seeded set order, so reduced-tier corner samples
+#: and bases (and the delays served from them) no longer depend on
+#: ``PYTHONHASHSEED``.
+SIMULATOR_VERSION = 6
 
 
 class SimulatorRoute(str, enum.Enum):

@@ -50,7 +50,7 @@ import scipy.linalg
 
 from repro import obs
 from repro.errors import ParameterError, SimulationError
-from repro.spice.backend import CooMatrix, SimulationBackend, resolve_backend
+from repro.spice.backend import SimulationBackend, resolve_backend
 from repro.spice.mna import CircuitTemplate, MnaStructure, _key_value, _MatrixPlan
 
 __all__ = [
@@ -89,16 +89,6 @@ _UNION_TOL = 1e-8
 #: 1e-6 of the leading one carry no signal, only round-off that makes
 #: the projected DC matrix needlessly ill-conditioned.
 _SNAPSHOT_TOL = 1e-6
-
-#: Krylov depth of the Arnoldi block mixed into a snapshot basis.  Zero:
-#: under a fixed order cap every unit-norm Krylov column admitted by the
-#: energy cut displaces a snapshot direction, and the snapshots already
-#: contain the DC operating points (the trajectories start there) --
-#: measured on the bus acceptance workload, mixing 16 Krylov columns in
-#: nearly triples the worst-case 50% delay error at the same q (1.21%
-#: vs 0.46% at q = 96).  The pure-Krylov path (no snapshots) is
-#: unaffected.
-_SNAPSHOT_ARNOLDI_ORDER = 0
 
 #: Default cap on the achieved order of a snapshot-enriched basis.
 #: Batched per-point integration work grows as ``q^2``..``q^3``; on the
@@ -258,14 +248,18 @@ def _build_projection(
     """
     with obs.span("rom.build") as sp:
         n = structure.size
-        g_plan, c_plan = structure.g_plan, structure.c_plan
+        if sample_params and snapshots is not None:
+            raise ParameterError(
+                "pass sample_params or snapshots, not both: a snapshot "
+                "basis has no Krylov block to enrich"
+            )
         # (G as COO, C as CSR) at the nominal point, then at each sample.
         pencils = []
         for point in (nominal, *({**nominal, **dict(p)} for p in sample_params)):
             g_data, c_data = structure.revalue(point)
             pencils.append((
-                CooMatrix(g_plan.rows, g_plan.cols, g_data, (n, n)),
-                CooMatrix(c_plan.rows, c_plan.cols, c_data, (n, n)).to_csr(),
+                structure.g_plan.coo(g_data),
+                structure.c_plan.coo(c_data).to_csr(),
             ))
         (g_coo, c_csr), samples = pencils[0], pencils[1:]
         m = len(structure.source_rows)
@@ -293,9 +287,17 @@ def _build_projection(
             b_dense[row, s] = sign
 
         arnoldi_q = min(q_req, n)
-        if snapshots is not None:
-            arnoldi_q = min(arnoldi_q, _SNAPSHOT_ARNOLDI_ORDER)
-        basis = _block_arnoldi(g_fact, c_csr, b_dense, arnoldi_q)
+        if snapshots is None:
+            basis = _block_arnoldi(g_fact, c_csr, b_dense, arnoldi_q)
+        else:
+            # No Krylov block joins a snapshot basis: under the order cap
+            # every unit-norm Krylov column the energy cut admits
+            # displaces a snapshot direction, and the snapshots already
+            # hold the DC operating points (the trajectories start
+            # there).  Measured on the bus acceptance workload, mixing
+            # 16 Krylov columns in nearly triples the worst-case 50%
+            # delay error at the same q (1.21% vs 0.46% at q = 96).
+            basis = np.empty((n, 0))
         moment_depth = basis.shape[1]
         if samples:
             parts = [basis]
@@ -321,16 +323,12 @@ def _build_projection(
             norms = np.linalg.norm(snap, axis=0)
             live = norms > 0.0
             if np.any(live):
-                # POD cut over the *whole* union, Krylov core included:
-                # pure energy ordering spends the order cap noticeably
-                # better than reserving exact slots for the core
-                # (measured ~2x lower worst-case delay error on the bus
-                # workload at the same q).  Moment matching becomes
-                # approximate -- the build-time defect reports exactly
+                # POD cut by energy alone.  Moment matching becomes
+                # approximate -- the one-order build-time defect reports
                 # how approximate, which is what the auto tier folds
                 # into its estimates.
                 basis = _union_basis(
-                    [basis, snap[:, live] / norms[live]], _SNAPSHOT_TOL
+                    [snap[:, live] / norms[live]], _SNAPSHOT_TOL
                 )[:, :q_req]
         if basis.shape[1] == 0 or not np.all(np.isfinite(basis)):
             raise SimulationError(
@@ -425,13 +423,13 @@ class ReducedTemplate:
 
     ``snapshots`` is an optional ``(n, k)`` matrix of full-space state
     snapshots (e.g. transient trajectories at a few sample points, as
-    collected by the batch dispatch).  Its normalized columns join the
-    union, POD-style; the moment-anchoring Arnoldi block then shrinks
-    to :data:`_SNAPSHOT_ARNOLDI_ORDER` and the merged basis is capped
-    at ``order`` columns (default :data:`_SNAPSHOT_ORDER_CAP`), kept in
-    decreasing singular-value order.  Snapshot bases track the actual
-    waveforms far more efficiently per column than corner Krylov
-    unions on strongly coupled structures.  The per-point
+    collected by the batch dispatch).  Its normalized columns form the
+    basis, POD-style, in place of the Arnoldi block, capped at
+    ``order`` columns (default :data:`_SNAPSHOT_ORDER_CAP`) and kept in
+    decreasing singular-value order; passing ``sample_params`` as well
+    raises :class:`~repro.errors.ParameterError`.  Snapshot bases track
+    the actual waveforms far more efficiently per column than corner
+    Krylov unions on strongly coupled structures.  The per-point
     nested-suborder convergence check in the batch paths is what keeps
     ``model="auto"`` honest for points the samples did not bracket.
     """

@@ -8,9 +8,9 @@ paper validates against.  It provides:
   element values,
 - :mod:`repro.spice.mna`        -- Modified Nodal Analysis assembly in
   backend-neutral triplet (COO) form, split into a structural pass
-  (:class:`~repro.spice.mna.MnaStructure`,
-  :class:`~repro.spice.mna.CircuitTemplate`) and a cheap revaluation
-  pass for value-only parameter changes; dense matrices only on demand,
+  (:class:`~repro.spice.mna.MnaStructure`, the one MNA representation
+  every analysis reads, and :class:`~repro.spice.mna.CircuitTemplate`)
+  and a cheap revaluation pass for value-only parameter changes,
 - :mod:`repro.spice.backend`    -- pluggable linear-solver backends:
   dense LU (reference), ``scipy.sparse`` SuperLU, and an RCM-reordered
   banded LAPACK path for ladder chains, with ``"auto"`` selection by
@@ -70,8 +70,6 @@ from repro.spice.ladder import (
 from repro.spice.mna import (
     CircuitTemplate,
     MnaStructure,
-    MnaSystem,
-    build_mna,
     build_mna_structure,
 )
 from repro.spice.netlist import (
@@ -127,8 +125,6 @@ __all__ = [
     "suggest_transient_window",
     "CircuitTemplate",
     "MnaStructure",
-    "MnaSystem",
-    "build_mna",
     "build_mna_structure",
     "simulate_transient",
     "simulate_transient_batch",

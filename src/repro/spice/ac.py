@@ -32,9 +32,9 @@ import numpy as np
 
 from repro import obs
 from repro.errors import NetlistError, ParameterError, SimulationError
-from repro.spice.backend import CooMatrix, SimulationBackend, resolve_backend
+from repro.spice.backend import SimulationBackend, resolve_backend
 from repro.spice.mna import CircuitTemplate, MnaStructure, _concrete_structure
-from repro.spice.netlist import Circuit, VoltageSource, canonical_node
+from repro.spice.netlist import GROUND, Circuit, VoltageSource, canonical_node
 
 __all__ = ["AcResult", "AcBatchResult", "ac_sweep", "ac_sweep_batch"]
 
@@ -45,33 +45,32 @@ _AC_PROBES = 8
 
 @dataclass(frozen=True)
 class AcResult:
-    """Complex node spectra from an AC sweep."""
+    """Complex node spectra from an AC sweep.
+
+    Attributes
+    ----------
+    omegas:
+        The angular-frequency grid, shape ``(F,)``.
+    states:
+        Solutions of shape ``(F, n_unknowns)``, complex.
+    structure:
+        The circuit's :class:`~repro.spice.mna.MnaStructure` (for index
+        lookups).
+    """
 
     omegas: np.ndarray
-    states: np.ndarray  # shape (len(omegas), n_unknowns), complex
-    node_index: dict[str, int]
-    branch_index: dict[str, int]
+    states: np.ndarray
+    structure: MnaStructure
 
     def voltage(self, node) -> np.ndarray:
         """Complex voltage spectrum of ``node``."""
-        from repro.spice.netlist import GROUND, canonical_node
-
-        name = canonical_node(node)
-        if name == GROUND:
+        if canonical_node(node) == GROUND:
             return np.zeros_like(self.omegas, dtype=complex)
-        try:
-            return self.states[:, self.node_index[name]].copy()
-        except KeyError:
-            raise NetlistError(f"unknown node {name!r}") from None
+        return self.states[:, self.structure.voltage_row(node)].copy()
 
     def current(self, element_name: str) -> np.ndarray:
         """Complex branch-current spectrum (V sources, inductors, ...)."""
-        try:
-            return self.states[:, self.branch_index[element_name]].copy()
-        except KeyError:
-            raise NetlistError(
-                f"element {element_name!r} has no branch current"
-            ) from None
+        return self.states[:, self.structure.current_row(element_name)].copy()
 
     def transfer(self, node_out, node_in) -> np.ndarray:
         """``V(node_out) / V(node_in)`` across the sweep."""
@@ -95,8 +94,9 @@ def ac_sweep(
     A batch of one: the circuit's structure runs through
     :func:`ac_sweep_batch`, and row 0 of the batch comes back as an
     :class:`AcResult`.  Circuits holding
-    :class:`~repro.spice.netlist.Param` slots are rejected, as by
-    :func:`~repro.spice.mna.build_mna`.
+    :class:`~repro.spice.netlist.Param` slots are rejected; bind their
+    values first, or pass a :class:`~repro.spice.mna.CircuitTemplate`
+    to :func:`ac_sweep_batch`.
 
     Parameters
     ----------
@@ -138,10 +138,7 @@ def ac_sweep(
         rom_error_bound=rom_error_bound,
     )
     return AcResult(
-        omegas=batch.omegas,
-        states=batch.states[0],
-        node_index=dict(structure.node_index),
-        branch_index=dict(structure.branch_index),
+        omegas=batch.omegas, states=batch.states[0], structure=structure
     )
 
 
@@ -198,8 +195,6 @@ class AcBatchResult:
 
     def voltage(self, node) -> np.ndarray:
         """Complex voltage spectra ``(B, F)`` of one node (ground is 0)."""
-        from repro.spice.netlist import GROUND
-
         if canonical_node(node) == GROUND:
             return np.zeros(self.states.shape[:2], dtype=complex)
         col = self._column(self.structure.voltage_row(node))
@@ -463,13 +458,11 @@ def _ac_batch_reduced(
             np.linspace(0, omegas.size - 1, n_probes).astype(np.intp)
         )
         g_data, c_data = structure.revalue_many(columns)
-        g_plan, c_plan = structure.g_plan, structure.c_plan
-        shape = (structure.size, structure.size)
         for j in range(n_points):
             residuals = reduced.ac_residuals(
                 input_row, omegas[probes], z[j, probes],
-                CooMatrix(g_plan.rows, g_plan.cols, g_data[j], shape).to_csr(),
-                CooMatrix(c_plan.rows, c_plan.cols, c_data[j], shape).to_csr(),
+                structure.g_plan.coo(g_data[j]).to_csr(),
+                structure.c_plan.coo(c_data[j]).to_csr(),
             )
             errors[j] = np.maximum(errors[j], np.max(residuals))
         finite = np.all(np.isfinite(states), axis=(1, 2)) & np.isfinite(errors)

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.spice.backend import CooMatrix, SimulationBackend, combine, resolve_backend
-from repro.spice.mna import MnaSystem, build_mna
-from repro.spice.netlist import Circuit
+from repro.spice.mna import MnaStructure, _concrete_structure
+from repro.spice.netlist import GROUND, Circuit, canonical_node
 
 __all__ = ["dc_operating_point", "DcSolution"]
 
@@ -25,21 +25,19 @@ __all__ = ["dc_operating_point", "DcSolution"]
 class DcSolution:
     """Node voltages and branch currents at the DC operating point."""
 
-    def __init__(self, system: MnaSystem, x: np.ndarray) -> None:
-        self._system = system
+    def __init__(self, structure: MnaStructure, x: np.ndarray) -> None:
+        self._structure = structure
         self._x = x
 
     def voltage(self, node) -> float:
         """DC voltage of ``node`` (ground returns 0)."""
-        from repro.spice.netlist import GROUND, canonical_node
-
         if canonical_node(node) == GROUND:
             return 0.0
-        return float(self._x[self._system.voltage_row(node)])
+        return float(self._x[self._structure.voltage_row(node)])
 
     def current(self, element_name: str) -> float:
         """DC branch current of a voltage source or inductor."""
-        return float(self._x[self._system.current_row(element_name)])
+        return float(self._x[self._structure.current_row(element_name)])
 
     @property
     def vector(self) -> np.ndarray:
@@ -75,16 +73,17 @@ def dc_operating_point(
     SimulationError
         If the MNA matrix is singular (floating node, inductor loop...).
     """
-    system = build_mna(circuit)
-    g = system.g_coo
+    structure = _concrete_structure(circuit)
+    g_data, _c_data = structure.revalue()
+    g = structure.g_plan.coo(g_data)
     if gmin:
-        diag = np.arange(system.n_nodes, dtype=np.intp)
+        diag = np.arange(structure.n_nodes, dtype=np.intp)
         g = combine(
             (1.0, g),
             (1.0, CooMatrix(diag, diag, np.full(diag.size, gmin), g.shape)),
         )
     backend = resolve_backend(backend, g)
-    b = system.rhs(time)
+    b = structure.rhs(time)
     try:
         x = backend.factorize(g).solve(b)
     except SimulationError as exc:
@@ -94,4 +93,4 @@ def dc_operating_point(
         ) from exc
     if not np.all(np.isfinite(x)):
         raise SimulationError("DC solution contains non-finite values")
-    return DcSolution(system, x)
+    return DcSolution(structure, x)

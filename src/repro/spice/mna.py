@@ -35,19 +35,16 @@ Assembly is split into a *structural* pass and a *numeric* pass
   over elements; :meth:`MnaStructure.revalue_many` does the same for a
   whole batch of parameter points at once.
 
-:func:`build_mna` (the historical entry point) is now a thin
-composition of the two passes and returns the same
-:class:`MnaSystem` as always.  :class:`CircuitTemplate` packages a
-parameterized circuit with its structure and can ``bind`` concrete
-netlists or emit revalued systems directly.
+:class:`MnaStructure` is the one MNA representation: every analysis
+(DC, transient, AC and the reduced tier) revalues it and reads its
+index maps.  :class:`CircuitTemplate` packages a parameterized circuit
+with its structure and can ``bind`` concrete netlists.
 
 Stamps accumulate as COO triplets
 (:class:`~repro.spice.backend.CooMatrix`), the form every
-:class:`~repro.spice.backend.SimulationBackend` consumes directly.
-Dense ``(n, n)`` arrays are materialized lazily -- and only on demand --
-through the :attr:`MnaSystem.g` / :attr:`MnaSystem.c` properties, so a
+:class:`~repro.spice.backend.SimulationBackend` consumes directly, so a
 1000-segment ladder never allocates an O(n^2) matrix unless a caller
-explicitly asks for one.
+explicitly asks for one (``CooMatrix.to_dense``).
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ from repro.spice.backend import (
     CooMatrix,
     SimulationBackend,
     _record_selection,
-    combine,
     resolve_backend,
 )
 from repro.spice.netlist import (
@@ -83,116 +79,16 @@ from repro.spice.netlist import (
     VoltageControlledCurrentSource,
     VoltageControlledVoltageSource,
     VoltageSource,
+    canonical_node,
     is_parametric,
     resolve_value,
 )
 
 __all__ = [
-    "MnaSystem",
     "MnaStructure",
     "CircuitTemplate",
-    "build_mna",
     "build_mna_structure",
 ]
-
-
-@dataclass(frozen=True)
-class MnaSystem:
-    """Assembled MNA matrices and source map for a circuit.
-
-    Attributes
-    ----------
-    g_coo, c_coo:
-        The ``(n, n)`` MNA matrices in triplet (COO) form; duplicate
-        entries sum.
-    node_index:
-        Map from node name to row index (ground excluded).
-    branch_index:
-        Map from element name to its branch-current row index.
-    source_rows:
-        List of ``(row, sign, waveform)`` triples: ``b(t)[row] += sign *
-        waveform(t)``.
-    """
-
-    g_coo: CooMatrix
-    c_coo: CooMatrix
-    node_index: dict[str, int]
-    branch_index: dict[str, int]
-    source_rows: tuple[tuple[int, float, Callable], ...]
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """Dense ``G`` matrix, materialized on first access."""
-        return self.g_coo.to_dense()
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        """Dense ``C`` matrix, materialized on first access."""
-        return self.c_coo.to_dense()
-
-    def combine(self, g_weight=1.0, c_weight=0.0) -> CooMatrix:
-        """Triplet form of ``g_weight * G + c_weight * C``.
-
-        Complex weights (e.g. ``c_weight = 1j * omega`` for an AC
-        solve) promote the result to a complex matrix.  Zero weights
-        keep their matrix's sparsity pattern as explicit zeros, so the
-        combined pattern is frequency/step-size independent.
-        """
-        return combine((g_weight, self.g_coo), (c_weight, self.c_coo))
-
-    @property
-    def size(self) -> int:
-        """Total number of MNA unknowns."""
-        return self.g_coo.shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        """Number of non-ground nodes."""
-        return len(self.node_index)
-
-    def rhs(self, t: float) -> np.ndarray:
-        """Source vector ``b(t)`` at a scalar time."""
-        b = np.zeros(self.size)
-        for row, sign, waveform in self.source_rows:
-            b[row] += sign * waveform.value_at(t)
-        return b
-
-    def rhs_matrix(self, times: np.ndarray) -> np.ndarray:
-        """``b(t)`` for an array of times, shape ``(len(times), size)``."""
-        times = np.asarray(times, dtype=float)
-        b = np.zeros((times.size, self.size))
-        for row, sign, waveform in self.source_rows:
-            b[:, row] += sign * np.asarray(waveform(times), dtype=float)
-        return b
-
-    def voltage_row(self, node) -> int:
-        """Row index of a node voltage (raises for unknown nodes)."""
-        return _voltage_row(self.node_index, node)
-
-    def current_row(self, element_name: str) -> int:
-        """Row index of a branch current (V sources and inductors only)."""
-        return _current_row(self.branch_index, element_name)
-
-
-def _voltage_row(node_index: Mapping[str, int], node) -> int:
-    from repro.spice.netlist import canonical_node
-
-    name = canonical_node(node)
-    if name == GROUND:
-        raise NetlistError("ground has no MNA row (its voltage is 0)")
-    try:
-        return node_index[name]
-    except KeyError:
-        raise NetlistError(f"unknown node {name!r}") from None
-
-
-def _current_row(branch_index: Mapping[str, int], element_name: str) -> int:
-    try:
-        return branch_index[element_name]
-    except KeyError:
-        raise NetlistError(
-            f"element {element_name!r} has no branch current"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +178,13 @@ class _MatrixPlan:
     def nnz(self) -> int:
         return self.const.size
 
+    def coo(self, data: np.ndarray) -> CooMatrix:
+        """The matrix with ``data`` on this plan's pattern."""
+        return CooMatrix(self.rows, self.cols, data, (self.size, self.size))
+
     def pattern(self) -> CooMatrix:
         """The sparsity pattern as a CooMatrix (param slots hold 0)."""
-        return CooMatrix(self.rows, self.cols, self.const, (self.size, self.size))
+        return self.coo(self.const)
 
     def data(self, get) -> np.ndarray:
         """Data array for one parameter point; ``get(name) -> float``."""
@@ -321,10 +221,13 @@ class MnaStructure:
 
     Attributes
     ----------
-    node_index, branch_index:
-        Row-index maps (as on :class:`MnaSystem`).
+    node_index:
+        Map from node name to row index (ground excluded).
+    branch_index:
+        Map from element name to its branch-current row index.
     source_rows:
-        ``(row, sign, waveform)`` triples for ``b(t)``.
+        ``(row, sign, waveform)`` triples: ``b(t)[row] += sign *
+        waveform(t)``.
     param_names:
         Sorted names of every parameter slot; empty for a concrete
         circuit.
@@ -349,11 +252,29 @@ class MnaStructure:
 
     def voltage_row(self, node) -> int:
         """Row index of a node voltage (raises for unknown nodes)."""
-        return _voltage_row(self.node_index, node)
+        name = canonical_node(node)
+        if name == GROUND:
+            raise NetlistError("ground has no MNA row (its voltage is 0)")
+        try:
+            return self.node_index[name]
+        except KeyError:
+            raise NetlistError(f"unknown node {name!r}") from None
 
     def current_row(self, element_name: str) -> int:
         """Row index of a branch current (V sources and inductors only)."""
-        return _current_row(self.branch_index, element_name)
+        try:
+            return self.branch_index[element_name]
+        except KeyError:
+            raise NetlistError(
+                f"element {element_name!r} has no branch current"
+            ) from None
+
+    def rhs(self, t: float) -> np.ndarray:
+        """Source vector ``b(t)`` at a scalar time."""
+        b = np.zeros(self.size)
+        for row, sign, waveform in self.source_rows:
+            b[row] += sign * waveform.value_at(t)
+        return b
 
     def g_pattern(self) -> CooMatrix:
         """Sparsity pattern of ``G`` (parameter slots hold 0)."""
@@ -482,18 +403,6 @@ class MnaStructure:
             )
         return g_data, c_data
 
-    def system(self, params: Mapping[str, float] | None = None) -> MnaSystem:
-        """Materialize an :class:`MnaSystem` at one parameter point."""
-        g_data, c_data = self.revalue(params)
-        n = self.size
-        return MnaSystem(
-            g_coo=CooMatrix(self.g_plan.rows, self.g_plan.cols, g_data, (n, n)),
-            c_coo=CooMatrix(self.c_plan.rows, self.c_plan.cols, c_data, (n, n)),
-            node_index=self.node_index,
-            branch_index=self.branch_index,
-            source_rows=self.source_rows,
-        )
-
 
 def _linear_terms(value) -> tuple[float, tuple[tuple[tuple, float], ...]]:
     """Split a linearly-stamped value into ``(const, ((key, coeff), ...))``."""
@@ -547,8 +456,7 @@ def build_mna_structure(circuit: Circuit) -> MnaStructure:
     :class:`MnaStructure` that :meth:`MnaStructure.revalue` (and the
     batched analyses built on it) reuse for every parameter point.
     Concrete circuits work too -- their structure simply has no
-    parameter groups, and :func:`build_mna` is implemented on top of
-    this pass.
+    parameter groups.
 
     Only resistor, capacitor and inductor values (and, through the
     inductors, mutual-inductance stamps) may be parameterized;
@@ -694,23 +602,13 @@ def build_mna_structure(circuit: Circuit) -> MnaStructure:
     )
 
 
-def build_mna(circuit: Circuit) -> MnaSystem:
-    """Assemble the MNA system for a validated *concrete* circuit.
-
-    Composition of the structural and numeric passes; circuits holding
-    :class:`~repro.spice.netlist.Param` slots must go through
-    :class:`CircuitTemplate` (or :func:`build_mna_structure`) instead.
-    """
-    return _concrete_structure(circuit).system()
-
-
 def _concrete_structure(circuit: Circuit) -> MnaStructure:
     """:func:`build_mna_structure` of a circuit with no Param slots."""
     structure = build_mna_structure(circuit)
     if structure.param_names:
         raise NetlistError(
             f"circuit has unbound parameters {list(structure.param_names)}; "
-            "wrap it in a CircuitTemplate (or bind values) before build_mna"
+            "wrap it in a CircuitTemplate (or bind values) before analyzing it"
         )
     return structure
 
@@ -732,8 +630,8 @@ class CircuitTemplate:
     circuit:
         The parameterized netlist (must contain at least one Param).
     defaults:
-        Optional baseline parameter values; :meth:`bind` /
-        :meth:`system` overlay their ``params`` argument on top.
+        Optional baseline parameter values; :meth:`bind` and
+        :meth:`resolve_params` overlay their ``params`` argument on top.
     """
 
     def __init__(
@@ -742,7 +640,7 @@ class CircuitTemplate:
         names = circuit.parameter_names()
         if not names:
             raise NetlistError(
-                "circuit has no parameter slots; use build_mna directly"
+                "circuit has no parameter slots; analyze it directly"
             )
         self._circuit = circuit
         self._names = names
@@ -821,10 +719,6 @@ class CircuitTemplate:
                 mutual.name, mutual.inductor1, mutual.inductor2, mutual.coupling
             )
         return bound
-
-    def system(self, params: Mapping[str, float] | None = None) -> MnaSystem:
-        """Revalued :class:`MnaSystem` at one parameter point."""
-        return self.structure.system(self.resolve_params(params))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -59,12 +59,7 @@ from repro.spice.backend import (
     _PatternCsr,
     stack_factorizations,
 )
-from repro.spice.mna import (
-    CircuitTemplate,
-    MnaStructure,
-    MnaSystem,
-    _concrete_structure,
-)
+from repro.spice.mna import CircuitTemplate, MnaStructure, _concrete_structure
 from repro.spice.netlist import GROUND, Circuit, canonical_node
 from repro.tline.waveform import Waveform
 
@@ -95,24 +90,25 @@ class TransientResult:
         exactly ``t_stop``.
     states:
         Solution matrix, shape ``(n_steps + 1, n_unknowns)``.
-    system:
-        The assembled MNA system (for index lookups).
+    structure:
+        The circuit's :class:`~repro.spice.mna.MnaStructure` (for index
+        lookups).
     """
 
     times: np.ndarray
     states: np.ndarray
-    system: MnaSystem
+    structure: MnaStructure
 
     def voltage(self, node) -> Waveform:
         """Waveform of a node voltage (ground is the zero waveform)."""
         if canonical_node(node) == GROUND:
             return Waveform(self.times, np.zeros_like(self.times))
-        row = self.system.voltage_row(node)
+        row = self.structure.voltage_row(node)
         return Waveform(self.times, self.states[:, row].copy())
 
     def current(self, element_name: str) -> Waveform:
         """Waveform of a branch current (V sources and inductors)."""
-        row = self.system.current_row(element_name)
+        row = self.structure.current_row(element_name)
         return Waveform(self.times, self.states[:, row].copy())
 
     @property
@@ -138,8 +134,9 @@ def simulate_transient(
     A batch of one: the circuit's structure steps through
     :func:`simulate_transient_batch`, and row 0 of the batch comes back
     as a :class:`TransientResult`.  Circuits holding
-    :class:`~repro.spice.netlist.Param` slots are rejected, as by
-    :func:`~repro.spice.mna.build_mna`.
+    :class:`~repro.spice.netlist.Param` slots are rejected; bind their
+    values first, or pass a :class:`~repro.spice.mna.CircuitTemplate`
+    to :func:`simulate_transient_batch`.
 
     Parameters
     ----------
@@ -200,7 +197,7 @@ def simulate_transient(
         rom_error_bound=rom_error_bound,
     )
     return TransientResult(
-        times=batch.times, states=batch.states[0], system=structure.system()
+        times=batch.times, states=batch.states[0], structure=structure
     )
 
 
@@ -308,11 +305,13 @@ def _param_columns(
             raise ParameterError(
                 "every batch point must provide the same parameter names"
             )
+        # Sorted, not set order: corner samples and the reduced basis
+        # follow the column order, so it must not depend on the hash seed.
         given = {
             name: np.asarray(
                 [float(p[name]) for p in points], dtype=float
             )
-            for name in names
+            for name in sorted(names)
         }
     columns = {**{k: np.asarray(v, dtype=float) for k, v in base.items()}, **given}
     sizes = {c.size for c in columns.values() if np.ndim(c) and c.size != 1}
@@ -792,9 +791,7 @@ def _batch_initial_state(
             f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
         )
     g_factorizer = backend.factorizer(structure.g_pattern())
-    b0 = np.zeros(size)
-    for row, sign, waveform in structure.source_rows:
-        b0[row] += sign * waveform.value_at(t_start)
+    b0 = structure.rhs(t_start)
     x = np.empty((n_points, size))
     solved: dict[bytes, np.ndarray] = {}
     for members in group_members:

@@ -673,7 +673,8 @@ class SweepRunner:
             cache_hit="disk",
             elapsed_s=float(payload.get("elapsed_s", 0.0)),
         )
-        self.stats.disk_hits += 1
+        with self._lock:
+            self.stats.disk_hits += 1
         obs.inc("sweep.cache.disk_hits")
         self._remember(key, result)
         return result

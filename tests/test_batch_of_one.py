@@ -42,13 +42,14 @@ from repro.core.simulate import (
 from repro.errors import NetlistError, SimulationError
 from repro.rom.prima import ReducedTemplate
 from repro.spice.ac import ac_sweep, ac_sweep_batch
-from repro.spice.backend import resolve_backend
+from repro.spice.backend import combine, resolve_backend
+from repro.spice.dc import dc_operating_point
 from repro.spice.ladder import (
     LadderSpec,
     build_ladder_circuit,
     build_ladder_template,
 )
-from repro.spice.mna import build_mna
+from repro.spice.mna import build_mna_structure
 from repro.spice.netlist import (
     Capacitor,
     Circuit,
@@ -80,31 +81,44 @@ LINE = dict(rt=200.0, lt=5e-8, ct=1e-12, rtr=50.0, cl=1e-13)
 # ---------------------------------------------------------------------------
 
 
+def _triplets(circuit):
+    """The concrete circuit's structure and its ``G``/``C`` triplets."""
+    structure = build_mna_structure(circuit)
+    g_data, c_data = structure.revalue()
+    return structure, structure.g_plan.coo(g_data), structure.c_plan.coo(c_data)
+
+
 def _old_transient(circuit, t_stop, dt, method="trapezoidal", initial="dc",
                    t_start=0.0, backend="auto"):
     method = IntegrationMethod(method)
-    system = build_mna(circuit)
+    structure, g_coo, c_coo = _triplets(circuit)
+    size = structure.size
     span = t_stop - t_start
     n_steps = max(1, int(np.ceil((span / dt) * (1.0 - 1e-12))))
     times = np.linspace(t_start, t_stop, n_steps + 1)
     dt_eff = (t_stop - t_start) / n_steps
     if method is IntegrationMethod.BACKWARD_EULER:
-        lhs = system.combine(1.0, 1.0 / dt_eff)
-        history = system.c_coo.scaled(1.0 / dt_eff)
+        lhs = combine((1.0, g_coo), (1.0 / dt_eff, c_coo))
+        history = c_coo.scaled(1.0 / dt_eff)
     else:
-        lhs = system.combine(1.0, 2.0 / dt_eff)
-        history = system.combine(-1.0, 2.0 / dt_eff)
+        lhs = combine((1.0, g_coo), (2.0 / dt_eff, c_coo))
+        history = combine((-1.0, g_coo), (2.0 / dt_eff, c_coo))
     backend = resolve_backend(backend, lhs)
     factorization = backend.factorize(lhs)
     history_op = history.to_csr()
-    x = np.empty((n_steps + 1, system.size))
+    x = np.empty((n_steps + 1, size))
     if isinstance(initial, np.ndarray):
         x[0] = initial.astype(float).copy()
     elif initial == "zero":
-        x[0] = np.zeros(system.size)
+        x[0] = np.zeros(size)
     else:
-        x[0] = backend.factorize(system.g_coo).solve(system.rhs(t_start))
-    b_all = system.rhs_matrix(times)
+        b0 = np.zeros(size)
+        for row, sign, waveform in structure.source_rows:
+            b0[row] += sign * waveform.value_at(t_start)
+        x[0] = backend.factorize(g_coo).solve(b0)
+    b_all = np.zeros((times.size, size))
+    for row, sign, waveform in structure.source_rows:
+        b_all[:, row] += sign * np.asarray(waveform(times), dtype=float)
     if method is IntegrationMethod.BACKWARD_EULER:
         for k in range(n_steps):
             x[k + 1] = factorization.solve(b_all[k + 1] + history_op @ x[k])
@@ -116,16 +130,16 @@ def _old_transient(circuit, t_stop, dt, method="trapezoidal", initial="dc",
 
 
 def _old_ac(circuit, omegas, input_source, backend="auto"):
-    system = build_mna(circuit)
+    structure, g_coo, c_coo = _triplets(circuit)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    b = np.zeros(system.size, dtype=complex)
-    b[system.current_row(input_source)] = 1.0
-    pattern = system.combine(1.0, 1.0j)
+    b = np.zeros(structure.size, dtype=complex)
+    b[structure.current_row(input_source)] = 1.0
+    pattern = combine((1.0, g_coo), (1.0j, c_coo))
     backend = resolve_backend(backend, pattern)
     factorizer = backend.factorizer(pattern)
-    g_data = system.g_coo.data.astype(complex)
-    c_data = system.c_coo.data
-    states = np.empty((omegas.size, system.size), dtype=complex)
+    g_data = g_coo.data.astype(complex)
+    c_data = c_coo.data
+    states = np.empty((omegas.size, structure.size), dtype=complex)
     for k, w in enumerate(omegas):
         data = np.concatenate([g_data, 1j * w * c_data])
         states[k] = factorizer.refactorize(data).solve(b)
@@ -218,7 +232,7 @@ def test_transient_matches_frozen_scalar_loop(name, backend, method, initial):
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
 def test_transient_explicit_start_matches_frozen_loop(name, backend):
     circuit, t_stop, dt = _case(name)
-    x0 = np.linspace(-0.5, 0.5, build_mna(circuit).size)
+    x0 = np.linspace(-0.5, 0.5, build_mna_structure(circuit).size)
     times, states = _old_transient(
         circuit, t_stop, dt, initial=x0, t_start=t_stop / 7, backend=backend
     )
@@ -240,20 +254,30 @@ def test_ac_matches_frozen_scalar_loop(name, backend):
     assert np.array_equal(result.states, reference)
 
 
-def test_result_system_and_indices_match_build_mna():
+def test_results_index_through_the_circuit_structure():
     circuit, t_stop, dt = _case("netlist-sources_zoo.cir")
-    system = build_mna(circuit)
+    fresh = build_mna_structure(circuit)
     result = simulate_transient(circuit, t_stop, dt)
-    assert result.system.node_index == system.node_index
-    assert result.system.branch_index == system.branch_index
-    assert np.array_equal(result.system.g, system.g)
-    assert np.array_equal(result.system.c, system.c)
     ac = ac_sweep(circuit, [1e8], input_source="V1")
-    assert ac.node_index == system.node_index
-    assert ac.branch_index == system.branch_index
+    for structure in (result.structure, ac.structure):
+        assert structure.node_index == fresh.node_index
+        assert structure.branch_index == fresh.branch_index
+        for data, fresh_data in zip(structure.revalue(), fresh.revalue()):
+            assert np.array_equal(data, fresh_data)
+    out, branch = fresh.voltage_row("out"), fresh.current_row("V1")
+    assert np.array_equal(result.voltage("out").values, result.states[:, out])
+    assert np.array_equal(result.current("V1").values, result.states[:, branch])
+    assert np.array_equal(ac.voltage("out"), ac.states[:, out])
+    assert np.array_equal(ac.current("V1"), ac.states[:, branch])
+    for lookup in (result.voltage, ac.voltage):
+        with pytest.raises(NetlistError, match="unknown node 'nope'"):
+            lookup("nope")
+    for lookup in (result.current, ac.current):
+        with pytest.raises(NetlistError, match="element 'R1' has no branch current"):
+            lookup("R1")
 
 
-def test_param_slot_circuits_rejected_as_by_build_mna():
+def test_param_slot_circuits_rejected():
     circuit = Circuit()
     circuit.add(VoltageSource("V1", "in", "0", 1.0))
     circuit.add(Resistor("R1", "in", "out", Param("r")))
@@ -262,6 +286,8 @@ def test_param_slot_circuits_rejected_as_by_build_mna():
         simulate_transient(circuit, 1e-9, 1e-11)
     with pytest.raises(NetlistError, match="unbound parameters"):
         ac_sweep(circuit, [1e8])
+    with pytest.raises(NetlistError, match="unbound parameters"):
+        dc_operating_point(circuit)
 
 
 # ---------------------------------------------------------------------------

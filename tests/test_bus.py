@@ -250,13 +250,13 @@ class TestLegacyAgreement:
             _legacy_coupled_circuit(self.SPEC, mode),
             t_stop=window, dt=dt, backend="dense",
         )
-        old_nodes = set(old.system.node_index)
-        assert set(new.system.node_index) == {_bus_node(n) for n in old_nodes}
+        old_nodes = set(old.structure.node_index)
+        assert set(new.structure.node_index) == {_bus_node(n) for n in old_nodes}
         scale = float(np.max(np.abs(old.states)))
         worst = 0.0
         for node in old_nodes:
-            va = new.states[:, new.system.voltage_row(_bus_node(node))]
-            vb = old.states[:, old.system.voltage_row(node)]
+            va = new.states[:, new.structure.voltage_row(_bus_node(node))]
+            vb = old.states[:, old.structure.voltage_row(node)]
             worst = max(worst, float(np.max(np.abs(va - vb))) / scale)
         assert worst <= 1e-9
 

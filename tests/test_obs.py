@@ -11,7 +11,7 @@ from repro import obs
 from repro.__main__ import main
 from repro.spice.backend import BackendSelection, resolve_backend
 from repro.spice.ladder import LadderSpec, build_ladder_circuit
-from repro.spice.mna import build_mna
+from repro.spice.mna import build_mna_structure
 from repro.sweep.grid import Axis, ParameterGrid, Sweep
 from repro.sweep.runner import SweepRunner
 
@@ -177,7 +177,8 @@ class TestBackendSelectionRecording:
             rt=1000.0, lt=1e-6, ct=1e-12, rtr=100.0, cl=1e-13,
             n_segments=n_segments,
         )
-        return build_mna(build_ladder_circuit(spec)).g_coo
+        structure = build_mna_structure(build_ladder_circuit(spec))
+        return structure.g_plan.coo(structure.revalue()[0])
 
     def test_small_system_reason_on_repr(self):
         backend = resolve_backend("auto", self._matrix(10))

@@ -22,7 +22,9 @@ regressions without flaking on backend noise.
 
 from __future__ import annotations
 
+import os
 import pathlib
+import subprocess
 import sys
 import threading
 
@@ -52,7 +54,7 @@ from repro.spice.ladder import (
     build_ladder_circuit,
     build_ladder_template,
 )
-from repro.spice.mna import build_mna, build_mna_structure
+from repro.spice.mna import build_mna_structure
 from repro.spice.parser import parse_netlist_file, suggest_transient_window
 from repro.spice.transient import simulate_transient, simulate_transient_batch
 from repro.sweep import Axis, ParameterGrid, Sweep, SweepRunner
@@ -68,6 +70,7 @@ from repro.topology import (
 ALL_BACKENDS = ("dense", "sparse", "banded")
 
 NETLIST_DIR = pathlib.Path(__file__).parent / "netlists"
+SRC_DIR = pathlib.Path(__file__).parent.parent / "src"
 
 #: RC-dominated Table 1 corner: smooth response, fast Krylov convergence.
 OVERDAMPED = dict(rt=1000.0, lt=1e-8, ct=1e-12, rtr=500.0, cl=5e-13)
@@ -170,6 +173,17 @@ class TestPrimaApi:
         assert vq.shape == (rom.order,)
         # W = D V with unit +-1 signs, so |W^T e_row| == |V[row]|.
         assert np.allclose(np.abs(vq), np.abs(rom.basis[row]))
+
+    def test_snapshots_exclude_sample_params(self):
+        template = build_ladder_template(40, "PI", loaded=True)
+        nominal = dict(OVERDAMPED)
+        snapshots = np.ones((template.structure.size, 3))
+        with pytest.raises(ParameterError, match="not both"):
+            ReducedTemplate(
+                template, params=nominal,
+                sample_params=({**nominal, "rt": 2.0 * nominal["rt"]},),
+                snapshots=snapshots,
+            )
 
     @pytest.mark.xfail(
         strict=True,
@@ -370,6 +384,35 @@ class TestReducedDelay:
         )
         assert np.abs(red - full).max() / full.min() <= 1e-4  # ~2e-7
 
+    def test_batch_delay_independent_of_hash_seed(self):
+        # Nine lines on per-point grids: the auto tier builds one
+        # corner-sample Krylov union, whose column order once followed
+        # the hash-seeded iteration order of the parameter names.
+        probe = (
+            "import numpy as np, sys\n"
+            "from repro.core.canonical import DriverLineLoad\n"
+            "from repro.core.simulate import simulated_delay_50_batch\n"
+            "lines = [DriverLineLoad(rt=rt, lt=lt, ct=1e-12, rtr=100.0,"
+            " cl=1e-13) for rt in (700.0, 1000.0, 1400.0)"
+            " for lt in (0.5e-6, 1e-6, 2e-6)]\n"
+            "d = simulated_delay_50_batch(lines, route='mna', model='auto',"
+            " n_samples=1001)\n"
+            "sys.stdout.write(d.tobytes().hex())\n"
+        )
+        delays = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(SRC_DIR) + (
+                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True,
+                text=True, timeout=300, env=env, check=True,
+            )
+            delays.append(np.frombuffer(bytes.fromhex(done.stdout)))
+        assert delays[0].shape == (9,)
+        assert np.array_equal(delays[0], delays[1])
+
     def test_model_validated_before_simulation(self):
         line = DriverLineLoad(**OVERDAMPED)
         with pytest.raises(ParameterError, match="unknown evaluation model"):
@@ -395,7 +438,7 @@ class TestAutoTier:
     def test_large_system_served_reduced_within_bound(self):
         # 140 PI segments -> ~282 unknowns, past ROM_SIZE_CUTOFF.
         spec, circuit, t_stop, dt = _ladder(OVERDAMPED, 140)
-        assert build_mna(circuit).g.shape[0] > ROM_SIZE_CUTOFF
+        assert build_mna_structure(circuit).size > ROM_SIZE_CUTOFF
         obs.enable()
         auto = simulate_transient(circuit, t_stop, dt, model="auto")
         full = simulate_transient(circuit, t_stop, dt)

@@ -22,16 +22,27 @@ from repro.spice.backend import (
     CooMatrix,
     DenseLuBackend,
     SparseLuBackend,
+    combine,
     rcm_band_profile,
     resolve_backend,
 )
 from repro.spice.dc import dc_operating_point
 from repro.spice.ladder import LadderSpec, build_ladder_circuit
-from repro.spice.mna import build_mna
+from repro.spice.mna import build_mna_structure
 from repro.spice.netlist import Circuit, Step
 from repro.spice.transient import simulate_transient
 
 BACKEND_NAMES = sorted(BACKENDS)  # banded, dense, sparse
+
+
+def mna_matrix(circuit: Circuit, c_weight: float) -> CooMatrix:
+    """Triplet form of ``G + c_weight * C`` at the circuit's values."""
+    structure = build_mna_structure(circuit)
+    g_data, c_data = structure.revalue()
+    return combine(
+        (1.0, structure.g_plan.coo(g_data)),
+        (c_weight, structure.c_plan.coo(c_data)),
+    )
 
 
 def rc_circuit() -> Circuit:
@@ -184,7 +195,7 @@ class TestComplexRhsAgainstRealFactor:
         spec = LadderSpec(
             rt=1000.0, lt=1e-7, ct=1e-12, rtr=100.0, cl=1e-13, n_segments=20
         )
-        matrix = build_mna(build_ladder_circuit(spec)).combine(1.0, 1e11)
+        matrix = mna_matrix(build_ladder_circuit(spec), 1e11)
         factor = resolve_backend(backend).factorize(matrix)
         shape = (matrix.shape[0],) + ((n_rhs,) if n_rhs else ())
         rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -269,8 +280,8 @@ class TestResolution:
         spec = LadderSpec(
             rt=1000.0, lt=1e-6, ct=1e-12, rtr=100.0, cl=1e-13, n_segments=200
         )
-        system = build_mna(build_ladder_circuit(spec))
-        backend = resolve_backend("auto", system.combine(1.0, 1.0))
+        matrix = mna_matrix(build_ladder_circuit(spec), 1.0)
+        backend = resolve_backend("auto", matrix)
         assert isinstance(backend, BandedLuBackend)
 
 
@@ -287,9 +298,14 @@ class TestCooMatrix:
         assert coo.data.dtype.kind == "c"
         assert coo.to_dense()[0, 0] == 2j
 
-    def test_mna_dense_properties_match_coo(self):
-        system = build_mna(ladder_circuit())
-        assert np.array_equal(system.g, system.g_coo.to_dense())
-        assert np.array_equal(system.c, system.c_coo.to_dense())
-        combined = system.combine(2.0, 3.0)
-        assert np.allclose(combined.to_dense(), 2.0 * system.g + 3.0 * system.c)
+    def test_combined_pattern_weights_g_then_c(self):
+        structure = build_mna_structure(ladder_circuit())
+        g_data, c_data = structure.revalue()
+        pattern = structure.combined_pattern()
+        combined = CooMatrix(
+            pattern.rows, pattern.cols,
+            np.concatenate([2.0 * g_data, 3.0 * c_data]), pattern.shape,
+        )
+        g = structure.g_plan.coo(g_data).to_dense()
+        c = structure.c_plan.coo(c_data).to_dense()
+        assert np.allclose(combined.to_dense(), 2.0 * g + 3.0 * c)

@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bus import BusSpec, build_bus_circuit
 from repro.errors import ParameterError, SimulationError
 from repro.spice.dc import dc_operating_point
+from repro.spice.ladder import LadderSpec, build_ladder_circuit
 from repro.spice.netlist import Circuit, Step
 from repro.spice.transient import IntegrationMethod, simulate_transient
+from repro.topology import (
+    FanoutTreeSpec,
+    HTreeSpec,
+    MeshSpec,
+    build_fanout_circuit,
+    build_htree_circuit,
+    build_mesh_circuit,
+)
 
 
 class TestDcOperatingPoint:
@@ -236,3 +248,60 @@ class TestTimeGridClamp:
         assert d_clamped == pytest.approx(d_ref, rel=1e-4)
         # ~dt/2 onset offset from the step-at-t_start convention.
         assert d_ref == pytest.approx(1e-9 * np.log(2.0), rel=3e-3)
+
+
+@st.composite
+def small_interconnects(draw) -> Circuit:
+    """A small ladder, H-tree, fanout tree, mesh or coupled bus."""
+    kind = draw(st.sampled_from(["ladder", "htree", "fanout", "mesh", "bus"]))
+    n = draw(st.integers(1, 12))
+    rt = draw(st.floats(50.0, 2000.0))
+    if kind == "ladder":
+        return build_ladder_circuit(LadderSpec(
+            rt=rt, lt=1e-7, ct=1e-12, rtr=100.0, cl=1e-13, n_segments=n,
+            topology=draw(st.sampled_from(["PI", "L", "T"])),
+        ))
+    if kind == "htree":
+        return build_htree_circuit(HTreeSpec(
+            levels=draw(st.integers(1, 2)), rt=rt, lt=2e-8, ct=2e-12,
+            rtr=50.0, cl=2e-13, n_segments=n,
+        ))
+    if kind == "fanout":
+        return build_fanout_circuit(FanoutTreeSpec(
+            fanout=draw(st.integers(2, 3)), brt=rt, blt=1.5e-8, bct=1.5e-12,
+            rtr=40.0, cl=1e-13, rt=100.0, lt=1e-8, ct=1e-12,
+            trunk_segments=n, branch_segments=n,
+        ))
+    if kind == "mesh":
+        return build_mesh_circuit(MeshSpec(
+            rows=draw(st.integers(2, 4)), cols=draw(st.integers(2, 4)),
+            r_edge=rt / 50.0, rtr=25.0, l_edge=5e-10, c_node=5e-14, cl=2e-13,
+        ))
+    n_lines = draw(st.integers(2, 4))
+    pattern = draw(st.lists(
+        st.sampled_from(["rise", "fall", "quiet", "high"]),
+        min_size=n_lines, max_size=n_lines,
+    ))
+    return build_bus_circuit(BusSpec(
+        n_lines=n_lines, rt=rt, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
+        rtr=50.0, cl=5e-14, n_segments=n,
+    ), pattern)
+
+
+class TestDcPathsAgree:
+    """``dc_operating_point`` and a transient's ``initial="dc"`` start are
+    the same solve: same matrix, same source vector, same backend."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        circuit=small_interconnects(),
+        backend=st.sampled_from(["dense", "sparse", "banded"]),
+        time=st.sampled_from([0.0, 1e-9]),
+    )
+    def test_operating_point_is_transient_start(self, circuit, backend, time):
+        dc = dc_operating_point(circuit, time=time, backend=backend)
+        result = simulate_transient(
+            circuit, time + 1e-10, 1e-10, initial="dc", t_start=time,
+            backend=backend,
+        )
+        assert np.array_equal(dc.vector, result.states[0])

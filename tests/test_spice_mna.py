@@ -8,8 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetlistError
-from repro.spice.mna import build_mna
+from repro.spice.mna import build_mna_structure
 from repro.spice.netlist import Circuit, Step
+
+
+def assemble(circuit: Circuit):
+    """``(structure, G, C)`` with ``G``/``C`` dense at the circuit's values."""
+    structure = build_mna_structure(circuit)
+    g_data, c_data = structure.revalue()
+    return (
+        structure,
+        structure.g_plan.coo(g_data).to_dense(),
+        structure.c_plan.coo(c_data).to_dense(),
+    )
 
 
 def rc_circuit() -> Circuit:
@@ -22,72 +33,65 @@ def rc_circuit() -> Circuit:
 
 class TestAssembly:
     def test_unknown_count(self):
-        system = build_mna(rc_circuit())
+        structure, g, c = assemble(rc_circuit())
         # 2 nodes + 1 voltage-source branch.
-        assert system.size == 3
-        assert system.n_nodes == 2
+        assert structure.size == 3
+        assert structure.n_nodes == 2
 
     def test_resistor_stamp(self):
-        system = build_mna(rc_circuit())
-        i = system.node_index["in"]
-        j = system.node_index["out"]
-        g = 1.0 / 1000.0
-        assert system.g[i, i] == pytest.approx(g)
-        assert system.g[j, j] == pytest.approx(g)
-        assert system.g[i, j] == pytest.approx(-g)
-        assert system.g[j, i] == pytest.approx(-g)
+        structure, g, c = assemble(rc_circuit())
+        i = structure.node_index["in"]
+        j = structure.node_index["out"]
+        conductance = 1.0 / 1000.0
+        assert g[i, i] == pytest.approx(conductance)
+        assert g[j, j] == pytest.approx(conductance)
+        assert g[i, j] == pytest.approx(-conductance)
+        assert g[j, i] == pytest.approx(-conductance)
 
     def test_capacitor_stamp_in_dynamic_matrix(self):
-        system = build_mna(rc_circuit())
-        j = system.node_index["out"]
-        assert system.c[j, j] == pytest.approx(1e-12)
-        assert np.all(system.g[j, j] != system.c[j, j])
+        structure, g, c = assemble(rc_circuit())
+        j = structure.node_index["out"]
+        assert c[j, j] == pytest.approx(1e-12)
+        assert np.all(g[j, j] != c[j, j])
 
     def test_voltage_source_stamp(self):
-        system = build_mna(rc_circuit())
-        i = system.node_index["in"]
-        m = system.branch_index["vin"]
-        assert system.g[i, m] == 1.0
-        assert system.g[m, i] == 1.0
+        structure, g, c = assemble(rc_circuit())
+        i = structure.node_index["in"]
+        m = structure.branch_index["vin"]
+        assert g[i, m] == 1.0
+        assert g[m, i] == 1.0
 
     def test_inductor_stamp(self):
         ckt = Circuit()
         ckt.add_voltage_source("v1", "a", "0", 1.0)
         ckt.add_inductor("l1", "a", "b", 2e-9)
         ckt.add_resistor("r1", "b", "0", 10.0)
-        system = build_mna(ckt)
-        m = system.branch_index["l1"]
-        a = system.node_index["a"]
-        b = system.node_index["b"]
-        assert system.g[m, a] == 1.0
-        assert system.g[m, b] == -1.0
-        assert system.g[a, m] == 1.0
-        assert system.g[b, m] == -1.0
-        assert system.c[m, m] == pytest.approx(-2e-9)
+        structure, g, c = assemble(ckt)
+        m = structure.branch_index["l1"]
+        a = structure.node_index["a"]
+        b = structure.node_index["b"]
+        assert g[m, a] == 1.0
+        assert g[m, b] == -1.0
+        assert g[a, m] == 1.0
+        assert g[b, m] == -1.0
+        assert c[m, m] == pytest.approx(-2e-9)
 
     def test_current_source_rhs(self):
         ckt = Circuit()
         ckt.add_current_source("i1", "0", "a", 2.0)  # injects into a
         ckt.add_resistor("r1", "a", "0", 5.0)
-        system = build_mna(ckt)
-        b = system.rhs(0.0)
-        assert b[system.node_index["a"]] == pytest.approx(2.0)
-
-    def test_rhs_matrix_matches_pointwise(self):
-        system = build_mna(rc_circuit())
-        times = np.array([0.0, 1e-12, 1.0])
-        stacked = system.rhs_matrix(times)
-        for k, t in enumerate(times):
-            assert np.allclose(stacked[k], system.rhs(float(t)))
+        structure, g, c = assemble(ckt)
+        b = structure.rhs(0.0)
+        assert b[structure.node_index["a"]] == pytest.approx(2.0)
 
     def test_row_lookup_errors(self):
-        system = build_mna(rc_circuit())
+        structure, g, c = assemble(rc_circuit())
         with pytest.raises(NetlistError, match="unknown node"):
-            system.voltage_row("nope")
+            structure.voltage_row("nope")
         with pytest.raises(NetlistError, match="no branch current"):
-            system.current_row("r1")
+            structure.current_row("r1")
         with pytest.raises(NetlistError, match="ground"):
-            system.voltage_row("0")
+            structure.voltage_row("0")
 
 
 class TestConservationProperties:
@@ -104,9 +108,9 @@ class TestConservationProperties:
         for i, r in enumerate(values):
             ckt.add_resistor(f"r{i}", f"n{i}", f"n{i + 1}", r)
         ckt.add_resistor("rterm", f"n{len(values)}", "0", 1.0)
-        system = build_mna(ckt)
-        x = np.linalg.solve(system.g, system.rhs(0.0))
-        current = -x[system.branch_index["v1"]]  # source convention
+        structure, g, c = assemble(ckt)
+        x = np.linalg.solve(g, structure.rhs(0.0))
+        current = -x[structure.branch_index["v1"]]  # source convention
         assert current == pytest.approx(1.0 / (sum(values) + 1.0), rel=1e-9)
 
     def test_floating_node_is_singular(self):
@@ -116,7 +120,7 @@ class TestConservationProperties:
         ckt.add_capacitor("c1", "b", "0", 1e-12)
         ckt.add_capacitor("c2", "b", "c", 1e-12)
         ckt.add_capacitor("c3", "c", "0", 1e-12)
-        system = build_mna(ckt)
+        structure, g, c = assemble(ckt)
         # Node c touches only capacitors: G row is all zero.
-        row = system.node_index["c"]
-        assert np.all(system.g[row] == 0.0)
+        row = structure.node_index["c"]
+        assert np.all(g[row] == 0.0)

@@ -3,8 +3,8 @@
 Pins the stamp-once / re-value-many machinery against fresh builds:
 
 - ``Param`` / ``ParamAffine`` algebra and element validation,
-- ``build_mna_structure`` revaluation vs ``build_mna`` on a bound
-  circuit (exact matrix equality),
+- template revaluation vs the structure of the bound circuit (exact
+  matrix equality),
 - property-style transient/AC/DC equivalence on randomized ladders and
   buses, <= 1e-12 across all three backends,
 - pattern factorizers (``refactorize``) and multi-RHS ``solve_many``,
@@ -24,7 +24,7 @@ from repro.spice.ac import ac_sweep, ac_sweep_batch
 from repro.spice.backend import BACKENDS, CooMatrix
 from repro.spice.dc import dc_operating_point
 from repro.spice.ladder import LadderSpec, build_ladder_circuit, build_ladder_template
-from repro.spice.mna import CircuitTemplate, build_mna, build_mna_structure
+from repro.spice.mna import CircuitTemplate, build_mna_structure
 from repro.spice.netlist import Circuit, Param, ParamAffine, Step
 from repro.spice.transient import simulate_transient, simulate_transient_batch
 
@@ -34,6 +34,15 @@ ALL_BACKENDS = ("dense", "sparse", "banded")
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def _dense(structure, params=None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ``(G, C)`` of ``structure`` revalued at ``params``."""
+    g_data, c_data = structure.revalue(params)
+    return (
+        structure.g_plan.coo(g_data).to_dense(),
+        structure.c_plan.coo(c_data).to_dense(),
+    )
 
 
 def _random_ladder_params(rng) -> dict:
@@ -102,27 +111,26 @@ class TestStructureRevaluation:
         ckt.add_capacitor("cfar", "d", "0", Param("ct", 0.5) + Param("cl"))
         return ckt
 
-    def test_system_matches_bound_build(self):
+    def test_revalue_matches_bound_build(self):
         params = {"rtr": 80.0, "rt": 900.0, "lt": 1e-6, "ct": 1e-12, "cl": 2e-13}
         template = CircuitTemplate(self._template_circuit())
-        revalued = template.system(params)
-        fresh = build_mna(template.bind(params))
+        g, c = _dense(template.structure, template.resolve_params(params))
+        fresh = build_mna_structure(template.bind(params))
+        g_fresh, c_fresh = _dense(fresh)
         # Mutual-inductance stamps round sqrt(s1*s2)*lt vs sqrt(L1*L2)
         # differently by one ulp; everything else is bit-identical.
-        np.testing.assert_allclose(revalued.g, fresh.g, rtol=TOL, atol=0.0)
-        np.testing.assert_allclose(revalued.c, fresh.c, rtol=TOL, atol=0.0)
-        assert revalued.node_index == fresh.node_index
-        assert revalued.branch_index == fresh.branch_index
+        np.testing.assert_allclose(g, g_fresh, rtol=TOL, atol=0.0)
+        np.testing.assert_allclose(c, c_fresh, rtol=TOL, atol=0.0)
+        assert template.structure.node_index == fresh.node_index
+        assert template.structure.branch_index == fresh.branch_index
 
-    def test_concrete_structure_matches_build_mna(self):
+    def test_concrete_structure_revalues_to_its_stamps(self):
         spec = LadderSpec(rt=700.0, lt=1e-6, ct=1e-12, rtr=90.0, cl=1e-13, n_segments=7)
-        ckt = build_ladder_circuit(spec)
-        structure = build_mna_structure(ckt)
+        structure = build_mna_structure(build_ladder_circuit(spec))
         assert structure.param_names == ()
-        system = structure.system()
-        fresh = build_mna(ckt)
-        np.testing.assert_array_equal(system.g, fresh.g)
-        np.testing.assert_array_equal(system.c, fresh.c)
+        g_data, c_data = structure.revalue()
+        np.testing.assert_array_equal(g_data, structure.g_plan.const)
+        np.testing.assert_array_equal(c_data, structure.c_plan.const)
 
     def test_revalue_validates_names(self):
         template = CircuitTemplate(self._template_circuit())
@@ -158,9 +166,9 @@ class TestStructureRevaluation:
             np.testing.assert_array_equal(g_many[j], g)
             np.testing.assert_array_equal(c_many[j], c)
 
-    def test_build_mna_rejects_unbound_params(self):
+    def test_concrete_analyses_reject_unbound_params(self):
         with pytest.raises(NetlistError, match="unbound parameters"):
-            build_mna(self._template_circuit())
+            dc_operating_point(self._template_circuit())
 
     def test_controlled_source_gains_stay_concrete(self):
         ckt = Circuit("bad gain")
@@ -284,12 +292,12 @@ class TestBusEquivalence:
         assert [e.name for e in bound.elements] == [
             e.name for e in concrete.elements
         ]
-        sys_bound = build_mna(bound)
-        sys_fresh = build_mna(concrete)
-        scale_g = max(1.0, np.max(np.abs(sys_fresh.g)))
-        scale_c = np.max(np.abs(sys_fresh.c))
-        assert np.max(np.abs(sys_bound.g - sys_fresh.g)) <= TOL * scale_g
-        assert np.max(np.abs(sys_bound.c - sys_fresh.c)) <= TOL * scale_c
+        g_bound, c_bound = _dense(build_mna_structure(bound))
+        g_fresh, c_fresh = _dense(build_mna_structure(concrete))
+        scale_g = max(1.0, np.max(np.abs(g_fresh)))
+        scale_c = np.max(np.abs(c_fresh))
+        assert np.max(np.abs(g_bound - g_fresh)) <= TOL * scale_g
+        assert np.max(np.abs(c_bound - c_fresh)) <= TOL * scale_c
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_bus_batch_transient_matches_fresh_builds(self, backend):

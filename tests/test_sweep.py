@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -305,6 +307,35 @@ class TestSweepRunner:
         assert np.array_equal(
             replayed.columns["rt"], fresh.columns["rt"]
         )
+
+    def test_concurrent_cache_hits_are_all_counted(self, tmp_path):
+        sweep = self._sweep()
+        SweepRunner(cache_dir=tmp_path).run(sweep)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                runner = SweepRunner(cache_dir=tmp_path)
+                barrier = threading.Barrier(8)
+                errors = []
+
+                def replay():
+                    try:
+                        barrier.wait(timeout=30)
+                        runner.run(sweep)
+                    except Exception as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=replay) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                assert runner.stats.memory_hits + runner.stats.disk_hits == 8
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_spec_change_misses_cache(self, tmp_path):
         runner = SweepRunner(cache_dir=tmp_path)
