@@ -39,14 +39,18 @@ estimates exceed the requested bound.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
 import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from repro import obs
 from repro.errors import ParameterError, SimulationError
@@ -108,7 +112,9 @@ _SNAPSHOT_ORDER_CAP = 92
 #: and blocked serves agree bit for bit with one wide stack (measured
 #: with OpenBLAS on x86-64: 8, 12, 16 and 32 agree, 5 does not).  8, 16
 #: and 32 served the 256-point bus batch within noise of each other;
-#: 256 (unblocked) was about 1.5x slower.
+#: 256 (unblocked) was about 1.5x slower.  Blocks are independent and
+#: run concurrently (:func:`_run_blocks`); a point's bits depend on
+#: neither its block nor the worker count.
 _SERVE_BLOCK = 16
 
 #: Corner-sample budget for parameter boxes: with ``k`` varying
@@ -378,15 +384,28 @@ def _project_plan(
     (``D = diag(signs)`` as in :func:`_row_signs`).  This is the key to
     O(groups * q^2) per-point revaluation in reduced space: the O(nnz)
     projection work happens exactly once here.
+
+    Each part touches only its own rows: with ``R`` the distinct rows of
+    its nonzero slots and ``S`` those slots as an ``|R| x n`` CSR
+    (duplicate slots summed), ``M = (D V)[R]^T (S V)``.  Zero ``const``
+    slots (every parameter-dependent one) cost nothing, and no
+    ``(nnz, q)`` gather of the basis is ever formed.
     """
     q = basis.shape[1]
-    if plan.nnz == 0:
-        return np.zeros((q, q)), tuple()
-    vr = signs[plan.rows, None] * basis[plan.rows]
-    vc = basis[plan.cols]
-    const = vr.T @ (plan.const[:, None] * vc)
+
+    def project(rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        keep = coeffs != 0.0
+        if not keep.any():
+            return np.zeros((q, q))
+        uniq, local = np.unique(rows[keep], return_inverse=True)
+        s = scipy.sparse.csr_matrix(
+            (coeffs[keep], (local, cols[keep])), shape=(uniq.size, plan.size)
+        )
+        return (signs[uniq, None] * basis[uniq]).T @ (s @ basis)
+
+    const = project(plan.rows, plan.cols, plan.const)
     groups = tuple(
-        (key, vr[idx].T @ (coeffs[:, None] * vc[idx]))
+        (key, project(plan.rows[idx], plan.cols[idx], coeffs))
         for key, idx, coeffs in plan.groups
     )
     return const, groups
@@ -830,6 +849,39 @@ def _serve_blocks(n_points: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
+def _run_blocks(serve, blocks: list[slice]) -> None:
+    """Call ``serve(blk)`` for every block, concurrently where that helps.
+
+    Blocks are independent and their stacked LAPACK/BLAS calls release
+    the GIL, so up to one worker per usable CPU serves them at once; one
+    block or one CPU runs inline.  The pool lives only for this call --
+    a long-lived pool's threads would not survive into a ``fork``ed
+    worker process, whose first serve would then wait on them forever.
+    Each block runs in a copy of the caller's context, so its spans nest
+    under the caller's open span.  The first failing block's exception
+    (in block order, as inline) propagates after the unstarted blocks
+    are cancelled and the running ones finish.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    workers = min(len(blocks), cpus)
+    if workers <= 1:
+        for blk in blocks:
+            serve(blk)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="rom-serve")
+    try:
+        futures = [
+            pool.submit(contextvars.copy_context().run, serve, blk) for blk in blocks
+        ]
+        for future in futures:
+            future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _batch_recurrence(
     gq: np.ndarray,
     cq: np.ndarray,
@@ -1046,7 +1098,8 @@ def reduced_transient_batch(
     factorization (:func:`_batch_recurrence` borders ``e_q`` onto the
     right-hand side), yielding a per-point convergence defect
     ``max_t |y_q - y_q2| / max_t |y_q|`` folded with the build-time
-    moment error.  ``times`` is the already-validated grid from the
+    moment error.  The blocks run concurrently (:func:`_run_blocks`).
+    ``times`` is the already-validated grid from the
     caller (``(K+1,)`` shared or ``(B, K+1)``); ``rec_rows`` the
     recorded MNA rows.  Returns ``(states, estimates)`` with ``states``
     of shape ``(B, K+1, len(rec_rows))`` and ``estimates`` of shape
@@ -1101,7 +1154,9 @@ def reduced_transient_batch(
     defect = np.zeros(n_points)
     blocks = _serve_blocks(n_points)
     attrs = dict(order=q, suborder=q_sub, blocks=len(blocks))
-    for blk in blocks:
+
+    def serve(blk: slice) -> None:
+        # Writes only this block's rows of ``states`` and ``defect``.
         with obs.span("rom.reduce_many", **attrs):
             gq, cq = template.reduce_many(
                 {name: get(name)[blk] for name in columns}
@@ -1125,6 +1180,8 @@ def reduced_transient_batch(
                 defect[blk] = (
                     np.max(np.abs(states[blk] - states_sub), axis=(1, 2)) / denom
                 )
+
+    _run_blocks(serve, blocks)
     if not estimates:
         return states, None
     # A moment-matched Krylov basis carries its build-time defect into
