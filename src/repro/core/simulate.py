@@ -177,7 +177,7 @@ def simulated_step_waveform(
         # it with the window so early-time features (the 50% crossing sits
         # in the first ~1/window of the span) stay sharp.
         order = max(60, int(8 * window))
-        values = line.transfer().step_response(times, method="dehoog", M=order)
+        values = line.transfer().step_response(times, M=order)
         return Waveform(times, values)
 
     spec = line.ladder(n_segments=n_segments)

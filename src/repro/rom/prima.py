@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import os
 import threading
 import warnings
 import weakref
@@ -53,9 +52,16 @@ import scipy.linalg
 import scipy.sparse
 
 from repro import obs
+from repro._cpus import usable_cpus
 from repro.errors import ParameterError, SimulationError
 from repro.spice.backend import SimulationBackend, resolve_backend
-from repro.spice.mna import CircuitTemplate, MnaStructure, _key_value, _MatrixPlan
+from repro.spice.mna import (
+    CircuitTemplate,
+    MnaStructure,
+    _key_values,
+    _MatrixPlan,
+    _param_columns,
+)
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -260,13 +266,13 @@ def _build_projection(
                 "basis has no Krylov block to enrich"
             )
         # (G as COO, C as CSR) at the nominal point, then at each sample.
-        pencils = []
-        for point in (nominal, *({**nominal, **dict(p)} for p in sample_params)):
-            g_data, c_data = structure.revalue(point)
-            pencils.append((
-                structure.g_plan.coo(g_data),
-                structure.c_plan.coo(c_data).to_csr(),
-            ))
+        g_data, c_data = structure.revalue_many(
+            [nominal, *({**nominal, **dict(p)} for p in sample_params)]
+        )
+        pencils = [
+            (structure.g_plan.coo(g), structure.c_plan.coo(c).to_csr())
+            for g, c in zip(g_data, c_data)
+        ]
         (g_coo, c_csr), samples = pencils[0], pencils[1:]
         m = len(structure.source_rows)
         if m == 0:
@@ -462,16 +468,12 @@ class ReducedTemplate:
         sample_params: tuple = (),
         snapshots: np.ndarray | None = None,
     ) -> None:
-        if isinstance(template, CircuitTemplate):
-            structure = template.structure
-            nominal = template.resolve_params(params)
-        elif isinstance(template, MnaStructure):
-            structure = template
-            nominal = dict(params or {})
-        else:
+        structure, columns, n_points = _param_columns(template, params or {})
+        if n_points != 1:
             raise ParameterError(
-                f"expected a CircuitTemplate or MnaStructure, got {template!r}"
+                f"a projection is built at one nominal point, got {n_points}"
             )
+        nominal = {name: float(col[0]) for name, col in columns.items()}
         self._structure = structure
         basis, signs, bq, moment_error = _build_projection(
             structure, nominal, order, backend, sample_params, snapshots
@@ -546,15 +548,6 @@ class ReducedTemplate:
             return q
         return q - 1
 
-    def _source_matrix(self, times: np.ndarray) -> np.ndarray:
-        """Waveform samples ``w(t)``, shape ``times.shape + (m,)``."""
-        times = np.asarray(times, dtype=float)
-        source_rows = self._structure.source_rows
-        w = np.empty(times.shape + (len(source_rows),))
-        for s, (_row, _sign, waveform) in enumerate(source_rows):
-            w[..., s] = np.asarray(waveform(times), dtype=float)
-        return w
-
     def projected_unit_rhs(self, input_row: int) -> np.ndarray:
         """Projection ``W^T e_row`` of a unit stimulus at one MNA row.
 
@@ -596,28 +589,6 @@ class ReducedTemplate:
         resid[input_row, :] -= 1.0
         return np.linalg.norm(resid, axis=0)
 
-    def _batch_columns(self, columns: Mapping[str, np.ndarray]):
-        """Validated, broadcast parameter columns: ``(n_points, get)``."""
-        cols = {
-            name: np.asarray(value, dtype=float).ravel()
-            for name, value in dict(columns or {}).items()
-        }
-        self._structure._check_params({name: 0.0 for name in cols})
-        sizes = {c.size for c in cols.values() if c.size != 1}
-        if len(sizes) > 1:
-            raise ParameterError(
-                f"parameter columns have mismatched lengths {sorted(sizes)}"
-            )
-        n_points = sizes.pop() if sizes else 1
-        full = {
-            name: np.broadcast_to(c, (n_points,)) for name, c in cols.items()
-        }
-
-        def get(name: str) -> np.ndarray:
-            return full[name]
-
-        return n_points, get
-
     def batch_dc_states(
         self,
         columns: Mapping[str, np.ndarray],
@@ -635,15 +606,11 @@ class ReducedTemplate:
         basis prefix (the leading principal blocks, as for the nested
         suborder); ``wq0`` then holds that many entries.
         """
-        n_points, get = self._batch_columns(columns)
+        columns, n_points = self._structure.param_columns(columns)
         q = self.order if order is None else int(order)
-        k = len(self._g_groups)
-        vals = np.empty((n_points, k))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, (key, _mat) in enumerate(self._g_groups):
-                vals[:, i] = np.broadcast_to(
-                    np.asarray(_key_value(key, get), dtype=float), (n_points,)
-                )
+        vals = _key_values(
+            [key for key, _mat in self._g_groups], columns, n_points
+        )
         if not np.isfinite(vals).all():
             raise ParameterError(
                 "some parameter points produce non-finite projected matrices "
@@ -668,7 +635,7 @@ class ReducedTemplate:
         :meth:`~repro.spice.mna.MnaStructure.revalue_many` -- but the
         per-point cost is ``O(groups * q^2)`` instead of ``O(nnz)``.
         """
-        n_points, get = self._batch_columns(columns)
+        columns, n_points = self._structure.param_columns(columns)
         q = self.order
 
         def assemble(const: np.ndarray, groups) -> np.ndarray:
@@ -679,13 +646,10 @@ class ReducedTemplate:
             # along as an all-ones column so no separate add pass runs.
             if not groups:
                 return np.broadcast_to(const, (n_points, q, q)).copy()
-            vals = np.empty((n_points, len(groups) + 1))
+            vals = _key_values(
+                [key for key, _mat in groups], columns, n_points, lead=1
+            )
             vals[:, 0] = 1.0
-            for i, (key, _mat) in enumerate(groups):
-                vals[:, i + 1] = np.broadcast_to(
-                    np.asarray(_key_value(key, get), dtype=float),
-                    (n_points,),
-                )
             mats = np.empty((len(groups) + 1, q * q))
             mats[0] = const.ravel()
             for i, (_key, mat) in enumerate(groups):
@@ -715,8 +679,11 @@ def corner_samples(
 ) -> tuple[dict[str, float], tuple[tuple[tuple[str, float], ...], ...]]:
     """Nominal point and box samples bracketing a parameter batch.
 
-    The nominal is the box midpoint (first value for parameters that do
-    not vary); the samples are the box corners over the varying
+    ``columns`` is the batch as
+    :meth:`~repro.spice.mna.MnaStructure.param_columns` normalizes it,
+    and the nominal lists the names in its order.  The nominal is the
+    box midpoint (first value for parameters that do not vary); the
+    samples are the box corners over the varying
     parameters, returned as hashable sorted item tuples so they can key
     the projection cache.  Corners-plus-center is deliberately the
     whole budget: at a fixed order cap, richer sample clouds (e.g.
@@ -726,13 +693,9 @@ def corner_samples(
     fall back to the all-min / all-max diagonal corners, leaving the
     a-posteriori checks to catch the unbracketed mixed corners.
     """
-    cols = {
-        name: np.asarray(value, dtype=float).ravel()
-        for name, value in dict(columns).items()
-    }
     nominal: dict[str, float] = {}
     varying: list[tuple[str, float, float]] = []
-    for name, col in cols.items():
+    for name, col in columns.items():
         lo, hi = float(np.min(col)), float(np.max(col))
         if hi > lo:
             varying.append((name, lo, hi))
@@ -862,11 +825,7 @@ def _run_blocks(serve, blocks: list[slice]) -> None:
     (in block order, as inline) propagates after the unstarted blocks
     are cancelled and the running ones finish.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API (macOS, Windows)
-        cpus = os.cpu_count() or 1
-    workers = min(len(blocks), cpus)
+    workers = min(len(blocks), usable_cpus())
     if workers <= 1:
         for blk in blocks:
             serve(blk)
@@ -1119,8 +1078,8 @@ def reduced_transient_batch(
 
     trapezoidal = IntegrationMethod(method) is IntegrationMethod.TRAPEZOIDAL
     fac = 2.0 if trapezoidal else 1.0
-    n_points, get = template._batch_columns(columns)
-    w_samples = template._source_matrix(times)
+    columns, n_points = template.structure.param_columns(columns)
+    w_samples = template.structure.source_samples(times)
     bq = template.bq
     wq = w_samples @ bq.T
     rec_basis = template.basis[np.asarray(rec_rows, dtype=np.intp)]
@@ -1159,7 +1118,7 @@ def reduced_transient_batch(
         # Writes only this block's rows of ``states`` and ``defect``.
         with obs.span("rom.reduce_many", **attrs):
             gq, cq = template.reduce_many(
-                {name: get(name)[blk] for name in columns}
+                {name: col[blk] for name, col in columns.items()}
             )
         with obs.span("rom.recurrence", **attrs):
             states[blk], states_sub = _batch_recurrence(

@@ -31,9 +31,16 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.errors import NetlistError, ParameterError, SimulationError
+from repro.errors import NetlistError, SimulationError
 from repro.spice.backend import SimulationBackend, resolve_backend
-from repro.spice.mna import CircuitTemplate, MnaStructure, _concrete_structure
+from repro.spice.mna import (
+    CircuitTemplate,
+    MnaStructure,
+    _concrete_structure,
+    _param_columns,
+    _recorded_rows,
+    _RecordedRows,
+)
 from repro.spice.netlist import GROUND, Circuit, VoltageSource, canonical_node
 
 __all__ = ["AcResult", "AcBatchResult", "ac_sweep", "ac_sweep_batch"]
@@ -158,7 +165,7 @@ def _resolve_input_source(circuit: Circuit, input_source: str | None) -> str:
 
 
 @dataclass(frozen=True)
-class AcBatchResult:
+class AcBatchResult(_RecordedRows):
     """Complex node spectra for a batch of structure-identical circuits.
 
     Attributes
@@ -178,32 +185,6 @@ class AcBatchResult:
     states: np.ndarray
     structure: MnaStructure
     recorded_rows: tuple[int, ...]
-
-    @property
-    def n_points(self) -> int:
-        """Number of batch points ``B``."""
-        return self.states.shape[0]
-
-    def _column(self, row: int) -> int:
-        try:
-            return self.recorded_rows.index(row)
-        except ValueError:
-            raise ParameterError(
-                f"MNA row {row} was not recorded; pass it in record= "
-                "(or record everything with record=None)"
-            ) from None
-
-    def voltage(self, node) -> np.ndarray:
-        """Complex voltage spectra ``(B, F)`` of one node (ground is 0)."""
-        if canonical_node(node) == GROUND:
-            return np.zeros(self.states.shape[:2], dtype=complex)
-        col = self._column(self.structure.voltage_row(node))
-        return self.states[:, :, col].copy()
-
-    def current(self, element_name: str) -> np.ndarray:
-        """Complex branch-current spectra ``(B, F)`` of one element."""
-        col = self._column(self.structure.current_row(element_name))
-        return self.states[:, :, col].copy()
 
     def transfer(self, node_out, node_in) -> np.ndarray:
         """``V(node_out) / V(node_in)`` per point, shape ``(B, F)``."""
@@ -267,7 +248,6 @@ def ac_sweep_batch(
         transparently re-run on the full path.
     """
     from repro.rom.model import resolve_model
-    from repro.spice.transient import _param_columns, _recorded_rows
 
     model = resolve_model(model)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))

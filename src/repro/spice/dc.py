@@ -12,10 +12,18 @@ O(n) instead of O(n^3).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.spice.backend import CooMatrix, SimulationBackend, combine, resolve_backend
+from repro.spice.backend import (
+    CooMatrix,
+    PatternFactorizer,
+    SimulationBackend,
+    combine,
+    resolve_backend,
+)
 from repro.spice.mna import MnaStructure, _concrete_structure
 from repro.spice.netlist import GROUND, Circuit, canonical_node
 
@@ -83,14 +91,43 @@ def dc_operating_point(
             (1.0, CooMatrix(diag, diag, np.full(diag.size, gmin), g.shape)),
         )
     backend = resolve_backend(backend, g)
-    b = structure.rhs(time)
-    try:
-        x = backend.factorize(g).solve(b)
-    except SimulationError as exc:
-        raise SimulationError(
+    x = _dc_solve_rows(
+        backend.factorizer(g),
+        g.data[None, :],
+        structure.rhs(time),
+        lambda _i: (
             "singular DC system: check for floating nodes (capacitor-only "
             "islands) or voltage-source/inductor loops; a small gmin may help"
-        ) from exc
+        ),
+    )[0]
     if not np.all(np.isfinite(x)):
         raise SimulationError("DC solution contains non-finite values")
     return DcSolution(structure, x)
+
+
+def _dc_solve_rows(
+    factorizer: PatternFactorizer,
+    g_data: np.ndarray,
+    b: np.ndarray,
+    singular: Callable[[int], str],
+) -> np.ndarray:
+    """DC operating points ``(B, n)``: ``G_j x_j = b`` per row of ``g_data``.
+
+    The one DC factor-and-solve loop, behind :func:`dc_operating_point`
+    (a batch of one) and the transient batch's ``initial="dc"`` start.
+    Each row is ``G``'s data on ``factorizer``'s pattern; rows with equal
+    data share one factorization.  A singular row ``j`` raises
+    :class:`~repro.errors.SimulationError` with the message
+    ``singular(j)``.
+    """
+    x = np.empty((g_data.shape[0], b.size))
+    solved: dict[bytes, np.ndarray] = {}
+    for j, row in enumerate(g_data):
+        key = row.tobytes()
+        if key not in solved:
+            try:
+                solved[key] = factorizer.refactorize(row).solve(b)
+            except SimulationError as exc:
+                raise SimulationError(singular(j)) from exc
+        x[j] = solved[key]
+    return x

@@ -30,10 +30,11 @@ Assembly is split into a *structural* pass and a *numeric* pass
   branch index maps, the source slots, and -- for every element value
   declared as a :class:`~repro.spice.netlist.Param` -- the bookkeeping
   needed to rewrite just the COO ``data`` arrays for new values.
-- :meth:`MnaStructure.revalue` maps a ``{param: value}`` dict to fresh
-  ``(g_data, c_data)`` arrays in O(nnz) NumPy work, with no Python loop
-  over elements; :meth:`MnaStructure.revalue_many` does the same for a
-  whole batch of parameter points at once.
+- :meth:`MnaStructure.revalue_many` maps a batch of parameter points,
+  normalized by :meth:`MnaStructure.param_columns`, to fresh
+  ``(g_data, c_data)`` rows in O(nnz) NumPy work per point, with no
+  Python loop over elements; :meth:`MnaStructure.revalue` is a batch
+  of one.
 
 :class:`MnaStructure` is the one MNA representation: every analysis
 (DC, transient, AC and the reduced tier) revalues it and reads its
@@ -104,8 +105,8 @@ __all__ = [
 #   ("sqrt", p)        ->  sqrt(params[p])     (mutuals, one L concrete)
 #   ("sqrtprod", p, q) ->  sqrt(params[p] * params[q])   (mutuals)
 #
-# revalue() evaluates each key once (scalar or batched) and applies
-# ``data[idx] += coeffs * value`` per group -- O(nnz) with no Python
+# revalue_many() evaluates each key once per point and applies
+# ``data[:, idx] += coeffs * value`` per group -- O(nnz) with no Python
 # loop over elements.
 
 
@@ -186,21 +187,32 @@ class _MatrixPlan:
         """The sparsity pattern as a CooMatrix (param slots hold 0)."""
         return self.coo(self.const)
 
-    def data(self, get) -> np.ndarray:
-        """Data array for one parameter point; ``get(name) -> float``."""
-        out = self.const.copy()
-        for key, idx, coeffs in self.groups:
-            out[idx] += coeffs * _key_value(key, get)
+    def data_many(
+        self, columns: Mapping[str, np.ndarray], n_points: int
+    ) -> np.ndarray:
+        """``(n_points, nnz)`` data for normalized ``(n_points,)`` columns."""
+        out = np.tile(self.const, (n_points, 1))
+        values = _key_values([key for key, _, _ in self.groups], columns, n_points)
+        for (_key, idx, coeffs), value in zip(self.groups, values.T):
+            out[:, idx] += coeffs[None, :] * value[:, None]
         return out
 
-    def data_many(self, get, n_points: int) -> np.ndarray:
-        """``(n_points, nnz)`` data; ``get(name) -> (n_points,) array``."""
-        out = np.tile(self.const, (n_points, 1))
-        for key, idx, coeffs in self.groups:
-            out[:, idx] += coeffs[None, :] * np.asarray(
-                _key_value(key, get), dtype=float
-            )[:, None]
-        return out
+
+def _key_values(
+    keys, columns: Mapping[str, np.ndarray], n_points: int, lead: int = 0
+) -> np.ndarray:
+    """Each expression key's value per point: ``(n_points, lead + len(keys))``.
+
+    ``columns`` are normalized ``(n_points,)`` parameter columns (see
+    :meth:`MnaStructure.param_columns`); the first ``lead`` columns of
+    the result are left unset for the caller.  A zero resistance
+    inverts to ``inf`` without a warning; callers check finiteness.
+    """
+    values = np.empty((n_points, lead + len(keys)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, key in enumerate(keys):
+            values[:, lead + i] = _key_value(key, columns.__getitem__)
+    return values
 
 
 @dataclass(frozen=True)
@@ -269,11 +281,39 @@ class MnaStructure:
                 f"element {element_name!r} has no branch current"
             ) from None
 
+    def source_samples(self, times) -> np.ndarray:
+        """Source waveform samples ``w(t)``, shape ``times.shape + (m,)``.
+
+        Column ``s`` is the (unsigned) waveform of ``source_rows[s]``,
+        the ``w`` of ``b(t) = B w(t)``.  Waveforms evaluate elementwise,
+        so every sample equals its instant evaluated alone.
+        """
+        times = np.asarray(times, dtype=float)
+        w = np.empty(times.shape + (len(self.source_rows),))
+        for s, (_row, _sign, waveform) in enumerate(self.source_rows):
+            w[..., s] = waveform(times)
+        return w
+
+    def source_rhs(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """``b(t)`` at its distinct source rows: ``(rows, b)``.
+
+        ``rows`` are the sorted MNA rows that carry a source and ``b``
+        has shape ``times.shape + (len(rows),)``; every other row of
+        ``b(t)`` is zero.  Sources accumulate in ``source_rows`` order.
+        """
+        w = self.source_samples(times)
+        rows = sorted({row for row, _, _ in self.source_rows})
+        column = {row: i for i, row in enumerate(rows)}
+        b = np.zeros(w.shape[:-1] + (len(rows),))
+        for s, (row, sign, _waveform) in enumerate(self.source_rows):
+            b[..., column[row]] += sign * w[..., s]
+        return np.asarray(rows, dtype=np.intp), b
+
     def rhs(self, t: float) -> np.ndarray:
         """Source vector ``b(t)`` at a scalar time."""
+        rows, b_rows = self.source_rhs(t)
         b = np.zeros(self.size)
-        for row, sign, waveform in self.source_rows:
-            b[row] += sign * waveform.value_at(t)
+        b[rows] = b_rows
         return b
 
     def g_pattern(self) -> CooMatrix:
@@ -325,10 +365,52 @@ class MnaStructure:
             _record_selection(chosen.selection)
         return chosen
 
-    def _check_params(self, params: Mapping[str, float] | None) -> dict[str, float]:
-        params = dict(params or {})
-        missing = sorted(set(self.param_names) - set(params))
-        unknown = sorted(set(params) - set(self.param_names))
+    def param_columns(
+        self, params, defaults: Mapping[str, float] | None = None
+    ) -> tuple[dict[str, np.ndarray], int]:
+        """Normalize a parameter batch: ``(columns, n_points)``.
+
+        The one definition of a batch.  ``params`` is either a mapping
+        of parameter name to value column (scalars broadcast) or a
+        sequence of per-point ``{name: value}`` mappings, which must
+        all give the same names.  ``defaults`` (a template's) fill the
+        names ``params`` leaves out.  Columns come back in a fixed
+        order -- ``defaults`` first, then the given names, sorted for a
+        sequence of points -- which corner samples and the reduced
+        basis follow, each as a read-only ``(n_points,)`` array.  The
+        names must be exactly :attr:`param_names`; missing or unknown
+        names and columns of mismatched lengths raise
+        :class:`~repro.errors.ParameterError`.
+        """
+        if isinstance(params, Mapping):
+            given = {
+                name: np.asarray(v, dtype=float).ravel()
+                for name, v in params.items()
+            }
+        else:
+            points = list(params or ())
+            if not points:
+                raise ParameterError("params must name at least one batch point")
+            names = set().union(*(p.keys() for p in points))
+            if any(set(p) != names for p in points):
+                raise ParameterError(
+                    "every batch point must provide the same parameter names"
+                )
+            # Sorted, not set order: the column order must not depend
+            # on the hash seed.
+            given = {
+                name: np.asarray([float(p[name]) for p in points], dtype=float)
+                for name in sorted(names)
+            }
+        columns = {
+            **{
+                name: np.asarray(v, dtype=float).ravel()
+                for name, v in dict(defaults or {}).items()
+            },
+            **given,
+        }
+        missing = sorted(set(self.param_names) - set(columns))
+        unknown = sorted(set(columns) - set(self.param_names))
         if missing:
             raise ParameterError(f"missing parameter value(s): {missing}")
         if unknown:
@@ -336,66 +418,41 @@ class MnaStructure:
                 f"unknown parameter(s) {unknown}; this structure has "
                 f"{list(self.param_names) or 'no parameters'}"
             )
-        return params
-
-    def revalue(self, params: Mapping[str, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """COO ``(g_data, c_data)`` for one parameter point.
-
-        This is the cheap numeric half of the stamp-once /
-        re-value-many split: O(nnz) array work, no netlist walk, no
-        re-validation.  ``params`` must provide exactly
-        :attr:`param_names` (missing or unknown names raise
-        :class:`~repro.errors.ParameterError`, as do values that stamp
-        non-finite entries, e.g. a zero resistance).
-        """
-        params = self._check_params(params)
-        obs.inc("spice.mna.revalue_calls")
-
-        def get(name: str) -> np.float64:
-            # np.float64 so a zero value inverts to inf (caught below)
-            # rather than raising ZeroDivisionError mid-assembly.
-            return np.float64(params[name])
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_data = self.g_plan.data(get)
-            c_data = self.c_plan.data(get)
-        if not (np.isfinite(g_data).all() and np.isfinite(c_data).all()):
-            raise ParameterError(
-                f"parameter values {params!r} stamp non-finite matrix "
-                "entries (zero resistance or non-finite value?)"
-            )
-        return g_data, c_data
-
-    def revalue_many(self, columns: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`revalue`: ``(B, nnz_g)`` and ``(B, nnz_c)``.
-
-        ``columns`` maps each parameter name to a length-``B`` array
-        (scalars broadcast).  Row ``j`` of each output equals
-        ``revalue({name: columns[name][j]})`` exactly.
-        """
-        cols = {
-            name: np.asarray(value, dtype=float).ravel()
-            for name, value in dict(columns or {}).items()
-        }
-        self._check_params({name: 0.0 for name in cols})
-        sizes = {c.size for c in cols.values() if c.size != 1}
+        sizes = {c.size for c in columns.values() if c.size != 1}
         if len(sizes) > 1:
             raise ParameterError(
                 f"parameter columns have mismatched lengths {sorted(sizes)}"
             )
         n_points = sizes.pop() if sizes else 1
+        return {
+            name: np.broadcast_to(c, (n_points,)) for name, c in columns.items()
+        }, n_points
+
+    def revalue(self, params: Mapping[str, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """COO ``(g_data, c_data)`` for one parameter point.
+
+        A batch of one: row 0 of :meth:`revalue_many`.  This is the
+        cheap numeric half of the stamp-once / re-value-many split:
+        O(nnz) array work, no netlist walk, no re-validation.
+        """
+        obs.inc("spice.mna.revalue_calls")
+        g_data, c_data = self.revalue_many(params or {})
+        return g_data[0], c_data[0]
+
+    def revalue_many(self, params) -> tuple[np.ndarray, np.ndarray]:
+        """COO data of a parameter batch: ``(B, nnz_g)`` and ``(B, nnz_c)``.
+
+        ``params`` is any batch :meth:`param_columns` accepts (names
+        exactly :attr:`param_names`); values that stamp non-finite
+        entries, e.g. a zero resistance, raise
+        :class:`~repro.errors.ParameterError`.
+        """
+        columns, n_points = self.param_columns(params)
         obs.inc("spice.mna.revalue_many_calls")
         obs.inc("spice.mna.revalue_points", n_points)
-        full = {
-            name: np.broadcast_to(c, (n_points,)) for name, c in cols.items()
-        }
-
-        def get(name: str) -> np.ndarray:
-            return full[name]
-
         with np.errstate(divide="ignore", invalid="ignore"):
-            g_data = self.g_plan.data_many(get, n_points)
-            c_data = self.c_plan.data_many(get, n_points)
+            g_data = self.g_plan.data_many(columns, n_points)
+            c_data = self.c_plan.data_many(columns, n_points)
         if not (np.isfinite(g_data).all() and np.isfinite(c_data).all()):
             raise ParameterError(
                 "some parameter points stamp non-finite matrix entries "
@@ -453,8 +510,8 @@ def build_mna_structure(circuit: Circuit) -> MnaStructure:
     """Run the structural assembly pass over a validated circuit.
 
     Walks the netlist exactly once, producing the frozen
-    :class:`MnaStructure` that :meth:`MnaStructure.revalue` (and the
-    batched analyses built on it) reuse for every parameter point.
+    :class:`MnaStructure` that :meth:`MnaStructure.revalue_many` (and
+    the batched analyses built on it) reuse for every parameter point.
     Concrete circuits work too -- their structure simply has no
     parameter groups.
 
@@ -725,3 +782,81 @@ class CircuitTemplate:
             f"CircuitTemplate({self._circuit.title!r}, "
             f"params={list(self._names)})"
         )
+
+
+def _param_columns(
+    template: CircuitTemplate | MnaStructure, params
+) -> tuple[MnaStructure, dict[str, np.ndarray], int]:
+    """``(structure, columns, n_points)`` of a batch over a template.
+
+    A :class:`CircuitTemplate` supplies its structure and defaults, a
+    bare :class:`MnaStructure` itself and none;
+    :meth:`MnaStructure.param_columns` normalizes the batch.
+    """
+    if isinstance(template, CircuitTemplate):
+        structure, defaults = template.structure, template.defaults
+    elif isinstance(template, MnaStructure):
+        structure, defaults = template, None
+    else:
+        raise ParameterError(
+            f"expected a CircuitTemplate or MnaStructure, got {template!r}"
+        )
+    columns, n_points = structure.param_columns(params, defaults)
+    return structure, columns, n_points
+
+
+def _recorded_rows(structure: MnaStructure, record) -> np.ndarray:
+    """Resolve a ``record`` request to MNA row indices."""
+    if record is None:
+        return np.arange(structure.size, dtype=np.intp)
+    rows = []
+    for item in record:
+        if isinstance(item, (int, np.integer)):
+            row = int(item)
+            if not 0 <= row < structure.size:
+                raise ParameterError(
+                    f"recorded row {row} outside [0, {structure.size})"
+                )
+            rows.append(row)
+        else:
+            rows.append(structure.voltage_row(item))
+    return np.asarray(rows, dtype=np.intp)
+
+
+class _RecordedRows:
+    """Node and branch lookups of a batch result's recorded rows.
+
+    Shared by the transient and AC batch results, whose ``states`` are
+    ``(B, K, R)`` over the ``R`` MNA rows in ``recorded_rows``, indexed
+    through ``structure``.
+    """
+
+    states: np.ndarray
+    structure: MnaStructure
+    recorded_rows: tuple[int, ...]
+
+    @property
+    def n_points(self) -> int:
+        """Number of batch points ``B``."""
+        return self.states.shape[0]
+
+    def _column(self, row: int) -> int:
+        try:
+            return self.recorded_rows.index(row)
+        except ValueError:
+            raise ParameterError(
+                f"MNA row {row} was not recorded; pass it in record= "
+                "(or record everything with record=None)"
+            ) from None
+
+    def voltage(self, node) -> np.ndarray:
+        """Node voltage ``(B, K)`` (ground is 0, in the states' dtype)."""
+        if canonical_node(node) == GROUND:
+            return np.zeros(self.states.shape[:2], dtype=self.states.dtype)
+        col = self._column(self.structure.voltage_row(node))
+        return self.states[:, :, col].copy()
+
+    def current(self, element_name: str) -> np.ndarray:
+        """Branch current ``(B, K)`` of one element."""
+        col = self._column(self.structure.current_row(element_name))
+        return self.states[:, :, col].copy()

@@ -859,10 +859,15 @@ class _Parser:
             for node in self.node_order
         }
 
-    def build(self) -> Circuit:
-        """Instantiate the collapsed circuit from the pending elements."""
+    def build(self, circuit: Circuit | None = None) -> Circuit:
+        """Add the pending elements, collapsed, to ``circuit`` (or a new one).
+
+        The one element dispatch, behind both :func:`parse_netlist` and
+        ``Circuit.add(text)``.
+        """
         mapping = self.collapse_map()
-        circuit = Circuit(self.title or "")
+        if circuit is None:
+            circuit = Circuit(self.title or "")
 
         def mapped(pending: _PendingElement, *nodes: str) -> list[str]:
             out = [mapping[n] for n in nodes]
@@ -1109,35 +1114,10 @@ def _add_statement(circuit: Circuit, statement: _Statement):
             1,
             statement.line,
         )
-    pending = parser.pending[-1]
-    before = len(circuit)
-    built = parser.build()
-    del built  # the scratch circuit only validated construction
-    f = pending.fields
-    if pending.kind == "K":
-        return circuit.add_mutual_inductance(pending.name, f[0], f[1], f[2])
-    adders = {
-        "R": lambda: circuit.add_resistor(pending.name, f[0], f[1], f[2]),
-        "C": lambda: circuit.add_capacitor(
-            pending.name, f[0], f[1], f[2], initial_voltage=f[3]
-        ),
-        "L": lambda: circuit.add_inductor(
-            pending.name, f[0], f[1], f[2], initial_current=f[3]
-        ),
-        "V": lambda: circuit.add_voltage_source(pending.name, f[0], f[1], f[2]),
-        "I": lambda: circuit.add_current_source(pending.name, f[0], f[1], f[2]),
-        "E": lambda: circuit.add_vcvs(
-            pending.name, f[0], f[1], f[2], f[3], f[4]
-        ),
-        "G": lambda: circuit.add_vccs(
-            pending.name, f[0], f[1], f[2], f[3], f[4]
-        ),
-        "H": lambda: circuit.add_ccvs(pending.name, f[0], f[1], f[2], f[3]),
-        "F": lambda: circuit.add_cccs(pending.name, f[0], f[1], f[2], f[3]),
-    }
-    element = adders[pending.kind]()
-    assert len(circuit) == before + 1
-    return element
+    parser.build(circuit)
+    if parser.pending[-1].kind == "K":
+        return circuit.mutual_inductances[-1]
+    return circuit.elements[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +59,15 @@ from repro.spice.backend import (
     _PatternCsr,
     stack_factorizations,
 )
-from repro.spice.mna import CircuitTemplate, MnaStructure, _concrete_structure
+from repro.spice.dc import _dc_solve_rows
+from repro.spice.mna import (
+    CircuitTemplate,
+    MnaStructure,
+    _concrete_structure,
+    _param_columns,
+    _recorded_rows,
+    _RecordedRows,
+)
 from repro.spice.netlist import GROUND, Circuit, canonical_node
 from repro.tline.waveform import Waveform
 
@@ -207,7 +215,7 @@ def simulate_transient(
 
 
 @dataclass(frozen=True)
-class TransientBatchResult:
+class TransientBatchResult(_RecordedRows):
     """Waveform matrices for a batch of structure-identical circuits.
 
     Attributes
@@ -236,11 +244,6 @@ class TransientBatchResult:
     recorded_rows: tuple[int, ...]
 
     @property
-    def n_points(self) -> int:
-        """Number of batch points ``B``."""
-        return self.states.shape[0]
-
-    @property
     def n_steps(self) -> int:
         """Number of time steps taken (shared by every point).
 
@@ -253,96 +256,9 @@ class TransientBatchResult:
         """The time grid of one batch point."""
         return self.times if self.times.ndim == 1 else self.times[point]
 
-    def _column(self, row: int) -> int:
-        try:
-            return self.recorded_rows.index(row)
-        except ValueError:
-            raise ParameterError(
-                f"MNA row {row} was not recorded; pass it in record= "
-                "(or record everything with record=None)"
-            ) from None
-
-    def voltage(self, node) -> np.ndarray:
-        """Voltage matrix ``(B, n_steps + 1)`` of one node (ground is 0)."""
-        if canonical_node(node) == GROUND:
-            return np.zeros(self.states.shape[:2])
-        col = self._column(self.structure.voltage_row(node))
-        return self.states[:, :, col].copy()
-
-    def current(self, element_name: str) -> np.ndarray:
-        """Branch-current matrix ``(B, n_steps + 1)`` of one element."""
-        col = self._column(self.structure.current_row(element_name))
-        return self.states[:, :, col].copy()
-
     def waveform(self, point: int, node) -> Waveform:
         """One point's node voltage as a :class:`~repro.tline.waveform.Waveform`."""
         return Waveform(self.times_of(point), self.voltage(node)[point])
-
-
-def _param_columns(
-    template: CircuitTemplate | MnaStructure,
-    params,
-) -> tuple[MnaStructure, dict[str, np.ndarray], int]:
-    """Normalize batch parameters to per-name columns of equal length."""
-    if isinstance(template, CircuitTemplate):
-        structure = template.structure
-        base: dict = template.defaults
-    elif isinstance(template, MnaStructure):
-        structure = template
-        base = {}
-    else:
-        raise ParameterError(
-            f"expected a CircuitTemplate or MnaStructure, got {template!r}"
-        )
-    if isinstance(params, Mapping):
-        given = {k: np.asarray(v, dtype=float).ravel() for k, v in params.items()}
-    else:
-        points = list(params or ())
-        if not points:
-            raise ParameterError("params must name at least one batch point")
-        names = set().union(*(p.keys() for p in points))
-        if any(set(p) != names for p in points):
-            raise ParameterError(
-                "every batch point must provide the same parameter names"
-            )
-        # Sorted, not set order: corner samples and the reduced basis
-        # follow the column order, so it must not depend on the hash seed.
-        given = {
-            name: np.asarray(
-                [float(p[name]) for p in points], dtype=float
-            )
-            for name in sorted(names)
-        }
-    columns = {**{k: np.asarray(v, dtype=float) for k, v in base.items()}, **given}
-    sizes = {c.size for c in columns.values() if np.ndim(c) and c.size != 1}
-    if len(sizes) > 1:
-        raise ParameterError(
-            f"parameter columns have mismatched lengths {sorted(sizes)}"
-        )
-    n_points = sizes.pop() if sizes else 1
-    columns = {
-        name: np.broadcast_to(np.asarray(col, dtype=float).ravel(), (n_points,))
-        for name, col in columns.items()
-    }
-    return structure, columns, n_points
-
-
-def _recorded_rows(structure: MnaStructure, record) -> np.ndarray:
-    """Resolve a ``record`` request to MNA row indices."""
-    if record is None:
-        return np.arange(structure.size, dtype=np.intp)
-    rows = []
-    for item in record:
-        if isinstance(item, (int, np.integer)):
-            row = int(item)
-            if not 0 <= row < structure.size:
-                raise ParameterError(
-                    f"recorded row {row} outside [0, {structure.size})"
-                )
-            rows.append(row)
-        else:
-            rows.append(structure.voltage_row(item))
-    return np.asarray(rows, dtype=np.intp)
 
 
 def simulate_transient_batch(
@@ -671,13 +587,9 @@ def _transient_batch_reduced(
         snap_points = [nominal] + [dict(point) for point in samples]
 
         def snapshot_builder():
-            cols = {
-                name: np.asarray([point[name] for point in snap_points])
-                for name in nominal
-            }
             result = simulate_transient_batch(
                 structure,
-                cols,
+                snap_points,
                 float(t_stop[0]),
                 (float(t_stop[0]) - t_start) / n_steps,
                 method=method,
@@ -754,14 +666,9 @@ def _source_terms(
     source waveform is evaluated once over the whole grid; evaluation is
     elementwise, so each value equals a per-step evaluation's.
     """
-    rows = sorted({row for row, _, _ in structure.source_rows})
-    column = {row: i for i, row in enumerate(rows)}
-    grid = np.atleast_2d(times)  # (1 or B, n_steps + 1)
-    b = np.zeros(grid.shape + (len(rows),))
-    for row, sign, waveform in structure.source_rows:
-        b[..., column[row]] += sign * np.asarray(waveform(grid), dtype=float)
+    rows, b = structure.source_rhs(np.atleast_2d(times))  # (1 or B, K + 1, R)
     terms = b[:, 1:] + b[:, :-1] if trapezoidal else b[:, 1:]
-    return np.asarray(rows, dtype=np.intp), terms.transpose(1, 0, 2)
+    return rows, terms.transpose(1, 0, 2)
 
 
 def _batch_initial_state(
@@ -790,23 +697,19 @@ def _batch_initial_state(
         raise ParameterError(
             f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
         )
-    g_factorizer = backend.factorizer(structure.g_pattern())
-    b0 = structure.rhs(t_start)
+    # One DC solve per distinct G among the factorization groups.
+    leaders = [members[0] for members in group_members]
+    solved = _dc_solve_rows(
+        backend.factorizer(structure.g_pattern()),
+        g_data[leaders],
+        structure.rhs(t_start),
+        lambda i: (
+            "singular DC system while computing the initial operating "
+            f"point of batch point {leaders[i]}; pass initial='zero' or an "
+            "explicit state matrix"
+        ),
+    )
     x = np.empty((n_points, size))
-    solved: dict[bytes, np.ndarray] = {}
-    for members in group_members:
-        j = members[0]
-        key = g_data[j].tobytes()
-        x0 = solved.get(key)
-        if x0 is None:
-            try:
-                x0 = g_factorizer.refactorize(g_data[j]).solve(b0)
-            except SimulationError as exc:
-                raise SimulationError(
-                    "singular DC system while computing the initial operating "
-                    f"point of batch point {j}; pass initial='zero' or an "
-                    "explicit state matrix"
-                ) from exc
-            solved[key] = x0
+    for members, x0 in zip(group_members, solved):
         x[members] = x0[None, :]
     return x

@@ -150,7 +150,10 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        help="worker-pool size for simulated sweeps (default: CPU count)",
+        help=(
+            "worker-pool size for simulated sweeps (default: the CPUs "
+            "this process may run on)"
+        ),
     )
     parser.add_argument(
         "--cache-dir",

@@ -50,6 +50,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro import obs
+from repro._cpus import usable_cpus
 from repro.errors import ParameterError
 from repro.sweep import kernels
 from repro.sweep.grid import ParameterGrid, Sweep
@@ -503,7 +504,9 @@ class SweepRunner:
         caching (the in-memory cache still applies).
     max_workers:
         Worker count for simulator-backed sweeps.  ``None`` uses the
-        CPU count; values <= 1 run serially in-process.
+        CPUs this process may run on (its affinity mask under
+        ``taskset`` or a cgroup cpuset); values <= 1 run serially
+        in-process.
     executor:
         ``"thread"`` (default) or ``"process"`` -- the pool flavor for
         simulator fan-out.  Both split a grid into one chunk per
@@ -819,7 +822,7 @@ class SweepRunner:
         }
         workers = self.max_workers
         if workers is None:
-            workers = os.cpu_count() or 1
+            workers = usable_cpus()
         workers = max(1, min(workers, size))
         chunk_size = min(MAX_CHUNK_POINTS, -(-size // workers))
         bounds = list(range(0, size, chunk_size)) + [size]

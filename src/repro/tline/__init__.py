@@ -4,7 +4,7 @@ This subpackage is one of the three independent "simulator" routes used to
 stand in for AS/X (IBM's dynamic circuit simulator used in the paper):
 
 - :mod:`repro.tline.laplace`  -- numerical inverse Laplace transforms
-  (Talbot, Euler/Abate--Whitt, de Hoog--Knight--Stokes),
+  (de Hoog--Knight--Stokes, with fixed Talbot as its check),
 - :mod:`repro.tline.abcd`     -- frequency-domain two-port (ABCD) algebra,
   including the exact distributed-RLC line two-port,
 - :mod:`repro.tline.transfer` -- the exact transfer function of the paper's
@@ -15,7 +15,7 @@ stand in for AS/X (IBM's dynamic circuit simulator used in the paper):
 """
 
 from repro.tline.abcd import TwoPort, rlc_line, series_impedance, shunt_admittance
-from repro.tline.laplace import InversionMethod, invert_laplace, step_response
+from repro.tline.laplace import step_response
 from repro.tline.transfer import (
     DriverLineLoadTransfer,
     denominator_coefficients,
@@ -28,8 +28,6 @@ __all__ = [
     "rlc_line",
     "series_impedance",
     "shunt_admittance",
-    "InversionMethod",
-    "invert_laplace",
     "step_response",
     "DriverLineLoadTransfer",
     "line_transfer_function",

@@ -1,27 +1,24 @@
 """Numerical inverse Laplace transforms.
 
-Three classic algorithms are provided, all operating on a user-supplied
+Two classic algorithms are provided, both operating on a user-supplied
 transform ``F(s)`` that must accept a complex numpy array and return a
 complex numpy array of the same shape:
-
-``talbot``
-    Fixed-Talbot method (Abate & Valko, 2004).  Excellent for smooth
-    transforms; spectral convergence in the number of nodes ``M``.
-
-``euler``
-    The Euler method from the Abate--Whitt unified framework (2006): a
-    Bromwich/Fourier-series evaluation with binomial (Euler) acceleration.
-    Robust default, moderate accuracy (~1e-8 for smooth transforms at the
-    default order).
 
 ``dehoog``
     de Hoog, Knight & Stokes (1982): Fourier series accelerated by a
     quotient-difference (Pade) continued fraction.  The method of choice
     for oscillatory or nearly discontinuous time functions such as the
-    wavefront of an underdamped transmission line.
+    wavefront of an underdamped transmission line, and the one
+    :func:`step_response` uses.
 
-All three agree to many digits on smooth inputs; the test suite
-cross-checks them against analytic transform pairs and against each other.
+``talbot``
+    Fixed-Talbot method (Abate & Valko, 2004).  Excellent for smooth
+    transforms; spectral convergence in the number of nodes ``M``.  An
+    independent contour method, kept as the oracle ``dehoog`` is checked
+    against.
+
+Both agree to many digits on smooth inputs; the test suite checks them
+against analytic transform pairs and against each other.
 
 The paper's evaluation (Table 1, Fig. 2) relies on "dynamic circuit
 simulation" of a distributed RLC line.  The exact line has a closed-form
@@ -33,7 +30,6 @@ state-space integration, see :mod:`repro.spice`).
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Callable, Sequence
 
@@ -42,24 +38,13 @@ import numpy as np
 from repro.errors import ParameterError
 
 __all__ = [
-    "InversionMethod",
     "talbot",
-    "euler",
     "TransformFunction",
     "dehoog",
-    "invert_laplace",
     "step_response",
 ]
 
 TransformFunction = Callable[[np.ndarray], np.ndarray]
-
-
-class InversionMethod(str, enum.Enum):
-    """Available inverse-Laplace algorithms."""
-
-    TALBOT = "talbot"
-    EULER = "euler"
-    DEHOOG = "dehoog"
 
 
 def _as_time_array(times: float | Sequence[float] | np.ndarray) -> np.ndarray:
@@ -112,37 +97,6 @@ def talbot(F: TransformFunction, times, M: int = 48) -> np.ndarray:
         fs = F(s_nodes)
         total += np.sum(np.exp(tj * s_nodes) * fs * (1.0 + 1j * sigma))
         out[j] = (r / M) * total.real
-    return out
-
-
-def _euler_weights(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (beta, eta) node/weight arrays for the Euler method."""
-    xi = np.zeros(2 * M + 1)
-    xi[0] = 0.5
-    xi[1 : M + 1] = 1.0
-    xi[2 * M] = 0.5**M
-    for k in range(1, M):
-        xi[2 * M - k] = xi[2 * M - k + 1] + (0.5**M) * math.comb(M, k)
-    k = np.arange(2 * M + 1)
-    beta = (M * math.log(10.0)) / 3.0 + 1j * np.pi * k
-    eta = (-1.0) ** k * (10.0 ** (M / 3.0)) * xi
-    return beta, eta
-
-
-def euler(F: TransformFunction, times, M: int = 18) -> np.ndarray:
-    """Euler inversion (Abate & Whitt 2006 unified framework).
-
-    ``M = 18`` is near the double-precision optimum; larger values overflow
-    the ``10**(M/3)`` scaling against binomial cancellation.
-    """
-    if not 1 <= M <= 26:
-        raise ParameterError(f"euler requires 1 <= M <= 26, got {M}")
-    t = _as_time_array(times)
-    beta, eta = _euler_weights(M)
-    out = np.empty_like(t)
-    for j, tj in enumerate(t):
-        fs = F(beta / tj)
-        out[j] = float(np.dot(eta, fs.real)) / tj
     return out
 
 
@@ -254,40 +208,16 @@ def dehoog(
     return out
 
 
-_METHODS = {
-    InversionMethod.TALBOT: talbot,
-    InversionMethod.EULER: euler,
-    InversionMethod.DEHOOG: dehoog,
-}
-
-
-def invert_laplace(
-    F: TransformFunction,
-    times,
-    method: InversionMethod | str = InversionMethod.TALBOT,
-    **kwargs,
-) -> np.ndarray:
-    """Invert ``F(s)`` at the requested times using the selected method.
-
-    >>> import numpy as np
-    >>> decay = invert_laplace(lambda s: 1 / (s + 1), [0.5, 1.0])
-    >>> bool(np.allclose(decay, np.exp([-0.5, -1.0]), atol=1e-8))
-    True
-    """
-    method = InversionMethod(method)
-    return _METHODS[method](F, times, **kwargs)
-
-
 def step_response(
     H: TransformFunction,
     times,
-    method: InversionMethod | str = InversionMethod.DEHOOG,
     initial_value: float = 0.0,
     **kwargs,
 ) -> np.ndarray:
     """Unit-step response of a transfer function ``H(s)``.
 
-    Inverts ``H(s)/s``.  ``times`` may include ``t = 0`` (and only zero or
+    Inverts ``H(s)/s`` with :func:`dehoog` (``kwargs`` go to it, e.g.
+    ``M``).  ``times`` may include ``t = 0`` (and only zero or
     positive values); the response at ``t = 0`` is taken to be
     ``initial_value`` (0 for any strictly proper, delay-dominated network
     such as a driven transmission line).
@@ -302,6 +232,6 @@ def step_response(
         return H(s) / s
 
     if np.any(positive):
-        out[positive] = invert_laplace(integrand, t[positive], method, **kwargs)
+        out[positive] = dehoog(integrand, t[positive], **kwargs)
     out[~positive] = initial_value
     return out

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ParameterError, require_nonnegative, require_positive
-from repro.tline.laplace import InversionMethod, step_response
+from repro.tline.laplace import step_response
 
 __all__ = [
     "line_transfer_function",
@@ -245,14 +245,13 @@ class DriverLineLoadTransfer:
         """``H(0)`` -- unity for any lossless-shunt line."""
         return float(np.real(self._transfer(np.array([1e-12 + 0j]))[0]))
 
-    def step_response(
-        self,
-        times,
-        method: InversionMethod | str = InversionMethod.DEHOOG,
-        **kwargs,
-    ) -> np.ndarray:
-        """Far-end voltage for a unit step input, ``Vout(t)``."""
-        return step_response(self._transfer, times, method=method, **kwargs)
+    def step_response(self, times, **kwargs) -> np.ndarray:
+        """Far-end voltage for a unit step input, ``Vout(t)``.
+
+        Inverted with de Hoog's method; ``kwargs`` (e.g. ``M``) go to
+        :func:`~repro.tline.laplace.dehoog`.
+        """
+        return step_response(self._transfer, times, **kwargs)
 
     def moments(self, order: int = 6) -> np.ndarray:
         """Maclaurin coefficients of ``H(s)`` (see :func:`transfer_moments`)."""

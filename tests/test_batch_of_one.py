@@ -18,7 +18,12 @@ every reduced/auto tier decision goes through
   estimate, so a point whose residual exceeds the bound falls back even
   when its suborder defect does not;
 - a reduced transient serve that raises falls back under ``"auto"`` and
-  raises under ``"reduced"``.
+  raises under ``"reduced"``;
+- the MNA front half is one path too: ``revalue`` is a row of
+  ``revalue_many`` (and equal to a frozen copy of the scalar
+  revaluation it replaced), ``dc_operating_point`` equals the transient
+  batch's ``initial="dc"`` start, ``rhs(t)`` is the scattered source
+  samples, and every batch entry point raises one text for a bad batch.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import pytest
 
 from repro import obs
 from repro import rom as rom_pkg
-from repro.bus.builder import build_bus_circuit
+from repro.bus.builder import build_bus_circuit, build_bus_template
 from repro.bus.spec import BusSpec
 from repro.core.canonical import DriverLineLoad
 from repro.core.simulate import (
@@ -39,7 +44,7 @@ from repro.core.simulate import (
     simulated_delay_50,
     simulated_delay_50_batch,
 )
-from repro.errors import NetlistError, SimulationError
+from repro.errors import NetlistError, ParameterError, SimulationError
 from repro.rom.prima import ReducedTemplate
 from repro.spice.ac import ac_sweep, ac_sweep_batch
 from repro.spice.backend import combine, resolve_backend
@@ -49,12 +54,14 @@ from repro.spice.ladder import (
     build_ladder_circuit,
     build_ladder_template,
 )
-from repro.spice.mna import build_mna_structure
+from repro.spice.mna import CircuitTemplate, _key_value, build_mna_structure
 from repro.spice.netlist import (
     Capacitor,
     Circuit,
     Param,
+    ParamAffine,
     Resistor,
+    Step,
     VoltageSource,
 )
 from repro.spice.parser import parse_netlist_file, suggest_transient_window
@@ -69,7 +76,9 @@ from repro.topology import (
     MeshSpec,
     build_fanout_circuit,
     build_htree_circuit,
+    build_htree_template,
     build_mesh_circuit,
+    build_mesh_template,
 )
 
 NETLIST_DIR = pathlib.Path(__file__).parent / "netlists"
@@ -418,3 +427,192 @@ def test_transient_serve_error_falls_back_under_auto(_captured, monkeypatch):
         simulate_transient_batch(
             template, points, t_stop, dt, model="reduced", rom_order=8
         )
+
+
+# ---------------------------------------------------------------------------
+# The MNA front half: revaluation, DC start and source sampling
+# ---------------------------------------------------------------------------
+
+
+def _coupled_template():
+    """Mutuals over parametric and concrete inductors, and affine shunts.
+
+    ``K12`` couples two parametric inductors (a ``sqrtprod`` key),
+    ``K23`` a parametric and a concrete one (``sqrt``), and ``C1``/``C2``
+    are :class:`~repro.spice.netlist.ParamAffine` values, one with a
+    constant part.
+    """
+    circuit = Circuit("coupled")
+    circuit.add_voltage_source("V1", "in", "0", Step(0.0, 1.0, 1e-11))
+    circuit.add_resistor("R1", "in", "a", Param("r"))
+    circuit.add_inductor("L1", "a", "b", Param("la"))
+    circuit.add_inductor("L2", "b", "c", Param("lb", 0.5))
+    circuit.add_inductor("L3", "c", "out", 2e-9)
+    circuit.add_mutual_inductance("K12", "L1", "L2", 0.3)
+    circuit.add_mutual_inductance("K23", "L2", "L3", 0.2)
+    circuit.add_capacitor("C1", "b", "0", Param("c", 0.5) + 1e-13)
+    circuit.add_capacitor("C2", "out", "0", Param("c") + Param("cl"))
+    circuit.add_resistor("R2", "out", "0", 1e4)
+    return CircuitTemplate(circuit)
+
+
+TEMPLATES = {
+    "ladder": lambda: build_ladder_template(20, "PI", loaded=True),
+    "bus": lambda: build_bus_template(
+        BusSpec(
+            n_lines=4, rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
+            rtr=50.0, cl=5e-14, n_segments=10,
+        ),
+        "rise",
+    ),
+    "htree": lambda: build_htree_template(2, n_segments=4),
+    "mesh": lambda: build_mesh_template(3, 4, inductive=True, loaded=True),
+    "coupled": _coupled_template,
+    **{
+        f"netlist-{path.name}": functools.partial(
+            lambda path: parse_netlist_file(path).template(), path
+        )
+        for path in sorted(NETLIST_DIR.glob("*.cir"))
+        if parse_netlist_file(path).is_parametric
+    },
+}
+
+
+def _random_columns(template, n_points, seed):
+    """Positive values around each default (around 1 without one)."""
+    rng = np.random.default_rng(seed)
+    defaults = template.defaults
+    return {
+        name: defaults.get(name, 1.0) * rng.uniform(0.5, 2.0, n_points)
+        for name in template.param_names
+    }
+
+
+def _old_scalar_data(plan, point):
+    """Frozen copy of the scalar revaluation ``revalue`` used to run."""
+
+    def get(name):
+        return np.float64(point[name])
+
+    out = plan.const.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for key, idx, coeffs in plan.groups:
+            out[idx] += coeffs * _key_value(key, get)
+    return out
+
+
+def test_templates_cover_every_value_key():
+    kinds = set()
+    for name in TEMPLATES:
+        structure = TEMPLATES[name]().structure
+        for plan in (structure.g_plan, structure.c_plan):
+            kinds |= {key[0] for key, _idx, _coeffs in plan.groups}
+    assert kinds == {"lin", "inv", "sqrt", "sqrtprod"}
+    affine = [
+        e.value for e in _coupled_template().circuit.elements
+        if isinstance(getattr(e, "value", None), ParamAffine)
+    ]
+    assert [a.const for a in affine] == [1e-13, 0.0]
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_revalue_is_a_row_of_revalue_many(name):
+    structure = TEMPLATES[name]().structure
+    columns = _random_columns(TEMPLATES[name](), 5, seed=len(name))
+    g_many, c_many = structure.revalue_many(columns)
+    for j in range(5):
+        point = {key: float(col[j]) for key, col in columns.items()}
+        g_data, c_data = structure.revalue(point)
+        assert np.array_equal(g_data, g_many[j])
+        assert np.array_equal(c_data, c_many[j])
+        assert np.array_equal(g_data, _old_scalar_data(structure.g_plan, point))
+        assert np.array_equal(c_data, _old_scalar_data(structure.c_plan, point))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_dc_operating_point_is_the_transient_dc_start(name, backend):
+    template = TEMPLATES[name]()
+    point = {
+        key: float(col[0])
+        for key, col in _random_columns(template, 1, seed=7).items()
+    }
+    dc = dc_operating_point(template.bind(point), backend=backend)
+    batch = simulate_transient_batch(
+        template, [point], 1e-9, 5e-10, initial="dc", backend=backend
+    )
+    assert np.array_equal(dc.vector, batch.states[0, 0])
+
+
+def test_rhs_is_the_scattered_source_samples():
+    structure = build_mna_structure(_case("netlist-sources_zoo.cir")[0])
+    times = np.linspace(0.0, 3e-9, 37)
+    samples = structure.source_samples(times)
+    assert samples.shape == (times.size, len(structure.source_rows))
+    per_point = np.stack([times, times[::-1]])
+    for s, (_row, _sign, waveform) in enumerate(structure.source_rows):
+        # Frozen copy of the reduced serve's old source matrix.
+        assert np.array_equal(samples[:, s], waveform(times))
+        assert np.array_equal(
+            structure.source_samples(per_point)[..., s], waveform(per_point)
+        )
+    for k, t in enumerate(times):
+        scattered = np.zeros(structure.size)
+        old = np.zeros(structure.size)
+        for s, (row, sign, waveform) in enumerate(structure.source_rows):
+            scattered[row] += sign * samples[k, s]
+            old[row] += sign * waveform.value_at(t)  # the old rhs(t) loop
+        assert np.array_equal(structure.rhs(t), scattered)
+        assert np.array_equal(scattered, old)
+
+
+def test_every_batch_entry_point_raises_one_text():
+    template = build_ladder_template(20, "PI", loaded=True)
+    structure = template.structure
+    source = _first_vsource(template.circuit)
+    reduced = ReducedTemplate(template, order=4, params=LINE)
+    calls = {
+        "transient": lambda p: simulate_transient_batch(structure, p, 1e-9, 1e-10),
+        "ac": lambda p: ac_sweep_batch(structure, p, [1e8], input_source=source),
+        "revalue_many": structure.revalue_many,
+        "reduce_many": reduced.reduce_many,
+    }
+    cases = {
+        "missing": (
+            {k: v for k, v in LINE.items() if k != "rt"},
+            "missing parameter value(s): ['rt']",
+        ),
+        "unknown": (
+            {**LINE, "bogus": 1.0},
+            "unknown parameter(s) ['bogus']; this structure has",
+        ),
+        "mismatched": (
+            {**LINE, "rt": [100.0, 200.0], "lt": [1e-8, 2e-8, 3e-8]},
+            "parameter columns have mismatched lengths [2, 3]",
+        ),
+    }
+    for params, expected in cases.values():
+        texts = set()
+        for call in calls.values():
+            with pytest.raises(ParameterError) as info:
+                call(params)
+            texts.add(str(info.value))
+        assert len(texts) == 1
+        assert expected in texts.pop()
+
+
+def test_batch_results_share_one_recorded_rows_lookup():
+    template = build_ladder_template(20, "PI", loaded=True)
+    out = LadderSpec(**LINE, n_segments=20).output_node
+    results = (
+        simulate_transient_batch(template, [LINE] * 2, 1e-9, 1e-10, record=[out]),
+        ac_sweep_batch(template, [LINE] * 2, [1e8, 1e9], record=[out]),
+    )
+    for result, dtype in zip(results, (float, complex)):
+        assert result.n_points == 2
+        assert np.array_equal(result.voltage(out), result.states[:, :, 0])
+        ground = result.voltage("0")
+        assert ground.dtype == dtype and not ground.any()
+        assert ground.shape == result.states.shape[:2]
+        with pytest.raises(ParameterError, match="was not recorded"):
+            result.current(_first_vsource(template.circuit))

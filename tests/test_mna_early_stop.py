@@ -231,13 +231,14 @@ class TestStopAtValidation:
     def test_two_recorded_rows_rejected(self, underdamped_line):
         spec = underdamped_line.ladder(n_segments=7)
         template = build_ladder_template(7, "PI", loaded=True)
+        point = dict(rt=spec.rt, lt=spec.lt, ct=spec.ct, rtr=spec.rtr, cl=spec.cl)
         with pytest.raises(ParameterError, match="exactly one recorded row"):
             simulate_transient_batch(
-                template, {"rt": [spec.rt]}, 1e-9, 1e-11,
+                template, [point], 1e-9, 1e-11,
                 record=["n1", spec.output_node], stop_at=0.5,
             )
         with pytest.raises(ParameterError, match="exactly one recorded row"):
-            simulate_transient_batch(template, {"rt": [spec.rt]}, 1e-9, 1e-11, stop_at=0.5)
+            simulate_transient_batch(template, [point], 1e-9, 1e-11, stop_at=0.5)
 
     def test_non_finite_level_rejected(self, underdamped_line):
         with pytest.raises(ParameterError, match="finite"):

@@ -505,6 +505,19 @@ class TestCircuitAddText:
         with pytest.raises(NetlistError, match="unknown inductor"):
             circuit.add("K1 L1 Lmissing 0.5")
 
+    def test_add_rejects_short_circuit_and_leaves_circuit_unchanged(self):
+        circuit = Circuit("t")
+        circuit.add("R1 a 0 50")
+        with pytest.raises(
+            NetlistSyntaxError,
+            match="element 'R2' is short-circuited: wires merge 'a' and 'a'",
+        ):
+            circuit.add("R2 a a 50")
+        with pytest.raises(NetlistSyntaxError, match="duplicate element name 'R1'"):
+            circuit.add("R1 a 0 5")
+        assert [e.name for e in circuit.elements] == ["R1"]
+        assert circuit.add("R2 a 0 50") is circuit.elements[-1]
+
 
 class TestToNetlist:
     def test_round_trips_golden_circuit(self):

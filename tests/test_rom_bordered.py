@@ -27,7 +27,6 @@ into the suborder operators.  These tests pin that change:
 from __future__ import annotations
 
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,8 +39,9 @@ from repro.errors import ParameterError, SimulationError
 from repro.rom import prima
 from repro.rom.prima import ReducedTemplate
 from repro.spice.ladder import build_ladder_template
+from repro.spice.mna import build_mna_structure
+from repro.spice.netlist import Circuit, Param, Step
 from repro.spice.transient import simulate_transient_batch
-from repro.spice.netlist import Step
 from repro.topology.htree import build_htree_template, htree_sink_nodes
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def _old_serve(template, columns, times, dt_eff, method, initial, rec_rows,
                estimates=True):
     trapezoidal = method == "trapezoidal"
     gq, cq = template.reduce_many(columns)
-    w_samples = template._source_matrix(times)
+    w_samples = template.structure.source_samples(times)
     bq = template.bq
     wq = w_samples @ bq.T
     basis = template.basis
@@ -435,22 +435,20 @@ class _PencilTemplate(ReducedTemplate):
 
     so ``G + w C`` is invertible for every ``w`` while its leading
     ``2 x 2`` block is singular exactly when ``a_j = 0``.  No projection
-    is built: the attributes the serve reads are set directly."""
+    is built: the attributes the serve reads are set directly, over a
+    one-source structure whose one parameter is ``a``."""
 
     def __init__(self):
         q = 3
-        self._structure = SimpleNamespace(
-            source_rows=((0, 1.0, Step(0.0, 1.0)),)
-        )
+        circuit = Circuit()
+        circuit.add_voltage_source("V1", "in", "0", Step(0.0, 1.0))
+        circuit.add_resistor("R1", "in", "0", Param("a"))
+        self._structure = build_mna_structure(circuit)
         self._basis = np.eye(q)
         self._signs = np.ones(q)
         self._bq = np.asarray([[1.0], [1.0], [0.0]])
         self._moment_error = 0.0
         self._snapshot_enriched = False
-
-    def _batch_columns(self, columns):
-        a = np.asarray(columns["a"], dtype=float)
-        return a.size, lambda name: a
 
     def reduce_many(self, columns):
         a = np.asarray(columns["a"], dtype=float)

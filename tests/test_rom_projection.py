@@ -141,7 +141,8 @@ def test_hand_built_plan_with_duplicates_zeros_and_empty_group():
     assert np.all(group_parts[3][1] == 0.0)
     point = dict(a=1.7, b=0.3, c=9.0)
     dense = np.zeros((n, n))
-    np.add.at(dense, (rows, cols), plan.data(lambda name: np.float64(point[name])))
+    columns = {name: np.asarray([value]) for name, value in point.items()}
+    np.add.at(dense, (rows, cols), plan.data_many(columns, 1)[0])
     ref = (signs[:, None] * basis).T @ dense @ basis
     _assert_close(_recombine((const_part, group_parts), point), ref)
 

@@ -660,6 +660,37 @@ class TestSimulatedFanOut:
         ref = SweepRunner(max_workers=1).run(self._mna_sweep(n_points=5))
         assert np.array_equal(result.output(), ref.output())
 
+    def test_default_pool_follows_cpu_affinity(self, monkeypatch):
+        """``max_workers=None`` counts the CPUs the process may use."""
+        import os
+
+        from repro import obs
+        from repro.sweep import runner as runner_mod
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        threads = set()
+        original = runner_mod._simulate_chunk
+
+        def tracking(payload):
+            threads.add(threading.get_ident())
+            return original(payload)
+
+        monkeypatch.setattr(runner_mod, "_simulate_chunk", tracking)
+        with obs.capture():
+            result = SweepRunner().run(self._mna_sweep(n_points=5))
+            (fan_out,) = [
+                child
+                for root in obs.trace_roots()
+                for child in root.children
+                if child.name == "sweep.fan_out"
+            ]
+        obs.reset()
+        assert fan_out.attrs["workers"] == 1
+        assert fan_out.attrs["chunks"] == 1
+        assert threads == {threading.get_ident()}  # inline, no pool
+        assert result.output().shape == (5,)
+
     def test_mna_route_accepts_backend_option(self):
         grid = ParameterGrid(Axis("zeta", [1.0]))
         results = {}

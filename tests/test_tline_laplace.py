@@ -1,4 +1,8 @@
-"""Tests for repro.tline.laplace: inversion against analytic pairs."""
+"""Tests for repro.tline.laplace: inversion against analytic pairs.
+
+``dehoog`` is the inversion the library uses; ``talbot``, an
+independent contour method, is the oracle it is checked against.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.tline.laplace import (
-    InversionMethod,
-    dehoog,
-    euler,
-    invert_laplace,
-    step_response,
-    talbot,
-)
+from repro.tline.laplace import dehoog, step_response, talbot
 
-METHODS = [talbot, euler, dehoog]
-METHOD_IDS = ["talbot", "euler", "dehoog"]
+METHODS = [talbot, dehoog]
+METHOD_IDS = ["talbot", "dehoog"]
 
 TIMES = np.array([0.05, 0.3, 1.0, 2.5, 6.0])
 
@@ -87,7 +84,7 @@ class TestValidation:
 
     def test_rejects_negative_time(self):
         with pytest.raises(ParameterError):
-            euler(lambda s: 1 / s, [-1.0])
+            dehoog(lambda s: 1 / s, [-1.0])
 
     def test_rejects_2d_times(self):
         with pytest.raises(ParameterError, match="1-D"):
@@ -97,10 +94,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="M >= 2"):
             talbot(lambda s: 1 / s, [1.0], M=1)
 
-    def test_euler_rejects_large_order(self):
-        with pytest.raises(ParameterError, match="1 <= M <= 26"):
-            euler(lambda s: 1 / s, [1.0], M=40)
-
     def test_dehoog_rejects_bad_period(self):
         with pytest.raises(ParameterError, match="period_factor"):
             dehoog(lambda s: 1 / s, [1.0], period_factor=0.9)
@@ -108,24 +101,6 @@ class TestValidation:
     def test_rejects_nonfinite_times(self):
         with pytest.raises(ParameterError):
             talbot(lambda s: 1 / s, [np.nan])
-
-
-class TestDispatcher:
-    def test_by_enum(self):
-        got = invert_laplace(lambda s: 1 / (s + 2), [1.0], InversionMethod.EULER)
-        assert np.isclose(got[0], np.exp(-2.0), atol=1e-8)
-
-    def test_by_string(self):
-        got = invert_laplace(lambda s: 1 / (s + 2), [1.0], "talbot")
-        assert np.isclose(got[0], np.exp(-2.0), atol=1e-6)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            invert_laplace(lambda s: 1 / s, [1.0], "simpson")
-
-    def test_kwargs_forwarded(self):
-        got = invert_laplace(lambda s: 1 / (s + 1), [1.0], "dehoog", M=25)
-        assert np.isclose(got[0], np.exp(-1.0), atol=1e-4)
 
 
 class TestStepResponse:
@@ -144,6 +119,12 @@ class TestStepResponse:
         with pytest.raises(ParameterError, match="non-negative"):
             step_response(lambda s: 1.0 / (1.0 + s), [-0.1, 1.0])
 
+    def test_is_dehoog_of_h_over_s_with_kwargs_forwarded(self):
+        H = lambda s: 1.0 / (1.0 + s)
+        t = np.array([0.5, 1.0, 3.0])
+        got = step_response(H, t, M=25)
+        assert np.array_equal(got, dehoog(lambda s: H(s) / s, t, M=25))
+
 
 class TestLinearity:
     @settings(max_examples=25, deadline=None)
@@ -153,10 +134,11 @@ class TestLinearity:
         c=st.floats(min_value=-5, max_value=5),
         d=st.floats(min_value=0.1, max_value=4.0),
     )
-    def test_euler_linear_combination(self, a, b, c, d):
+    def test_dehoog_matches_talbot_on_linear_combination(self, a, b, c, d):
         """Inversion is linear: invert(a*F1 + c*F2) = a*f1 + c*f2."""
         F = lambda s: a / (s + b) + c / (s + d)
         t = np.array([0.4, 1.3])
-        got = euler(F, t)
         expected = a * np.exp(-b * t) + c * np.exp(-d * t)
-        assert np.allclose(got, expected, atol=1e-7, rtol=1e-6)
+        oracle = talbot(F, t)
+        assert np.allclose(oracle, expected, atol=1e-7, rtol=1e-6)
+        assert np.allclose(dehoog(F, t), oracle, atol=2e-5, rtol=1e-4)
