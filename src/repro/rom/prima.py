@@ -58,6 +58,7 @@ from repro.spice.backend import SimulationBackend, resolve_backend
 from repro.spice.mna import (
     CircuitTemplate,
     MnaStructure,
+    _check_initial,
     _key_values,
     _MatrixPlan,
     _param_columns,
@@ -339,9 +340,13 @@ def _build_projection(
                 # approximate -- the one-order build-time defect reports
                 # how approximate, which is what the auto tier folds
                 # into its estimates.
-                basis = _union_basis(
-                    [snap[:, live] / norms[live]], _SNAPSHOT_TOL
-                )[:, :q_req]
+                # Contiguous, so sparse products need no copy of it and
+                # the cached template keeps no wider parent array alive.
+                basis = np.ascontiguousarray(
+                    _union_basis([snap[:, live] / norms[live]], _SNAPSHOT_TOL)[
+                        :, :q_req
+                    ]
+                )
         if basis.shape[1] == 0 or not np.all(np.isfinite(basis)):
             raise SimulationError(
                 "block-Arnoldi basis construction failed (empty or "
@@ -755,7 +760,7 @@ def cached_reduced_template(
     collection runs full transients, so a hit must skip it), with
     ``snapshot_key`` standing in for the matrix identity -- callers
     pass everything the trajectories depend on (sample points, time
-    grid, method, initial state).  The cache holds strong references to
+    grid, initial state).  The cache holds strong references to
     at most :data:`_CACHE_LIMIT` projections and drops entries whose
     structure has been garbage collected.  Thread-safe; two threads
     that miss on the same key both build, and the later one is kept.
@@ -845,20 +850,19 @@ def _batch_recurrence(
     gq: np.ndarray,
     cq: np.ndarray,
     weight: np.ndarray,
-    fac: float,
     drive: np.ndarray,
     w_terms: np.ndarray | None,
     z0: np.ndarray,
     rec_basis: np.ndarray,
     z0_sub: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stacked reduced companion-model integration over one point block.
+    """Stacked reduced trapezoidal integration over one point block.
 
-    ``gq``/``cq`` are ``(b, q, q)``, ``weight`` the per-point ``fac /
+    ``gq``/``cq`` are ``(b, q, q)``, ``weight`` the per-point ``2 /
     dt``; ``rec_basis`` is ``V[recorded_rows, :q]`` and ``z0`` the
     ``(b, q)`` start states.  The companion update is ``z' = lhs^-1
-    (hist z + b)`` with ``lhs = G + w C`` and ``hist = lhs - fac G``,
-    i.e. ``z' = z - fac (lhs^-1 G) z + lhs^-1 b``: one stacked LU
+    (hist z + b)`` with ``lhs = G + w C`` and ``hist = lhs - 2 G``,
+    i.e. ``z' = z - 2 (lhs^-1 G) z + lhs^-1 b``: one stacked LU
     serves ``lhs^-1 [G | drive]``, where the ``(b, q, c)`` ``drive``
     holds either the ``m`` projected input columns ``Bq`` (then
     ``w_terms``, the ``(b, K, m)`` source samples combined per step,
@@ -897,14 +901,14 @@ def _batch_recurrence(
     # (a full-path rerun under model="auto", an error under "reduced").
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         states = _step_states(
-            solved[:, :, :q], solved[:, :, q : q + n_drive], w_terms, fac, z0,
+            solved[:, :, :q], solved[:, :, q : q + n_drive], w_terms, z0,
             rec_basis,
         )
         if not bordered:
             return states, None
         sub = _drop_last_direction(solved, q + n_drive)
         states_sub = _step_states(
-            sub[:, :, : q - 1], sub[:, :, q:], w_terms, fac, z0_sub,
+            sub[:, :, : q - 1], sub[:, :, q:], w_terms, z0_sub,
             rec_basis[:, : q - 1],
         )
     return states, states_sub
@@ -936,11 +940,10 @@ def _step_states(
     step_g: np.ndarray,
     solved_drive: np.ndarray,
     w_terms: np.ndarray | None,
-    fac: float,
     z: np.ndarray,
     rec_basis: np.ndarray,
 ) -> np.ndarray:
-    """Run the recurrence ``z' = z - fac S_G z + S_b`` and record outputs."""
+    """Run the recurrence ``z' = z - 2 S_G z + S_b`` and record outputs."""
     if w_terms is None:
         step_in = solved_drive
     else:
@@ -950,7 +953,7 @@ def _step_states(
     out = np.empty((z.shape[0], n_steps + 1, rec_basis.shape[0]))
     out[:, 0] = z @ rec_basis.T
     for k in range(n_steps):
-        z = z - fac * np.matmul(step_g, z[:, :, None])[:, :, 0] + step_in[:, :, k]
+        z = z - 2.0 * np.matmul(step_g, z[:, :, None])[:, :, 0] + step_in[:, :, k]
         out[:, k + 1] = z @ rec_basis.T
     return out
 
@@ -958,39 +961,24 @@ def _step_states(
 def _start_states(
     template: "ReducedTemplate",
     columns: Mapping[str, np.ndarray],
-    initial,
+    initial: str,
     wq: np.ndarray,
     n_points: int,
     q: int,
 ) -> np.ndarray | None:
     """Reduced start states ``(B, q)`` at order ``q`` (mirrors the full path).
 
-    DC starts on a shared grid dedup over the conductance-value rows
-    (:meth:`ReducedTemplate.batch_dc_states`); on per-point grids they
-    need each point's own ``Gq`` and source sample, so ``None`` asks the
-    caller to solve them block by block with :func:`_batch_dc_solve`.
+    ``"zero"`` starts at rest.  DC starts on a shared grid dedup over
+    the conductance-value rows (:meth:`ReducedTemplate.batch_dc_states`);
+    on per-point grids they need each point's own ``Gq`` and source
+    sample, so ``None`` asks the caller to solve them block by block
+    with :func:`_batch_dc_solve`.
     """
-    if isinstance(initial, str) and initial == "dc":
-        if wq.ndim == 2:
-            return template.batch_dc_states(columns, wq[0, :q], order=q)
-        return None
-    basis = template.basis
-    n = basis.shape[0]
-    if isinstance(initial, np.ndarray):
-        if initial.shape == (n,):
-            z0 = basis[:, :q].T @ initial.astype(float)
-            return np.broadcast_to(z0, (n_points, q)).copy()
-        if initial.shape == (n_points, n):
-            return initial.astype(float) @ basis[:, :q]
-        raise ParameterError(
-            f"initial state must have shape ({n},) or ({n_points}, {n}), "
-            f"got {initial.shape}"
-        )
     if initial == "zero":
         return np.zeros((n_points, q))
-    raise ParameterError(
-        f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
-    )
+    if wq.ndim == 2:
+        return template.batch_dc_states(columns, wq[0, :q], order=q)
+    return None
 
 
 def _block_start(
@@ -1027,12 +1015,12 @@ def _batch_dc_solve(gq: np.ndarray, wq0: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise SimulationError(
                 "singular reduced DC system while computing batch initial "
-                "operating points; pass initial='zero' or explicit states"
+                "operating points; pass initial='zero'"
             ) from exc
     if not np.all(np.isfinite(z0)):
         raise SimulationError(
             "singular reduced DC system while computing batch initial "
-            "operating points; pass initial='zero' or explicit states"
+            "operating points; pass initial='zero'"
         )
     return z0
 
@@ -1042,14 +1030,14 @@ def reduced_transient_batch(
     columns: Mapping[str, np.ndarray],
     times: np.ndarray,
     dt_eff: np.ndarray,
-    method,
-    initial,
+    initial: str,
     rec_rows: np.ndarray,
     estimates: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Reduced-tier lockstep transient over one parameter batch.
 
-    The q-space counterpart of the full batch integrator, served in
+    The q-space counterpart of the full batch integrator (trapezoidal,
+    from ``initial`` ``"dc"`` or ``"zero"`` at ``t = 0``), served in
     blocks of :data:`_SERVE_BLOCK` points: per block, projected matrices
     via :meth:`ReducedTemplate.reduce_many`, one stacked factorization
     and the recurrence at full order ``q`` -- and, when ``estimates``
@@ -1074,10 +1062,7 @@ def reduced_transient_batch(
     that point alone).  A singular full-order pencil still raises
     :class:`~repro.errors.SimulationError`.
     """
-    from repro.spice.transient import IntegrationMethod
-
-    trapezoidal = IntegrationMethod(method) is IntegrationMethod.TRAPEZOIDAL
-    fac = 2.0 if trapezoidal else 1.0
+    initial = _check_initial(initial)
     columns, n_points = template.structure.param_columns(columns)
     w_samples = template.structure.source_samples(times)
     bq = template.bq
@@ -1092,13 +1077,11 @@ def reduced_transient_batch(
     # terms come from a cheap recombination afterwards.
     if bq.shape[1] < n_steps:
         drive = bq
-        w_terms = w_samples[..., 1:, :]
-        if trapezoidal:
-            w_terms = w_terms + w_samples[..., :-1, :]
+        w_terms = w_samples[..., 1:, :] + w_samples[..., :-1, :]
         w_terms = np.broadcast_to(w_terms, (n_points,) + w_terms.shape[-2:])
     else:
         w_terms = None
-        drive = wq[..., 1:, :] + wq[..., :-1, :] if trapezoidal else wq[..., 1:, :]
+        drive = wq[..., 1:, :] + wq[..., :-1, :]
         drive = np.swapaxes(drive, -1, -2)
     drive = np.broadcast_to(drive, (n_points,) + drive.shape[-2:])
 
@@ -1108,7 +1091,7 @@ def reduced_transient_batch(
         if q_sub
         else None
     )
-    weight = fac / dt_eff
+    weight = 2.0 / dt_eff
     states = np.empty((n_points, n_steps + 1, rec_basis.shape[0]))
     defect = np.zeros(n_points)
     blocks = _serve_blocks(n_points)
@@ -1125,7 +1108,6 @@ def reduced_transient_batch(
                 gq,
                 cq,
                 weight[blk],
-                fac,
                 drive[blk],
                 None if w_terms is None else w_terms[blk],
                 _block_start(z0, blk, gq, wq, q),

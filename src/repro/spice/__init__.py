@@ -19,9 +19,9 @@ paper validates against.  It provides:
   multi-RHS block solves, and block-diagonal stacks of per-point
   factorizations (:func:`~repro.spice.backend.stack_factorizations`),
 - :mod:`repro.spice.dc`         -- DC operating point,
-- :mod:`repro.spice.transient`  -- backward-Euler / trapezoidal transient
-  (one factorization reused across every step; the grid always ends
-  exactly at ``t_stop``): lockstep batched stepping of
+- :mod:`repro.spice.transient`  -- trapezoidal transient from the DC
+  operating point or from rest at ``t = 0`` (one factorization reused
+  across every step; the grid always ends exactly at ``t_stop``): lockstep batched stepping of
   structure-identical parameter points as one stacked block-diagonal
   system (:func:`~repro.spice.transient.simulate_transient_batch`), with
   the scalar :func:`~repro.spice.transient.simulate_transient` as its

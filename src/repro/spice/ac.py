@@ -289,7 +289,7 @@ def ac_sweep_batch(
             omegas=omegas,
             states=states,
             structure=structure,
-            recorded_rows=tuple(int(r) for r in rec_rows),
+            recorded_rows=rec_rows,
         )
 
 
@@ -467,5 +467,5 @@ def _ac_batch_reduced(
         omegas=omegas,
         states=states,
         structure=structure,
-        recorded_rows=tuple(int(r) for r in rec_rows),
+        recorded_rows=rec_rows,
     )

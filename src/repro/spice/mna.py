@@ -409,15 +409,7 @@ class MnaStructure:
             },
             **given,
         }
-        missing = sorted(set(self.param_names) - set(columns))
-        unknown = sorted(set(columns) - set(self.param_names))
-        if missing:
-            raise ParameterError(f"missing parameter value(s): {missing}")
-        if unknown:
-            raise ParameterError(
-                f"unknown parameter(s) {unknown}; this structure has "
-                f"{list(self.param_names) or 'no parameters'}"
-            )
+        _check_param_names(self.param_names, columns)
         sizes = {c.size for c in columns.values() if c.size != 1}
         if len(sizes) > 1:
             raise ParameterError(
@@ -731,18 +723,14 @@ class CircuitTemplate:
         return build_mna_structure(self._circuit)
 
     def resolve_params(self, params: Mapping[str, float] | None = None) -> dict[str, float]:
-        """Defaults overlaid with ``params``; every slot must resolve."""
-        merged = dict(self._defaults)
-        for key, value in dict(params or {}).items():
-            if key not in self._names:
-                raise ParameterError(
-                    f"unknown parameter {key!r}; template has {list(self._names)}"
-                )
-            merged[key] = float(value)
-        missing = sorted(set(self._names) - set(merged))
-        if missing:
-            raise ParameterError(f"missing parameter value(s): {missing}")
-        return merged
+        """Defaults overlaid with ``params``; every slot must resolve.
+
+        Checks the names like :meth:`MnaStructure.param_columns`, with
+        the same texts, but never builds :attr:`structure`.
+        """
+        merged = {**self._defaults, **dict(params or {})}
+        _check_param_names(self._names, merged)
+        return {key: float(value) for key, value in merged.items()}
 
     def bind(
         self,
@@ -784,6 +772,24 @@ class CircuitTemplate:
         )
 
 
+def _check_param_names(expected, given) -> None:
+    """Raise unless the names ``given`` are exactly ``expected``.
+
+    The one name rule of a parameter point or batch: missing names are
+    reported first, then unknown ones, each as a
+    :class:`~repro.errors.ParameterError`.
+    """
+    missing = sorted(set(expected) - set(given))
+    if missing:
+        raise ParameterError(f"missing parameter value(s): {missing}")
+    unknown = sorted(set(given) - set(expected))
+    if unknown:
+        raise ParameterError(
+            f"unknown parameter(s) {unknown}; this structure has "
+            f"{list(expected) or 'no parameters'}"
+        )
+
+
 def _param_columns(
     template: CircuitTemplate | MnaStructure, params
 ) -> tuple[MnaStructure, dict[str, np.ndarray], int]:
@@ -803,6 +809,13 @@ def _param_columns(
         )
     columns, n_points = structure.param_columns(params, defaults)
     return structure, columns, n_points
+
+
+def _check_initial(initial) -> str:
+    """A transient start: ``"dc"`` (the operating point at ``t = 0``) or ``"zero"``."""
+    if isinstance(initial, str) and initial in ("dc", "zero"):
+        return initial
+    raise ParameterError(f"initial must be 'dc' or 'zero', got {initial!r}")
 
 
 def _recorded_rows(structure: MnaStructure, record) -> np.ndarray:
@@ -828,12 +841,18 @@ class _RecordedRows:
 
     Shared by the transient and AC batch results, whose ``states`` are
     ``(B, K, R)`` over the ``R`` MNA rows in ``recorded_rows``, indexed
-    through ``structure``.
+    through ``structure``.  The results take ``recorded_rows`` as the
+    row array :func:`_recorded_rows` resolves and keep it as a tuple of
+    ints.
     """
 
     states: np.ndarray
     structure: MnaStructure
     recorded_rows: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(np.asarray(self.recorded_rows).tolist())
+        object.__setattr__(self, "recorded_rows", rows)
 
     @property
     def n_points(self) -> int:

@@ -124,11 +124,12 @@ def simulate_step(
     system: StateSpace,
     t_stop: float,
     n_samples: int = 1001,
-    u: float | np.ndarray = 1.0,
-    x0: np.ndarray | None = None,
     stop_at: float | None = None,
 ) -> list[Waveform]:
-    """Simulate the response to a constant input applied at ``t = 0``.
+    """Simulate the unit-step response from rest.
+
+    Every input steps from 0 to 1 at ``t = 0``; the state starts at
+    zero.
 
     Parameters
     ----------
@@ -138,10 +139,6 @@ def simulate_step(
         End time; samples are uniform on ``[0, t_stop]``.
     n_samples:
         Number of output samples (including ``t = 0``).
-    u:
-        The constant input vector (scalar broadcast to all inputs).
-    x0:
-        Initial state (defaults to rest).
     stop_at:
         Stop stepping at the first sample where the (single) output
         rises through this level -- a sample strictly below it followed
@@ -170,10 +167,10 @@ def simulate_step(
             )
         if not math.isfinite(stop_at):
             raise ParameterError(f"stop_at must be finite, got {stop_at}")
-    u_vec = np.broadcast_to(np.asarray(u, dtype=float).ravel(), (system.n_inputs,))
-    x = np.zeros(system.order) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.order,):
-        raise ParameterError(f"x0 must have shape ({system.order},), got {x.shape}")
+    # A stride-0 view of one 1.0, not np.ones: numpy multiplies the two
+    # in a different summation order across several inputs.
+    u_vec = np.broadcast_to(1.0, (system.n_inputs,))
+    x = np.zeros(system.order)
 
     with obs.span("statespace.step", n=system.order) as sp:
         times = np.linspace(0.0, t_stop, n_samples)

@@ -1,19 +1,15 @@
 """Transient simulation of linear circuits.
 
-Solves the MNA system ``G x + C dx/dt = b(t)`` on a fixed time grid with
-either of the two classic companion-model integrators:
+Solves the MNA system ``G x + C dx/dt = b(t)`` on a fixed time grid
+``[0, t_stop]`` with the trapezoidal rule, the SPICE default: A-stable
+and second order, it preserves the oscillatory energy of underdamped
+RLC lines, which is exactly what the paper's experiments probe.  A run
+starts at ``t = 0`` from the DC operating point (``initial="dc"``, the
+default) or from rest (``initial="zero"``, the way out of a singular DC
+matrix).
 
-``backward-euler``
-    L-stable, first order.  Heavily damps numerical ringing; good for
-    quick-and-dirty runs.
-
-``trapezoidal``
-    A-stable, second order, the SPICE default.  Preserves the oscillatory
-    energy of underdamped RLC lines, which is exactly what the paper's
-    experiments probe, so it is the default here too.
-
-Both reduce each step to one linear solve with a *constant* matrix
-(fixed step size), factorized exactly once through a pluggable
+Each step is one linear solve with a *constant* matrix (fixed step
+size), factorized exactly once through a pluggable
 :class:`~repro.spice.backend.SimulationBackend` -- dense LU for small
 systems, RCM-banded or sparse LU for the long ladder chains where a
 dense solve would cost O(n^3)/O(n^2) per run.
@@ -32,7 +28,7 @@ Time grid
 ---------
 
 The grid always ends *exactly* at ``t_stop``.  ``dt`` is an upper bound
-on the step: the span is divided into ``ceil((t_stop - t_start) / dt)``
+on the step: the span is divided into ``ceil(t_stop / dt)``
 equal steps (``numpy.linspace`` style), so a non-divisible span shrinks
 the effective step slightly rather than letting the final sample
 overshoot past ``t_stop``.  (Historically the last point could land up
@@ -44,7 +40,6 @@ so a single matrix factorization still serves every step.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -63,6 +58,7 @@ from repro.spice.dc import _dc_solve_rows
 from repro.spice.mna import (
     CircuitTemplate,
     MnaStructure,
+    _check_initial,
     _concrete_structure,
     _param_columns,
     _recorded_rows,
@@ -72,19 +68,11 @@ from repro.spice.netlist import GROUND, Circuit, canonical_node
 from repro.tline.waveform import Waveform
 
 __all__ = [
-    "IntegrationMethod",
     "TransientResult",
     "TransientBatchResult",
     "simulate_transient",
     "simulate_transient_batch",
 ]
-
-
-class IntegrationMethod(str, enum.Enum):
-    """Time-integration schemes."""
-
-    BACKWARD_EULER = "backward-euler"
-    TRAPEZOIDAL = "trapezoidal"
 
 
 @dataclass(frozen=True)
@@ -129,15 +117,13 @@ def simulate_transient(
     circuit: Circuit,
     t_stop: float,
     dt: float,
-    method: IntegrationMethod | str = IntegrationMethod.TRAPEZOIDAL,
-    initial: str | np.ndarray = "dc",
-    t_start: float = 0.0,
+    initial: str = "dc",
     backend: SimulationBackend | str = "auto",
     model: str = "full",
     rom_order: int | None = None,
     rom_error_bound: float | None = None,
 ) -> TransientResult:
-    """Run a fixed-step transient analysis.
+    """Run a fixed-step trapezoidal transient analysis from ``t = 0``.
 
     A batch of one: the circuit's structure steps through
     :func:`simulate_transient_batch`, and row 0 of the batch comes back
@@ -154,16 +140,16 @@ def simulate_transient(
         End time (seconds).  The grid always includes ``t_stop`` as its
         exact last sample (see the module docstring).
     dt:
-        Maximum step size; when ``(t_stop - t_start) / dt`` is not an
+        Maximum step size; when ``t_stop / dt`` is not an
         integer the actual step shrinks so the grid stays uniform and
         lands exactly on ``t_stop``.  For RLC lines, resolve the
         fastest LC period: a few hundred steps per
         ``2*pi*sqrt(L_seg * C_seg)``.
-    method:
-        ``"trapezoidal"`` (default) or ``"backward-euler"``.
     initial:
-        ``"dc"`` (operating point with sources at ``t_start``), ``"zero"``,
-        or an explicit MNA state vector.
+        ``"dc"`` (default; the operating point with sources at ``t = 0``)
+        or ``"zero"`` (every unknown at rest, which also sidesteps a
+        singular DC matrix); anything else raises
+        :class:`~repro.errors.ParameterError`.
     backend:
         Linear-solver implementation: ``"auto"`` (default; picks dense,
         banded or sparse from the system's size and bandwidth), one of
@@ -191,18 +177,17 @@ def simulate_transient(
 
     Notes
     -----
-    For an ideal :class:`~repro.spice.netlist.Step` source delayed at
-    ``t = 0`` with ``initial='dc'``, the operating point sees the *pre-step*
-    value only if the step is strictly after ``t_start``; a step exactly at
-    ``t_start`` is handled like SPICE handles it -- the initial solve uses
-    the source value at ``t_start``, so place the step one ``dt`` later (or
-    start from ``initial='zero'``) to capture the onset.
+    With ``initial='dc'`` the operating point sees each source's value at
+    ``t = 0``.  An ideal :class:`~repro.spice.netlist.Step` switches
+    after its ``t_delay`` (the value at exactly ``t_delay`` is still
+    ``v0``), so a unit step at ``t = 0`` -- the paper's input -- starts
+    from the pre-step operating point and the first step captures the
+    onset.
     """
     structure = _concrete_structure(circuit)
     batch = simulate_transient_batch(
-        structure, {}, t_stop, dt, method=method, initial=initial,
-        t_start=t_start, backend=backend, model=model, rom_order=rom_order,
-        rom_error_bound=rom_error_bound,
+        structure, {}, t_stop, dt, initial=initial, backend=backend,
+        model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
     )
     return TransientResult(
         times=batch.times, states=batch.states[0], structure=structure
@@ -266,9 +251,7 @@ def simulate_transient_batch(
     params,
     t_stop,
     dt,
-    method: IntegrationMethod | str = IntegrationMethod.TRAPEZOIDAL,
-    initial: str | np.ndarray = "dc",
-    t_start: float = 0.0,
+    initial: str = "dc",
     backend: SimulationBackend | str = "auto",
     record: Sequence | None = None,
     model: str = "full",
@@ -306,12 +289,11 @@ def simulate_transient_batch(
         any name not supplied.
     t_stop, dt:
         End time and maximum step, each a scalar or a length-``B``
-        array.  Every point must resolve to the *same number of steps*
+        array; every grid starts at ``t = 0``.  Every point must resolve to the *same number of steps*
         (lockstep); per-point spans with a shared sample count -- e.g.
         ``dt = span / (n_samples - 1)`` -- satisfy this naturally.
-    method, initial, t_start, backend:
-        As in :func:`simulate_transient`; ``initial`` may also be a
-        ``(B, n)`` matrix of per-point start states.
+    initial, backend:
+        As in :func:`simulate_transient`.
     record:
         Optional sequence of node names (or raw MNA row indices) to
         record; ``None`` records every unknown.  Recording only the
@@ -346,7 +328,7 @@ def simulate_transient_batch(
     of many thousands of unknowns keep batches to a few dozen points and
     chunk larger sweeps (the sweep runner does this automatically).
     """
-    method = IntegrationMethod(method)
+    initial = _check_initial(initial)
     structure, columns, n_points = _param_columns(template, params)
     size = structure.size
 
@@ -356,8 +338,8 @@ def simulate_transient_batch(
     dt = np.broadcast_to(np.asarray(dt, dtype=float).ravel(), (n_points,))
     if np.any(dt <= 0) or not np.all(np.isfinite(dt)):
         raise ParameterError("dt must be positive and finite for every point")
-    if np.any(t_stop <= t_start):
-        raise ParameterError("t_stop must exceed t_start for every point")
+    if np.any(t_stop <= 0.0):
+        raise ParameterError("t_stop must be positive for every point")
     if stop_at is not None:
         n_recorded = size if record is None else len(record)
         if n_recorded != 1:
@@ -368,9 +350,8 @@ def simulate_transient_batch(
         if not math.isfinite(stop_at):
             raise ParameterError(f"stop_at must be finite, got {stop_at}")
 
-    spans = t_stop - t_start
     steps = np.maximum(
-        1, np.ceil((spans / dt) * (1.0 - 1e-12)).astype(int)
+        1, np.ceil((t_stop / dt) * (1.0 - 1e-12)).astype(int)
     )
     if np.unique(steps).size != 1:
         raise ParameterError(
@@ -378,29 +359,27 @@ def simulate_transient_batch(
             "derive dt from the span (dt = span / n_steps) per point"
         )
     n_steps = int(steps[0])
-    dt_eff = spans / n_steps
+    dt_eff = t_stop / n_steps
     shared_grid = bool(np.all(t_stop == t_stop[0]))
     if shared_grid:
-        times: np.ndarray = np.linspace(t_start, float(t_stop[0]), n_steps + 1)
+        times: np.ndarray = np.linspace(0.0, float(t_stop[0]), n_steps + 1)
     else:
         # Per-point grids, each the linspace its point would get alone,
         # so batch and per-point runs sample identical instants.
         times = np.empty((n_points, n_steps + 1))
         for j in range(n_points):
-            times[j] = np.linspace(t_start, float(t_stop[j]), n_steps + 1)
+            times[j] = np.linspace(0.0, float(t_stop[j]), n_steps + 1)
 
     from repro.rom.model import resolve_model
 
     model = resolve_model(model)
 
-    with obs.span(
-        "transient.batch", points=n_points, steps=n_steps, method=method.value
-    ) as sp:
+    with obs.span("transient.batch", points=n_points, steps=n_steps) as sp:
         if model != "full":
             reduced_result = _transient_batch_reduced(
-                structure, columns, n_points, times, dt_eff,
-                t_stop, dt, method, initial, t_start, backend, record,
-                model, rom_order, rom_error_bound, sp,
+                structure, columns, n_points, times, dt_eff, t_stop, dt,
+                initial, backend, record, model, rom_order, rom_error_bound,
+                sp,
             )
             if reduced_result is not None:
                 return reduced_result
@@ -418,12 +397,7 @@ def simulate_transient_batch(
             "spice.transient.steps_per_run", n_steps, buckets=obs.COUNT_BUCKETS
         )
 
-        if method is IntegrationMethod.BACKWARD_EULER:
-            weight = 1.0 / dt_eff
-            g_hist_sign = 0.0
-        else:
-            weight = 2.0 / dt_eff
-            g_hist_sign = -1.0
+        weight = 2.0 / dt_eff
 
         # Structure-identical points with identical values share one
         # numeric factorization.
@@ -467,19 +441,17 @@ def simulate_transient_batch(
         del factors  # a banded stack holds copies; free the originals
         order, stacked = stacked.in_factor_order()
         hist_op = _PatternCsr(pattern).block_diagonal(
-            np.concatenate([g_hist_sign * g_data, weight[:, None] * c_data], axis=1),
+            np.concatenate([-g_data, weight[:, None] * c_data], axis=1),
             None if order is None else order[:size],
         )
         x = _batch_initial_state(
-            structure, g_data, initial, t_start, backend, group_members
+            structure, g_data, initial, backend, group_members
         )
 
         rec_rows = _recorded_rows(structure, record)
         states = np.empty((n_points, n_steps + 1, rec_rows.size))
         states[:, 0, :] = x[:, rec_rows]
-        src_rows, src_terms = _source_terms(
-            structure, times, method is IntegrationMethod.TRAPEZOIDAL
-        )
+        src_rows, src_terms = _source_terms(structure, times)
         src_terms = np.broadcast_to(
             src_terms, (n_steps, n_points, src_rows.size)
         ).reshape(n_steps, -1)
@@ -523,7 +495,7 @@ def simulate_transient_batch(
             times=times,
             states=states,
             structure=structure,
-            recorded_rows=tuple(int(r) for r in rec_rows),
+            recorded_rows=rec_rows,
         )
 
 
@@ -535,9 +507,7 @@ def _transient_batch_reduced(
     dt_eff: np.ndarray,
     t_stop: np.ndarray,
     dt: np.ndarray,
-    method: IntegrationMethod,
-    initial,
-    t_start: float,
+    initial: str,
     backend,
     record,
     model: str,
@@ -570,19 +540,9 @@ def _transient_batch_reduced(
     sample_params: tuple = samples
     snapshot_key = None
     snapshot_builder = None
-    per_point_initial = (
-        isinstance(initial, np.ndarray) and initial.shape == (n_points, size)
-    )
     if samples and times.ndim == 1:
         n_steps = times.shape[0] - 1
-        if isinstance(initial, np.ndarray):
-            init_tag = ("array", initial.shape, hash(initial.tobytes()))
-        else:
-            init_tag = initial
-        snapshot_key = (
-            samples, method.value, n_steps, float(t_stop[0]),
-            float(t_start), init_tag,
-        )
+        snapshot_key = (samples, n_steps, float(t_stop[0]), initial)
         sample_params = ()
         snap_points = [nominal] + [dict(point) for point in samples]
 
@@ -591,23 +551,12 @@ def _transient_batch_reduced(
                 structure,
                 snap_points,
                 float(t_stop[0]),
-                (float(t_stop[0]) - t_start) / n_steps,
-                method=method,
-                initial="dc" if per_point_initial else initial,
-                t_start=t_start,
+                float(t_stop[0]) / n_steps,
+                initial=initial,
                 backend=backend,
                 model="full",
             )
-            snaps = result.states.reshape(-1, size).T
-            if per_point_initial:
-                # Per-point start states cannot ride along the sample
-                # trajectories, so a spread of them joins the snapshot
-                # cloud directly (they are what z0 is projected from).
-                picks = np.unique(
-                    np.linspace(0, n_points - 1, 32).astype(np.intp)
-                )
-                snaps = np.hstack([snaps, initial[picks].T])
-            return snaps
+            return result.states.reshape(-1, size).T
 
     def build():
         return rom_pkg.cached_reduced_template(
@@ -621,8 +570,8 @@ def _transient_batch_reduced(
 
     def serve(reduced_template, estimates):
         return rom_pkg.reduced_transient_batch(
-            reduced_template, columns, times, dt_eff, method, initial,
-            rec_rows, estimates=estimates,
+            reduced_template, columns, times, dt_eff, initial, rec_rows,
+            estimates=estimates,
         )
 
     def full_rerun(bad):
@@ -631,9 +580,7 @@ def _transient_batch_reduced(
             {name: col[bad] for name, col in columns.items()},
             t_stop[bad],
             dt[bad],
-            method=method,
-            initial=initial[bad] if per_point_initial else initial,
-            t_start=t_start,
+            initial=initial,
             backend=backend,
             record=record,
             model="full",
@@ -648,17 +595,17 @@ def _transient_batch_reduced(
         times=times,
         states=states,
         structure=structure,
-        recorded_rows=tuple(int(r) for r in rec_rows),
+        recorded_rows=rec_rows,
     )
 
 
 def _source_terms(
-    structure: MnaStructure, times: np.ndarray, trapezoidal: bool
+    structure: MnaStructure, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each step's source increment ``b``, at the source rows only.
 
     Returns ``(rows, terms)``: step ``k`` adds ``terms[k]`` -- ``b`` at
-    ``t_{k+1}``, plus ``b`` at ``t_k`` for the trapezoidal rule -- to
+    ``t_{k+1}`` plus ``b`` at ``t_k``, the trapezoidal rule's -- to
     ``rows`` of every point's right-hand side.  ``terms[k]`` has shape
     ``(1, R)`` on a shared grid and ``(B, R)`` on per-point grids.  The
     other rows of ``b`` are zero, and the history product they would be
@@ -667,46 +614,30 @@ def _source_terms(
     elementwise, so each value equals a per-step evaluation's.
     """
     rows, b = structure.source_rhs(np.atleast_2d(times))  # (1 or B, K + 1, R)
-    terms = b[:, 1:] + b[:, :-1] if trapezoidal else b[:, 1:]
-    return rows, terms.transpose(1, 0, 2)
+    return rows, (b[:, 1:] + b[:, :-1]).transpose(1, 0, 2)
 
 
 def _batch_initial_state(
     structure: MnaStructure,
     g_data: np.ndarray,
-    initial,
-    t_start: float,
+    initial: str,
     backend: SimulationBackend,
     group_members: list[list[int]],
 ) -> np.ndarray:
-    """Per-point start states as a ``(B, n)`` matrix (one row per point)."""
+    """Per-point start states at ``t = 0`` as a ``(B, n)`` matrix."""
     size = structure.size
     n_points = g_data.shape[0]
-    if isinstance(initial, np.ndarray):
-        if initial.shape == (size,):
-            return np.repeat(initial.astype(float)[None, :], n_points, axis=0)
-        if initial.shape == (n_points, size):
-            return initial.astype(float).copy()
-        raise ParameterError(
-            f"initial state must have shape ({size},) or ({n_points}, {size}), "
-            f"got {initial.shape}"
-        )
     if initial == "zero":
         return np.zeros((n_points, size))
-    if initial != "dc":
-        raise ParameterError(
-            f"initial must be 'zero', 'dc' or a vector, got {initial!r}"
-        )
     # One DC solve per distinct G among the factorization groups.
     leaders = [members[0] for members in group_members]
     solved = _dc_solve_rows(
         backend.factorizer(structure.g_pattern()),
         g_data[leaders],
-        structure.rhs(t_start),
+        structure.rhs(0.0),
         lambda i: (
             "singular DC system while computing the initial operating "
-            f"point of batch point {leaders[i]}; pass initial='zero' or an "
-            "explicit state matrix"
+            f"point of batch point {leaders[i]}; pass initial='zero'"
         ),
     )
     x = np.empty((n_points, size))

@@ -10,8 +10,8 @@ every reduced/auto tier decision goes through
 - full-tier ``times``/``states`` are ``==`` to frozen copies of the
   scalar loops the batch of one replaced, over PI/L/T ladders, a 4-line
   bus, the ``tests/netlists`` corpus (controlled sources included) and
-  H-tree/fanout/mesh circuits, on every backend, both integrators and
-  ``dc``/``zero``/explicit-vector starts;
+  H-tree/fanout/mesh circuits, on every backend, from ``dc`` and
+  ``zero`` starts;
 - ``simulated_delay_50(route="mna")`` equals the batch entry point bit
   for bit, and the full-window scalar path to ~1e-13;
 - ``model="auto"`` AC folds each point's exact probe residual into its
@@ -65,11 +65,7 @@ from repro.spice.netlist import (
     VoltageSource,
 )
 from repro.spice.parser import parse_netlist_file, suggest_transient_window
-from repro.spice.transient import (
-    IntegrationMethod,
-    simulate_transient,
-    simulate_transient_batch,
-)
+from repro.spice.transient import simulate_transient, simulate_transient_batch
 from repro.topology import (
     FanoutTreeSpec,
     HTreeSpec,
@@ -97,44 +93,31 @@ def _triplets(circuit):
     return structure, structure.g_plan.coo(g_data), structure.c_plan.coo(c_data)
 
 
-def _old_transient(circuit, t_stop, dt, method="trapezoidal", initial="dc",
-                   t_start=0.0, backend="auto"):
-    method = IntegrationMethod(method)
+def _old_transient(circuit, t_stop, dt, initial="dc", backend="auto"):
     structure, g_coo, c_coo = _triplets(circuit)
     size = structure.size
-    span = t_stop - t_start
-    n_steps = max(1, int(np.ceil((span / dt) * (1.0 - 1e-12))))
-    times = np.linspace(t_start, t_stop, n_steps + 1)
-    dt_eff = (t_stop - t_start) / n_steps
-    if method is IntegrationMethod.BACKWARD_EULER:
-        lhs = combine((1.0, g_coo), (1.0 / dt_eff, c_coo))
-        history = c_coo.scaled(1.0 / dt_eff)
-    else:
-        lhs = combine((1.0, g_coo), (2.0 / dt_eff, c_coo))
-        history = combine((-1.0, g_coo), (2.0 / dt_eff, c_coo))
+    n_steps = max(1, int(np.ceil((t_stop / dt) * (1.0 - 1e-12))))
+    times = np.linspace(0.0, t_stop, n_steps + 1)
+    dt_eff = t_stop / n_steps
+    lhs = combine((1.0, g_coo), (2.0 / dt_eff, c_coo))
+    history = combine((-1.0, g_coo), (2.0 / dt_eff, c_coo))
     backend = resolve_backend(backend, lhs)
     factorization = backend.factorize(lhs)
     history_op = history.to_csr()
     x = np.empty((n_steps + 1, size))
-    if isinstance(initial, np.ndarray):
-        x[0] = initial.astype(float).copy()
-    elif initial == "zero":
+    if initial == "zero":
         x[0] = np.zeros(size)
     else:
         b0 = np.zeros(size)
         for row, sign, waveform in structure.source_rows:
-            b0[row] += sign * waveform.value_at(t_start)
+            b0[row] += sign * waveform.value_at(0.0)
         x[0] = backend.factorize(g_coo).solve(b0)
     b_all = np.zeros((times.size, size))
     for row, sign, waveform in structure.source_rows:
         b_all[:, row] += sign * np.asarray(waveform(times), dtype=float)
-    if method is IntegrationMethod.BACKWARD_EULER:
-        for k in range(n_steps):
-            x[k + 1] = factorization.solve(b_all[k + 1] + history_op @ x[k])
-    else:
-        for k in range(n_steps):
-            rhs = b_all[k + 1] + b_all[k] + history_op @ x[k]
-            x[k + 1] = factorization.solve(rhs)
+    for k in range(n_steps):
+        rhs = b_all[k + 1] + b_all[k] + history_op @ x[k]
+        x[k + 1] = factorization.solve(rhs)
     return times, x
 
 
@@ -222,32 +205,14 @@ def _first_vsource(circuit):
 
 
 @pytest.mark.parametrize("initial", ["dc", "zero"])
-@pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
-def test_transient_matches_frozen_scalar_loop(name, backend, method, initial):
+def test_transient_matches_frozen_scalar_loop(name, backend, initial):
     circuit, t_stop, dt = _case(name)
     times, states = _old_transient(
-        circuit, t_stop, dt, method=method, initial=initial, backend=backend
+        circuit, t_stop, dt, initial=initial, backend=backend
     )
-    result = simulate_transient(
-        circuit, t_stop, dt, method=method, initial=initial, backend=backend
-    )
-    assert np.array_equal(result.times, times)
-    assert np.array_equal(result.states, states)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(CIRCUITS))
-def test_transient_explicit_start_matches_frozen_loop(name, backend):
-    circuit, t_stop, dt = _case(name)
-    x0 = np.linspace(-0.5, 0.5, build_mna_structure(circuit).size)
-    times, states = _old_transient(
-        circuit, t_stop, dt, initial=x0, t_start=t_stop / 7, backend=backend
-    )
-    result = simulate_transient(
-        circuit, t_stop, dt, initial=x0, t_start=t_stop / 7, backend=backend
-    )
+    result = simulate_transient(circuit, t_stop, dt, initial=initial, backend=backend)
     assert np.array_equal(result.times, times)
     assert np.array_equal(result.states, states)
 
@@ -599,6 +564,20 @@ def test_every_batch_entry_point_raises_one_text():
             texts.add(str(info.value))
         assert len(texts) == 1
         assert expected in texts.pop()
+
+
+def test_bind_checks_names_like_a_batch_without_building_the_structure():
+    circuit = build_ladder_template(20, "PI", loaded=True).circuit
+    cases = ({k: v for k, v in LINE.items() if k != "rt"}, {**LINE, "bogus": 1.0})
+    for params in cases:
+        template = CircuitTemplate(circuit)
+        with pytest.raises(ParameterError) as bound:
+            template.bind(params)
+        template.bind(LINE)
+        assert "structure" not in template.__dict__
+        with pytest.raises(ParameterError) as batch:
+            simulate_transient_batch(template, params, 1e-9, 1e-10)
+        assert str(bound.value) == str(batch.value)
 
 
 def test_batch_results_share_one_recorded_rows_lookup():

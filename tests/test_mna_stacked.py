@@ -10,9 +10,8 @@ step, through :func:`repro.spice.backend.stack_factorizations` (one
 - ``times`` and ``states`` are ``==`` to a frozen copy of the previous
   loop (one ``solve`` per distinct point per step) over PI/L/T ladders,
   a 4-line bus, H-tree, fanout and mesh templates, duplicate points,
-  shared and per-point grids, both integrators, every backend,
-  ``record=None``/``[node]``, ``stop_at=None``/``0.5`` and every
-  ``initial`` form;
+  shared and per-point grids, every backend, ``record=None``/``[node]``,
+  ``stop_at=None``/``0.5`` and both ``initial`` forms;
 - stepping in the stacked factorization's own row order (the banded
   backend's RCM order; dense and sparse keep the identity) keeps those
   ``==`` on a tridiagonal ladder and the 8-line bus (``kl = ku = 11``)
@@ -45,7 +44,6 @@ from repro.spice.ladder import build_ladder_template
 from repro.spice.mna import CircuitTemplate
 from repro.spice.netlist import Circuit, Param, PiecewiseLinear, Sine, Step
 from repro.spice.transient import (
-    IntegrationMethod,
     _batch_initial_state,
     _param_columns,
     _recorded_rows,
@@ -88,34 +86,26 @@ def _old_csr(pattern, data):
     return scipy.sparse.csr_matrix((acc, indices, indptr), shape=pattern.shape)
 
 
-def _old_batch(template, params, t_stop, dt, method="trapezoidal",
-               initial="dc", t_start=0.0, backend="auto", record=None,
-               stop_at=None):
-    method = IntegrationMethod(method)
+def _old_batch(template, params, t_stop, dt, initial="dc", backend="auto",
+               record=None, stop_at=None):
     structure, columns, n_points = _param_columns(template, params)
     t_stop = np.broadcast_to(np.asarray(t_stop, dtype=float).ravel(), (n_points,))
     dt = np.broadcast_to(np.asarray(dt, dtype=float).ravel(), (n_points,))
-    spans = t_stop - t_start
-    n_steps = int(np.maximum(1, np.ceil((spans / dt) * (1.0 - 1e-12)).astype(int))[0])
-    dt_eff = spans / n_steps
+    n_steps = int(np.maximum(1, np.ceil((t_stop / dt) * (1.0 - 1e-12)).astype(int))[0])
+    dt_eff = t_stop / n_steps
     shared_grid = bool(np.all(t_stop == t_stop[0]))
     if shared_grid:
-        times = np.linspace(t_start, float(t_stop[0]), n_steps + 1)
+        times = np.linspace(0.0, float(t_stop[0]), n_steps + 1)
     else:
         times = np.empty((n_points, n_steps + 1))
         for j in range(n_points):
-            times[j] = np.linspace(t_start, float(t_stop[j]), n_steps + 1)
+            times[j] = np.linspace(0.0, float(t_stop[j]), n_steps + 1)
 
     g_data, c_data = structure.revalue_many(columns)
     pattern = structure.combined_pattern()
     backend = resolve_backend(backend, pattern)
     factorizer = backend.factorizer(pattern)
-    if method is IntegrationMethod.BACKWARD_EULER:
-        weight = 1.0 / dt_eff
-        g_hist_sign = 0.0
-    else:
-        weight = 2.0 / dt_eff
-        g_hist_sign = -1.0
+    weight = 2.0 / dt_eff
     group_of: dict[tuple, int] = {}
     group_members: list[list[int]] = []
     for j in range(n_points):
@@ -128,9 +118,9 @@ def _old_batch(template, params, t_stop, dt, method="trapezoidal",
     for members in group_members:
         j = members[0]
         lhs = np.concatenate([g_data[j], weight[j] * c_data[j]])
-        hist = np.concatenate([g_hist_sign * g_data[j], weight[j] * c_data[j]])
+        hist = np.concatenate([-1.0 * g_data[j], weight[j] * c_data[j]])
         groups.append((members, factorizer.refactorize(lhs), _old_csr(pattern, hist)))
-    x = _batch_initial_state(structure, g_data, initial, t_start, backend, group_members)
+    x = _batch_initial_state(structure, g_data, initial, backend, group_members)
     rec_rows = _recorded_rows(structure, record)
     states = np.empty((n_points, n_steps + 1, rec_rows.size))
     states[:, 0, :] = x[:, rec_rows]
@@ -138,17 +128,16 @@ def _old_batch(template, params, t_stop, dt, method="trapezoidal",
         b_all = _old_rhs_matrix(structure, times)
     else:
         b_prev = _old_rhs_rows(structure, times[:, 0])
-    trapezoidal = method is IntegrationMethod.TRAPEZOIDAL
     steps_run = n_steps
     if stop_at is not None:
         below = states[:, 0, 0] < stop_at
         crossed = np.zeros(n_points, dtype=bool)
     for k in range(n_steps):
         if shared_grid:
-            b_term = b_all[k + 1] + b_all[k] if trapezoidal else b_all[k + 1]
+            b_term = b_all[k + 1] + b_all[k]
         else:
             b_next = _old_rhs_rows(structure, times[:, k + 1])
-            b_term = b_next + b_prev if trapezoidal else b_next
+            b_term = b_next + b_prev
             b_prev = b_next
         x_next = np.empty_like(x)
         for members, fact, hist_op in groups:
@@ -249,15 +238,10 @@ class TestLadders:
                 )
 
     @pytest.mark.parametrize("record", [None, ["n20"]])
-    @pytest.mark.parametrize("initial", ["dc", "zero", "vector", "matrix"])
+    @pytest.mark.parametrize("initial", ["dc", "zero"])
     def test_initial_and_record(self, rng, initial, record):
         template = build_ladder_template(20, "PI", loaded=True)
         points = _ladder_points(rng, 3)
-        size = template.structure.size
-        if initial == "vector":
-            initial = rng.uniform(0.0, 0.3, size)
-        elif initial == "matrix":
-            initial = rng.uniform(0.0, 0.3, (len(points), size))
         t_stop, dt = _grid(points, shared_grid=False)
         _assert_same(template, points, t_stop, dt, initial=initial, record=record)
 
@@ -271,16 +255,15 @@ class TestLadders:
 
 class TestBus:
     @pytest.mark.parametrize("shared_grid", [True, False])
-    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_methods_grids(self, rng, backend, method, shared_grid):
+    def test_backends_grids(self, rng, backend, shared_grid):
         template = build_bus_template(BUS, ("rise", "fall", "rise", "quiet"))
         points = _bus_points(rng)
         t_stop, dt = _grid(points, shared_grid, n_steps=120)
         for record, stop_at in ((None, None), ([BUS.output_node(0)], 0.5)):
             _assert_same(
-                template, points, t_stop, dt, method=method, backend=backend,
-                record=record, stop_at=stop_at,
+                template, points, t_stop, dt, backend=backend, record=record,
+                stop_at=stop_at,
             )
 
     def test_band_is_wider_than_a_vector(self):
@@ -419,12 +402,11 @@ def _sourced_template() -> CircuitTemplate:
 
 class TestSources:
     @pytest.mark.parametrize("shared_grid", [True, False])
-    @pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
-    def test_waveforms_evaluated_once(self, rng, method, shared_grid):
+    def test_waveforms_evaluated_once(self, rng, shared_grid):
         template = _sourced_template()
         points = [{"r": float(r), "l": 1e-8} for r in rng.uniform(10.0, 100.0, 3)]
         t_stop, dt = _grid(points, shared_grid, n_steps=300, t_stop=4e-9)
-        _assert_same(template, points, t_stop, dt, method=method)
+        _assert_same(template, points, t_stop, dt)
 
 
 class TestSweepRunner:
@@ -493,7 +475,7 @@ class TestErrors:
             )
         assert str(caught.value) == (
             "singular DC system while computing the initial operating point "
-            "of batch point 0; pass initial='zero' or an explicit state matrix"
+            "of batch point 0; pass initial='zero'"
         )
 
 

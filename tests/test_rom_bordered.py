@@ -9,8 +9,8 @@ into the suborder operators.  These tests pin that change:
 - served ``model="reduced"``/``"auto"`` states are ``==`` to a frozen
   copy of the previous path (one unblocked stacked solve per order),
   over bus, ladder and H-tree templates, shared and per-point grids,
-  trapezoidal and backward Euler, ``initial`` zero/dc/array and batch
-  sizes that are not multiples of the block;
+  ``initial`` zero/dc and batch sizes that are not multiples of the
+  block;
 - the suborder estimates agree to 1e-7 relative and every auto
   fallback decision is unchanged (on per-point grids' corner-union
   projections, whose pencils sit near the conditioning floor, the
@@ -116,9 +116,9 @@ def _old_initial(gq, wq0, initial, basis, n_points, q):
     return prima._batch_dc_solve(gq, np.broadcast_to(wq0, (n_points, q)))
 
 
-def _old_serve(template, columns, times, dt_eff, method, initial, rec_rows,
+def _old_serve(template, columns, times, dt_eff, initial, rec_rows,
                estimates=True):
-    trapezoidal = method == "trapezoidal"
+    trapezoidal = True
     gq, cq = template.reduce_many(columns)
     w_samples = template.structure.source_samples(times)
     bq = template.bq
@@ -233,23 +233,11 @@ def _grid(case, n_points, per_point):
     return times, stops / steps
 
 
-def _initial(case, kind, n_points):
-    """``"zero"``/``"dc"`` as is; ``"array"`` a seeded ``(B, n)`` start,
-    ``"vector"`` one ``(n,)`` start shared by every point."""
-    n = case["template"].structure.size
-    rng = np.random.default_rng(n_points)
-    if kind == "array":
-        return 0.1 * rng.standard_normal((n_points, n))
-    if kind == "vector":
-        return 0.1 * rng.standard_normal(n)
-    return kind
-
-
-def _serve(fn, case, n_points, per_point, method, initial, estimates):
+def _serve(fn, case, n_points, per_point, initial, estimates):
     times, dt_eff = _grid(case, n_points, per_point)
     return fn(
-        case["reduced"], _columns(case, n_points), times, dt_eff, method,
-        _initial(case, initial, n_points), case["rows"], estimates=estimates,
+        case["reduced"], _columns(case, n_points), times, dt_eff, initial,
+        case["rows"], estimates=estimates,
     )
 
 
@@ -271,10 +259,9 @@ def _split_bound(old_est):
 
 @pytest.mark.parametrize("n_points", SIZES)
 @pytest.mark.parametrize("per_point", [False, True], ids=["shared", "per_point"])
-@pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
-@pytest.mark.parametrize("initial", ["zero", "dc", "array", "vector"])
-def test_serve_matches_two_solve_path(case, n_points, per_point, method, initial):
-    args = (case, n_points, per_point, method, initial)
+@pytest.mark.parametrize("initial", ["zero", "dc"])
+def test_serve_matches_two_solve_path(case, n_points, per_point, initial):
+    args = (case, n_points, per_point, initial)
     new_red, none = _serve(prima.reduced_transient_batch, *args, estimates=False)
     old_red, _ = _serve(_old_serve, *args, estimates=False)
     assert none is None
@@ -364,13 +351,12 @@ def test_dispatch_per_point_grids_on_corner_union(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", ["trapezoidal", "backward-euler"])
-def test_bordered_suborder_matches_direct_solve(case, method):
+def test_bordered_suborder_matches_direct_solve(case):
     reduced = case["reduced"]
     gq, cq = reduced.reduce_many(_columns(case, 17))
     q = reduced.order
     bq = reduced.bq
-    weight = (2.0 if method == "trapezoidal" else 1.0) / (case["t_stop"] / case["steps"])
+    weight = 2.0 / (case["t_stop"] / case["steps"])
     lhs = gq + weight * cq
     rhs = np.concatenate(
         [gq, np.broadcast_to(bq, (17,) + bq.shape), np.zeros((17, q, 1))], axis=2
@@ -404,10 +390,10 @@ def _count_stacked_solves(monkeypatch):
 @pytest.mark.parametrize("n_points", SIZES)
 def test_one_stacked_solve_per_block(monkeypatch, case, n_points):
     calls = _count_stacked_solves(monkeypatch)
-    _serve(_old_serve, case, n_points, False, "trapezoidal", "dc", True)
+    _serve(_old_serve, case, n_points, False, "dc", True)
     assert calls == [n_points, n_points]  # one per order, whole batch
     calls.clear()
-    _serve(prima.reduced_transient_batch, case, n_points, False, "trapezoidal", "dc", True)
+    _serve(prima.reduced_transient_batch, case, n_points, False, "dc", True)
     blocks = prima._serve_blocks(n_points)
     assert len(calls) == len(blocks)
     assert sum(calls) == n_points  # one factorization per point
@@ -468,10 +454,10 @@ def test_singular_suborder_gives_that_point_an_infinite_estimate():
     dt_eff = np.full(3, 0.1)
     rows = np.arange(3)
     with pytest.raises(SimulationError, match="singular"):
-        _old_serve(template, columns, times, dt_eff, "trapezoidal", "zero", rows)
+        _old_serve(template, columns, times, dt_eff, "zero", rows)
     with np.errstate(all="raise"):  # no stray warnings either
         states, est = prima.reduced_transient_batch(
-            template, columns, times, dt_eff, "trapezoidal", "zero", rows
+            template, columns, times, dt_eff, "zero", rows
         )
     assert np.all(np.isfinite(states))
     assert est[1] == np.inf
@@ -538,7 +524,7 @@ def test_diverging_reduced_point_falls_back_without_warnings():
 
 def test_bad_initial_still_rejected(case):
     with pytest.raises(ParameterError, match="initial must be"):
-        _serve(prima.reduced_transient_batch, case, 3, False, "trapezoidal", "warm", True)
+        _serve(prima.reduced_transient_batch, case, 3, False, "warm", True)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def _serve_threads() -> list[threading.Thread]:
 @pytest.mark.parametrize("n_points", [1, 15, 17, 33, 256])
 @pytest.mark.parametrize("per_point", [False, True], ids=["shared", "per_point"])
 def test_pooled_serve_matches_one_worker(monkeypatch, case, n_points, per_point):
-    args = (case, n_points, per_point, "trapezoidal", "dc")
+    args = (case, n_points, per_point, "dc")
     _cpus(monkeypatch, 1)
     one = bordered._serve(prima.reduced_transient_batch, *args, estimates=True)
     _cpus(monkeypatch, 2)
@@ -153,7 +153,7 @@ def test_singular_pencil_in_one_block_raises_from_pooled_serve(monkeypatch):
     box = _call_with_timeout(
         lambda: prima.reduced_transient_batch(
             _SingularPencilTemplate(), {"a": a}, times, np.full(40, 0.1),
-            "trapezoidal", "zero", np.arange(3),
+            "zero", np.arange(3),
         )
     )
     assert isinstance(box.get("error"), SimulationError)

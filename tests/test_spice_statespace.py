@@ -85,23 +85,11 @@ class TestSimulateStep:
         )
         assert np.max(np.abs(w.values - expected)) < 1e-10
 
-    def test_scaled_input(self):
-        (w,) = simulate_step(first_order(), t_stop=3e-8, u=2.5)
-        assert w.values[-1] == pytest.approx(2.5, rel=1e-6)
-
-    def test_initial_state(self):
-        (w,) = simulate_step(
-            first_order(), t_stop=1e-8, x0=np.array([1.0]), u=1.0
-        )
-        assert np.allclose(w.values, 1.0)
-
     def test_validation(self):
         with pytest.raises(ParameterError, match="n_samples"):
             simulate_step(first_order(), 1e-9, n_samples=1)
         with pytest.raises(ParameterError, match="t_stop"):
             simulate_step(first_order(), -1e-9)
-        with pytest.raises(ParameterError, match="x0"):
-            simulate_step(first_order(), 1e-9, x0=np.zeros(3))
 
 
 class TestTransferAt:

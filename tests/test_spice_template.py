@@ -375,7 +375,7 @@ class TestBatchSemantics:
         with pytest.raises(ParameterError, match="not recorded"):
             sub.voltage("n1")
 
-    def test_initial_zero_and_matrix(self):
+    def test_initial_zero_and_arrays_rejected(self):
         params = self._params(2)
         template = self._template()
         z = simulate_transient_batch(
@@ -383,15 +383,11 @@ class TestBatchSemantics:
         )
         assert np.max(np.abs(z.states[:, 0, :])) == 0.0
         size = template.structure.size
-        x0 = np.zeros((2, size))
-        m = simulate_transient_batch(
-            template, params, t_stop=1e-9, dt=1e-11, initial=x0
-        )
-        np.testing.assert_array_equal(m.states, z.states)
-        with pytest.raises(ParameterError, match="initial state"):
-            simulate_transient_batch(
-                template, params, t_stop=1e-9, dt=1e-11, initial=np.zeros(3)
-            )
+        for x0 in (np.zeros((2, size)), np.zeros(size)):
+            with pytest.raises(ParameterError, match="initial must be 'dc' or 'zero'"):
+                simulate_transient_batch(
+                    template, params, t_stop=1e-9, dt=1e-11, initial=x0
+                )
 
     def test_column_params_broadcast(self):
         template = self._template()

@@ -146,12 +146,13 @@ class TestSimulateStepStopAt:
 
     @pytest.mark.parametrize("v_start", [0.5, 0.6])
     def test_start_at_or_above_level_waits_for_transition(self, v_start):
-        # Negative initial current pulls v_c below 0.5 before the step
-        # drives it back up through the level.
-        model = _series_rlc()
-        x0 = np.array([-0.02, v_start])
-        full = simulate_step(model, 2e-9, n_samples=2001, x0=x0)[0]
-        early = simulate_step(model, 2e-9, n_samples=2001, x0=x0, stop_at=0.5)[0]
+        # The feedthrough starts the output at v_start; the rising loop
+        # current then pulls it below 0.5 before v_c drives it back up
+        # through the level to 1.
+        rlc = _series_rlc()
+        model = StateSpace(a=rlc.a, b=rlc.b, c=[[-20.0, 1.0 - v_start]], d=[[v_start]])
+        full = simulate_step(model, 2e-9, n_samples=2001)[0]
+        early = simulate_step(model, 2e-9, n_samples=2001, stop_at=0.5)[0]
         n = early.times.size
         assert early.values[0] == v_start
         assert np.any(early.values[1:-1] < 0.5)
