@@ -11,7 +11,8 @@ every reduced/auto tier decision goes through
   scalar loops the batch of one replaced, over PI/L/T ladders, a 4-line
   bus, the ``tests/netlists`` corpus (controlled sources included) and
   H-tree/fanout/mesh circuits, on every backend, from ``dc`` and
-  ``zero`` starts;
+  ``zero`` starts, on windows the step divides and on clamped ones, and
+  for recorded row subsets;
 - ``simulated_delay_50(route="mna")`` equals the batch entry point bit
   for bit, and the full-window scalar path to ~1e-13;
 - ``model="auto"`` AC folds each point's exact probe residual into its
@@ -204,17 +205,45 @@ def _first_vsource(circuit):
 # ---------------------------------------------------------------------------
 
 
+#: ``dt`` multipliers: the suggested step divides the window exactly; a
+#: 1.37x step does not, so the step count rounds up and the step shrinks.
+GRIDS = {"divisible": 1.0, "clamped": 1.37}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
 @pytest.mark.parametrize("initial", ["dc", "zero"])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(CIRCUITS))
-def test_transient_matches_frozen_scalar_loop(name, backend, initial):
+def test_transient_matches_frozen_scalar_loop(name, backend, initial, grid):
     circuit, t_stop, dt = _case(name)
+    dt = dt * GRIDS[grid]
     times, states = _old_transient(
         circuit, t_stop, dt, initial=initial, backend=backend
     )
     result = simulate_transient(circuit, t_stop, dt, initial=initial, backend=backend)
     assert np.array_equal(result.times, times)
     assert np.array_equal(result.states, states)
+
+
+@pytest.mark.parametrize("initial", ["dc", "zero"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_recorded_rows_match_frozen_scalar_loop(name, backend, initial):
+    # Every third MNA row, last first: the gather must map each request
+    # through the backend's stepping order (RCM on banded) and keep the
+    # order asked for.
+    circuit, t_stop, dt = _case(name)
+    structure = build_mna_structure(circuit)
+    rows = list(range(structure.size))[::-3]
+    times, states = _old_transient(
+        circuit, t_stop, dt, initial=initial, backend=backend
+    )
+    result = simulate_transient_batch(
+        structure, {}, t_stop, dt, initial=initial, backend=backend, record=rows
+    )
+    assert result.recorded_rows == tuple(rows)
+    assert np.array_equal(result.times, times)
+    assert np.array_equal(result.states[0], states[:, rows])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -237,12 +237,13 @@ class TestLadders:
                     template, points, t_stop, dt, record=[node], stop_at=stop_at
                 )
 
+    @pytest.mark.parametrize("shared_grid", [True, False])
     @pytest.mark.parametrize("record", [None, ["n20"]])
     @pytest.mark.parametrize("initial", ["dc", "zero"])
-    def test_initial_and_record(self, rng, initial, record):
+    def test_initial_and_record(self, rng, initial, record, shared_grid):
         template = build_ladder_template(20, "PI", loaded=True)
         points = _ladder_points(rng, 3)
-        t_stop, dt = _grid(points, shared_grid=False)
+        t_stop, dt = _grid(points, shared_grid)
         _assert_same(template, points, t_stop, dt, initial=initial, record=record)
 
     def test_stop_cuts_the_run(self, rng):
@@ -254,16 +255,18 @@ class TestLadders:
 
 
 class TestBus:
+    # The falling line starts at 1, so the DC start is not the rest state.
+    @pytest.mark.parametrize("initial", ["dc", "zero"])
     @pytest.mark.parametrize("shared_grid", [True, False])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_grids(self, rng, backend, shared_grid):
+    def test_backends_grids(self, rng, backend, shared_grid, initial):
         template = build_bus_template(BUS, ("rise", "fall", "rise", "quiet"))
         points = _bus_points(rng)
         t_stop, dt = _grid(points, shared_grid, n_steps=120)
         for record, stop_at in ((None, None), ([BUS.output_node(0)], 0.5)):
             _assert_same(
-                template, points, t_stop, dt, backend=backend, record=record,
-                stop_at=stop_at,
+                template, points, t_stop, dt, initial=initial, backend=backend,
+                record=record, stop_at=stop_at,
             )
 
     def test_band_is_wider_than_a_vector(self):
@@ -401,12 +404,14 @@ def _sourced_template() -> CircuitTemplate:
 
 
 class TestSources:
+    # The sine's 0.1 V offset makes the DC start differ from rest.
+    @pytest.mark.parametrize("initial", ["dc", "zero"])
     @pytest.mark.parametrize("shared_grid", [True, False])
-    def test_waveforms_evaluated_once(self, rng, shared_grid):
+    def test_waveforms_evaluated_once(self, rng, shared_grid, initial):
         template = _sourced_template()
         points = [{"r": float(r), "l": 1e-8} for r in rng.uniform(10.0, 100.0, 3)]
         t_stop, dt = _grid(points, shared_grid, n_steps=300, t_stop=4e-9)
-        _assert_same(template, points, t_stop, dt)
+        _assert_same(template, points, t_stop, dt, initial=initial)
 
 
 class TestSweepRunner:

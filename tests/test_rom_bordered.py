@@ -8,9 +8,10 @@ into the suborder operators.  These tests pin that change:
 
 - served ``model="reduced"``/``"auto"`` states are ``==`` to a frozen
   copy of the previous path (one unblocked stacked solve per order),
-  over bus, ladder and H-tree templates, shared and per-point grids,
-  ``initial`` zero/dc and batch sizes that are not multiples of the
-  block;
+  over bus, ladder and H-tree templates, Krylov and snapshot (POD)
+  projections, one and several recorded rows, shared and per-point
+  grids, ``initial`` zero/dc and batch sizes that are not multiples of
+  the block;
 - the suborder estimates agree to 1e-7 relative and every auto
   fallback decision is unchanged (on per-point grids' corner-union
   projections, whose pencils sit near the conditioning floor, the
@@ -198,16 +199,41 @@ CASES = {
 SIZES = (1, 15, 17, 256)
 
 
+PROJECTIONS = ("krylov", "snapshot")
+RECORDS = ("one", "several")
+
+
+def _snapshots(template, nominal, varied, t_stop, n_samples=40):
+    """Full-tier trajectories at the nominal point and the low and high
+    corners of the varied box, as ``(n, 3 * n_samples)`` columns."""
+    (g_name, g_lo, g_hi), (c_name, c_lo, c_hi) = varied
+    points = [
+        nominal,
+        {**nominal, g_name: g_lo, c_name: c_lo},
+        {**nominal, g_name: g_hi, c_name: c_hi},
+    ]
+    run = simulate_transient_batch(template, points, t_stop, t_stop / (n_samples - 1))
+    return run.states.reshape(-1, run.states.shape[2]).T
+
+
 @pytest.fixture(scope="module", params=sorted(CASES))
 def case(request):
     build, nominal, varied, node, t_stop, steps, order = CASES[request.param]
     template = build()
     reduced = ReducedTemplate(template, order=order, params=nominal)
-    rows = np.asarray([template.structure.node_index[node]])
+    snapshot = ReducedTemplate(
+        template, order=order, params=nominal,
+        snapshots=_snapshots(template, nominal, varied, t_stop),
+    )
+    structure = template.structure
+    rows = np.asarray([structure.node_index[node]])
+    # The probed node, the first and the last MNA row (a branch current).
+    several = np.asarray([structure.node_index[node], 0, structure.size - 1])
     return dict(
         name=request.param, template=template, reduced=reduced,
+        projections=dict(krylov=reduced, snapshot=snapshot),
         nominal=nominal, varied=varied, node=node, t_stop=t_stop,
-        steps=steps, rows=rows,
+        steps=steps, rows=rows, records=dict(one=rows, several=several),
     )
 
 
@@ -233,11 +259,12 @@ def _grid(case, n_points, per_point):
     return times, stops / steps
 
 
-def _serve(fn, case, n_points, per_point, initial, estimates):
+def _serve(fn, case, n_points, per_point, initial, estimates,
+           projection="krylov", record="one"):
     times, dt_eff = _grid(case, n_points, per_point)
     return fn(
-        case["reduced"], _columns(case, n_points), times, dt_eff, initial,
-        case["rows"], estimates=estimates,
+        case["projections"][projection], _columns(case, n_points), times,
+        dt_eff, initial, case["records"][record], estimates=estimates,
     )
 
 
@@ -260,15 +287,21 @@ def _split_bound(old_est):
 @pytest.mark.parametrize("n_points", SIZES)
 @pytest.mark.parametrize("per_point", [False, True], ids=["shared", "per_point"])
 @pytest.mark.parametrize("initial", ["zero", "dc"])
-def test_serve_matches_two_solve_path(case, n_points, per_point, initial):
+@pytest.mark.parametrize("record", RECORDS)
+@pytest.mark.parametrize("projection", PROJECTIONS)
+def test_serve_matches_two_solve_path(case, n_points, per_point, initial,
+                                      record, projection):
     args = (case, n_points, per_point, initial)
-    new_red, none = _serve(prima.reduced_transient_batch, *args, estimates=False)
-    old_red, _ = _serve(_old_serve, *args, estimates=False)
+    where = dict(projection=projection, record=record)
+    new_red, none = _serve(
+        prima.reduced_transient_batch, *args, estimates=False, **where
+    )
+    old_red, _ = _serve(_old_serve, *args, estimates=False, **where)
     assert none is None
     assert np.array_equal(new_red, old_red)
 
-    new, new_est = _serve(prima.reduced_transient_batch, *args, estimates=True)
-    old, old_est = _serve(_old_serve, *args, estimates=True)
+    new, new_est = _serve(prima.reduced_transient_batch, *args, estimates=True, **where)
+    old, old_est = _serve(_old_serve, *args, estimates=True, **where)
     assert np.array_equal(new, old)
     assert np.array_equal(new, new_red)
     assert np.all(np.isfinite(old_est))
@@ -351,8 +384,9 @@ def test_dispatch_per_point_grids_on_corner_union(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_bordered_suborder_matches_direct_solve(case):
-    reduced = case["reduced"]
+@pytest.mark.parametrize("projection", PROJECTIONS)
+def test_bordered_suborder_matches_direct_solve(case, projection):
+    reduced = case["projections"][projection]
     gq, cq = reduced.reduce_many(_columns(case, 17))
     q = reduced.order
     bq = reduced.bq
