@@ -16,8 +16,6 @@ from repro.rom.model import (
     DEFAULT_ERROR_BOUND,
     MODELS,
     ROM_SIZE_CUTOFF,
-    ModelSelection,
-    record_model_selection,
     resolve_model,
     serve_tiered,
 )
@@ -34,11 +32,9 @@ __all__ = [
     "DEFAULT_ERROR_BOUND",
     "DEFAULT_ORDER",
     "ROM_SIZE_CUTOFF",
-    "ModelSelection",
     "ReducedTemplate",
     "cached_reduced_template",
     "corner_samples",
-    "record_model_selection",
     "reduced_transient_batch",
     "resolve_model",
     "serve_tiered",

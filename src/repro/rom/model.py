@@ -2,12 +2,12 @@
 
 Mirrors the ``backend=`` plumbing of :mod:`repro.spice.backend`: every
 simulation entry point takes a ``model="full" | "reduced" | "auto"``
-request, validates it through :func:`resolve_model`, and records the
-tier that actually served the query as a :class:`ModelSelection` --
-the evidence object counterpart of
-:class:`~repro.spice.backend.BackendSelection`.  While instrumentation
-is enabled, each decision also lands in the metrics registry as the
-labeled counter ``rom.model_selected{model=,rule=}``, so ``--trace`` /
+request and validates it through :func:`resolve_model`.  Which tier
+actually served each query, and by which rule, is recorded by
+:func:`serve_tiered` while instrumentation is enabled: as the labeled
+counters ``rom.model_selected{model=,rule=}`` (one count per point) and
+``rom.fallbacks{rule=}``, and as the ``model``, ``model_rule`` and
+``rom_fallbacks`` attributes of the analysis span, so ``--trace`` /
 ``--metrics-out`` show exactly which tier answered each query and why.
 
 The three tiers:
@@ -25,21 +25,21 @@ The three tiers:
 ``auto``
     Picks the cheapest adequate tier: full for small systems (at or
     below :data:`ROM_SIZE_CUTOFF` unknowns the full solve is already
-    cheap), reduced otherwise -- *unless* a point's pinned
-    a-posteriori estimate (build-time moment matching, suborder
-    convergence and, for AC, the exact probe residual) exceeds
-    :data:`DEFAULT_ERROR_BOUND` (or the caller's
+    cheap), reduced otherwise -- *unless* a point's a-posteriori
+    estimate exceeds :data:`DEFAULT_ERROR_BOUND` (or the caller's
     ``rom_error_bound``), in which case that point falls back to full
-    MNA and the fallback is recorded.
+    MNA and the fallback is recorded.  The estimate is the larger of
+    the projection's build-time error
+    (:attr:`~repro.rom.prima.ReducedTemplate.base_error`) and the
+    serve's per-point evidence: the nested-suborder convergence defect
+    and, for AC, the exact probe residuals.
 
-:func:`serve_tiered` is the one place these rules live: every
-transient and AC query, scalar or batched, reaches it.
+:func:`serve_tiered` is the one place these rules live, and the one
+place an estimate is formed: every transient and AC query, scalar or
+batched, reaches it.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +50,7 @@ __all__ = [
     "MODELS",
     "DEFAULT_ERROR_BOUND",
     "ROM_SIZE_CUTOFF",
-    "ModelSelection",
     "resolve_model",
-    "record_model_selection",
     "serve_tiered",
 ]
 
@@ -71,62 +69,6 @@ DEFAULT_ERROR_BOUND = 5e-3
 #: under ``model="auto"``: the full factorization is already cheap and
 #: a projection would only add build cost.
 ROM_SIZE_CUTOFF = 256
-
-
-@dataclass(frozen=True)
-class ModelSelection:
-    """Which evaluation tier served a query, and the evidence why.
-
-    The :class:`~repro.spice.backend.BackendSelection` counterpart for
-    model tiers: made by :func:`serve_tiered` and recorded as the
-    ``rom.model_selected{model=,rule=}`` counter while instrumentation
-    is enabled.
-
-    Attributes
-    ----------
-    model:
-        The tier that actually answered: ``"full"`` or ``"reduced"``.
-    rule:
-        Which decision rule fired: ``"explicit"`` (the caller named the
-        tier), ``"auto-small-system"`` (full; system at or below the
-        size cutoff), ``"auto-within-bound"`` (reduced; every error
-        estimate under the bound), ``"auto-error-fallback"`` (full; an
-        estimate exceeded the bound) or ``"auto-build-fallback"``
-        (full; the projection itself failed, e.g. a singular DC
-        matrix).
-    size:
-        Full MNA unknown count of the deciding system.
-    order:
-        Reduced order ``q`` that was used or evaluated; ``None`` when
-        no projection was attempted.
-    error_estimate, error_bound:
-        The worst a-posteriori error estimate and the bound it was
-        compared against; ``None`` when the rule decided without one.
-    """
-
-    model: str
-    rule: str
-    size: int
-    order: int | None = None
-    error_estimate: float | None = None
-    error_bound: float | None = None
-
-    def reason(self) -> str:
-        """One-line human-readable justification of the choice."""
-        if self.rule == "explicit":
-            return f"model={self.model!r} requested explicitly"
-        if self.rule == "auto-small-system":
-            return f"n={self.size} <= reduced-order cutoff {ROM_SIZE_CUTOFF}"
-        if self.rule == "auto-build-fallback":
-            return f"n={self.size}, projection build failed -> full MNA"
-        comparison = "<=" if self.rule == "auto-within-bound" else ">"
-        return (
-            f"n={self.size}, order {self.order}, error estimate "
-            f"{self.error_estimate:.2e} {comparison} bound {self.error_bound:g}"
-        )
-
-    def __repr__(self) -> str:
-        return f"ModelSelection({self.reason()} -> {self.model})"
 
 
 def resolve_model(model: str) -> str:
@@ -154,20 +96,16 @@ def resolve_model(model: str) -> str:
     return name
 
 
-def record_model_selection(selection: ModelSelection, n: int = 1) -> ModelSelection:
-    """Record a tier decision in the metrics registry; returns it.
+def _fold_estimates(template, states: np.ndarray, evidence: np.ndarray) -> np.ndarray:
+    """Per-point ``(B,)`` estimates: ``max(template.base_error, evidence)``.
 
-    Increments ``rom.model_selected{model=,rule=}`` by ``n`` (one per
-    query -- batch entry points count every point they served) and, for
-    fallbacks, ``rom.fallbacks{rule=}``.  A no-op while instrumentation
-    is disabled.
+    ``inf`` wherever the estimate or any of the point's ``states`` is
+    not finite, so exactly those points fall back under ``"auto"``.
     """
-    obs.inc(
-        "rom.model_selected", n, model=selection.model, rule=selection.rule
-    )
-    if selection.rule in ("auto-error-fallback", "auto-build-fallback"):
-        obs.inc("rom.fallbacks", n, rule=selection.rule)
-    return selection
+    with np.errstate(invalid="ignore"):
+        errors = np.maximum(template.base_error, evidence)
+    finite = np.isfinite(errors) & np.all(np.isfinite(states), axis=(1, 2))
+    return np.where(finite, errors, np.inf)
 
 
 def serve_tiered(
@@ -192,9 +130,10 @@ def serve_tiered(
         batch; raises :class:`~repro.errors.SimulationError` when the
         projection cannot be built.
     ``serve(template, estimates)``
-        ``(states, errors)``: the reduced ``(B, ...)`` states and, when
-        ``estimates`` is true, the per-point ``(B,)`` a-posteriori error
-        estimates (``inf`` wherever one is not finite), else ``None``.
+        ``(states, evidence)``: the reduced ``(B, K, R)`` states and,
+        when ``estimates`` is true, the per-point ``(B,)`` error
+        evidence of this serve (its suborder defect, and for AC its
+        probe residuals), else ``None``.
     ``full_rerun(mask)``
         Full-tier states of the points the boolean ``mask`` selects.
 
@@ -203,13 +142,16 @@ def serve_tiered(
     (``auto-small-system``); a failed build or serve falls back to full
     under ``"auto"`` (``auto-build-fallback`` / ``auto-error-fallback``)
     and raises under ``"reduced"``; ``"reduced"`` serves every point
-    (``explicit``) unless a state is not finite; ``"auto"`` serves the
-    points whose estimate is at most the bound (``auto-within-bound``,
-    default :data:`DEFAULT_ERROR_BOUND`) and re-runs the rest through
+    (``explicit``) unless a state is not finite; ``"auto"`` folds each
+    point's estimate, ``max(template.base_error, evidence)`` (``inf``
+    for a non-finite state or estimate), serves the points whose
+    estimate is at most the bound (``auto-within-bound``, default
+    :data:`DEFAULT_ERROR_BOUND`) and re-runs the rest through
     ``full_rerun``, merged back in place (``auto-error-fallback``).
     Returns the served states, or ``None`` when the whole batch must
-    run on the full tier.  Each decision is recorded once per point it
-    covers (:func:`record_model_selection`) and set on ``span``.
+    run on the full tier.  Each decision counts once per point it covers
+    in ``rom.model_selected{model=,rule=}`` (fallbacks also in
+    ``rom.fallbacks{rule=}``) and is set on ``span``.
     """
     bound = (
         DEFAULT_ERROR_BOUND if rom_error_bound is None
@@ -217,27 +159,29 @@ def serve_tiered(
     )
     auto = model == "auto"
 
-    def decline(selection: ModelSelection) -> None:
-        record_model_selection(selection, n_points)
-        span.set(model="full", model_rule=selection.rule)
+    def record(served: str, rule: str, n: int = n_points) -> None:
+        obs.inc("rom.model_selected", n, model=served, rule=rule)
+        if rule in ("auto-error-fallback", "auto-build-fallback"):
+            obs.inc("rom.fallbacks", n, rule=rule)
+
+    def decline(rule: str) -> None:
+        record("full", rule)
+        span.set(model="full", model_rule=rule)
 
     if auto and size <= ROM_SIZE_CUTOFF:
-        return decline(ModelSelection("full", "auto-small-system", size))
+        return decline("auto-small-system")
     try:
         template = build()
     except SimulationError:
         if not auto:
             raise
-        return decline(ModelSelection("full", "auto-build-fallback", size))
+        return decline("auto-build-fallback")
     try:
-        states, errors = serve(template, auto)
+        states, evidence = serve(template, auto)
     except SimulationError:
         if not auto:
             raise
-        return decline(ModelSelection(
-            "full", "auto-error-fallback", size, order=template.order,
-            error_estimate=math.inf, error_bound=bound,
-        ))
+        return decline("auto-error-fallback")
     span.set(n=size, order=template.order)
 
     if not auto:
@@ -246,35 +190,17 @@ def serve_tiered(
                 "reduced-tier solution is non-finite (diverged); raise "
                 "rom_order, reduce dt, or use model='full'"
             )
-        record_model_selection(
-            ModelSelection(
-                "reduced", "explicit", size, order=template.order,
-                error_estimate=template.moment_error, error_bound=bound,
-            ),
-            n_points,
-        )
+        record("reduced", "explicit")
         span.set(model="reduced", model_rule="explicit")
         return states
 
-    bad = ~(errors <= bound)
+    bad = ~(_fold_estimates(template, states, evidence) <= bound)
     n_bad = int(np.count_nonzero(bad))
     n_ok = n_points - n_bad
     if n_ok:
-        record_model_selection(
-            ModelSelection(
-                "reduced", "auto-within-bound", size, order=template.order,
-                error_estimate=float(np.max(errors[~bad])), error_bound=bound,
-            ),
-            n_ok,
-        )
+        record("reduced", "auto-within-bound", n_ok)
     if n_bad:
-        record_model_selection(
-            ModelSelection(
-                "full", "auto-error-fallback", size, order=template.order,
-                error_estimate=float(np.max(errors[bad])), error_bound=bound,
-            ),
-            n_bad,
-        )
+        record("full", "auto-error-fallback", n_bad)
         states[bad] = full_rerun(bad)
     span.set(
         model="reduced" if n_ok else "full",

@@ -27,14 +27,16 @@ point with stacked ``q x q`` operations.  A concrete circuit is
 projected with ``ReducedTemplate(build_mna_structure(circuit), order=q)``.
 
 Every reduced answer carries pinned a-posteriori error evidence: the
-build-time moment-matching defect (:attr:`ReducedTemplate.moment_error`),
-the nested-suborder convergence defect (basis prefixes stay
+build-time error (:attr:`ReducedTemplate.base_error`, the
+moment-matching defect of a Krylov basis), the nested-suborder
+convergence defect (:func:`_suborder_defect`; basis prefixes stay
 orthonormal, so re-answering with the weakest trailing direction
 dropped and comparing outputs costs only ``O(q^2)`` per point), and
 for AC the exact per-point residual ``||(G + jwC) V z - e|| / ||e||``
 at probe frequencies (:meth:`ReducedTemplate.ac_residuals`).
-``model="auto"`` callers fall back to full MNA whenever these
-estimates exceed the requested bound.
+:func:`repro.rom.model.serve_tiered` folds them into one estimate per
+point, and ``model="auto"`` falls back to full MNA wherever it exceeds
+the requested bound.
 """
 
 from __future__ import annotations
@@ -521,15 +523,17 @@ class ReducedTemplate:
         return self._moment_error
 
     @property
-    def snapshot_enriched(self) -> bool:
-        """Whether trajectory snapshots contributed basis columns.
+    def base_error(self) -> float:
+        """Build-time error every answer of this projection carries.
 
-        Snapshot (POD) bases do not aim at exact moment matching, so
-        their :attr:`moment_error` is descriptive build evidence rather
-        than a fidelity bound -- a-posteriori checks on such projections
-        should lean on the nested suborder convergence defect instead.
+        :attr:`moment_error` for a moment-matched Krylov basis; 0 for a
+        snapshot (POD) basis, which does not aim at moments, so its
+        moment defect is descriptive build evidence rather than a
+        fidelity bound -- there the per-point nested-suborder defect is
+        the whole a-posteriori story.  ``model="auto"`` folds it into
+        every point's estimate (:func:`repro.rom.model.serve_tiered`).
         """
-        return self._snapshot_enriched
+        return 0.0 if self._snapshot_enriched else self._moment_error
 
     def suborder(self) -> int:
         """Nested comparison order ``q2 = q - 1`` for convergence checks.
@@ -545,8 +549,8 @@ class ReducedTemplate:
         can go unstable and read as huge defects on projections whose
         true error is tiny.  A heuristic, not a bound: an unconverged
         answer can in principle move little under the drop, which is
-        why ``model="auto"`` folds it with the build-time moment defect
-        rather than trusting it alone.
+        why ``model="auto"`` folds it with :attr:`base_error` rather
+        than trusting it alone.
         """
         q = self.order
         if q <= 1:
@@ -995,6 +999,20 @@ def _block_start(
     return _batch_dc_solve(gq[:, :q, :q], wq[blk, 0, :q])
 
 
+def _suborder_defect(states: np.ndarray, states_sub: np.ndarray) -> np.ndarray:
+    """Per-point nested-suborder defect ``max|y_q - y_q2| / max|y_q|``.
+
+    ``states`` and ``states_sub`` are ``(B, K, R)`` outputs at orders
+    ``q`` and ``q2`` (real transients or complex spectra); a point whose
+    ``y_q`` is all zero divides by 1.  Non-finite inputs give a
+    non-finite defect, without a warning.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = np.max(np.abs(states), axis=(1, 2))
+        denom = np.where(denom > 0.0, denom, 1.0)
+        return np.max(np.abs(states - states_sub), axis=(1, 2)) / denom
+
+
 def _batch_dc_solve(gq: np.ndarray, wq0: np.ndarray) -> np.ndarray:
     """Stacked reduced DC solve ``(B, q)`` with per-point lstsq rescue."""
     n_points, q = gq.shape[0], gq.shape[1]
@@ -1043,23 +1061,25 @@ def reduced_transient_batch(
     and the recurrence at full order ``q`` -- and, when ``estimates``
     is requested, at the nested suborder ``q2 = q - 1`` from the *same*
     factorization (:func:`_batch_recurrence` borders ``e_q`` onto the
-    right-hand side), yielding a per-point convergence defect
-    ``max_t |y_q - y_q2| / max_t |y_q|`` folded with the build-time
-    moment error.  The blocks run concurrently (:func:`_run_blocks`).
-    ``times`` is the already-validated grid from the
-    caller (``(K+1,)`` shared or ``(B, K+1)``); ``rec_rows`` the
-    recorded MNA rows.  Returns ``(states, estimates)`` with ``states``
-    of shape ``(B, K+1, len(rec_rows))`` and ``estimates`` of shape
-    ``(B,)``.  ``estimates=False`` (the ``model="reduced"`` fast path,
-    which never falls back) skips the suborder and returns ``None``
-    estimates.
+    right-hand side), yielding each point's convergence defect
+    (:func:`_suborder_defect`).  The blocks run concurrently
+    (:func:`_run_blocks`).  ``times`` is the already-validated grid from
+    the caller (``(K+1,)`` shared or ``(B, K+1)``); ``rec_rows`` the
+    recorded MNA rows.  Returns ``(states, defect)`` with ``states`` of
+    shape ``(B, K+1, len(rec_rows))`` and ``defect`` of shape ``(B,)``
+    (zeros when the order has no suborder); ``estimates=False`` (the
+    ``model="reduced"`` fast path, which never falls back) skips the
+    suborder and returns ``None``.
+    :func:`~repro.rom.model.serve_tiered` folds the defect with
+    :attr:`ReducedTemplate.base_error` into the ``model="auto"``
+    estimate.
 
-    Error contract: every non-finite estimate is ``inf``, never an
-    exception, so ``model="auto"`` falls back to the full tier for
-    exactly those points.  That covers diverged full-order states and a
-    singular suborder pencil (its leading ``q2 x q2`` block has no
-    inverse, so the bordered solve yields non-finite suborder states for
-    that point alone).  A singular full-order pencil still raises
+    Error contract: a diverged point or a singular suborder pencil (its
+    leading ``q2 x q2`` block has no inverse, so the bordered solve
+    yields non-finite suborder states for that point alone) gives that
+    point non-finite states or a non-finite defect, never an exception,
+    so ``model="auto"`` falls back to the full tier for exactly those
+    points.  A singular full-order pencil still raises
     :class:`~repro.errors.SimulationError`.
     """
     initial = _check_initial(initial)
@@ -1100,9 +1120,7 @@ def reduced_transient_batch(
     def serve(blk: slice) -> None:
         # Writes only this block's rows of ``states`` and ``defect``.
         with obs.span("rom.reduce_many", **attrs):
-            gq, cq = template.reduce_many(
-                {name: col[blk] for name, col in columns.items()}
-            )
+            gq, cq = template.reduce_many(columns.take(blk))
         with obs.span("rom.recurrence", **attrs):
             states[blk], states_sub = _batch_recurrence(
                 gq,
@@ -1115,22 +1133,7 @@ def reduced_transient_batch(
                 _block_start(z0_sub, blk, gq, wq, q_sub) if q_sub else None,
             )
         if q_sub:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                denom = np.max(np.abs(states[blk]), axis=(1, 2))
-                denom = np.where(denom > 0.0, denom, 1.0)
-                defect[blk] = (
-                    np.max(np.abs(states[blk] - states_sub), axis=(1, 2)) / denom
-                )
+            defect[blk] = _suborder_defect(states[blk], states_sub)
 
     _run_blocks(serve, blocks)
-    if not estimates:
-        return states, None
-    # A moment-matched Krylov basis carries its build-time defect into
-    # every query; a snapshot (POD) basis does not target moments at
-    # all, so there the per-point suborder convergence defect is the
-    # whole a-posteriori story.
-    base_error = 0.0 if template.snapshot_enriched else template.moment_error
-    with np.errstate(invalid="ignore"):
-        folded = np.maximum(base_error, defect)
-    finite = np.isfinite(folded) & np.all(np.isfinite(states), axis=(1, 2))
-    return states, np.where(finite, folded, np.inf)
+    return states, defect if estimates else None

@@ -127,8 +127,10 @@ def ac_sweep(
         solves on a PRIMA projection, see :mod:`repro.rom`), or
         ``"auto"`` (reduced for large systems when the error estimate
         of :func:`ac_sweep_batch` stays under ``rom_error_bound``, full
-        otherwise; the decision is recorded as a
-        :class:`~repro.rom.model.ModelSelection`).
+        otherwise).  :func:`~repro.rom.model.serve_tiered` records the
+        decision in the ``rom.model_selected{model=,rule=}`` and
+        ``rom.fallbacks{rule=}`` counters and the span's ``model``,
+        ``model_rule`` and ``rom_fallbacks``.
     rom_order:
         Reduced order ``q`` for the non-full tiers (default
         :data:`repro.rom.prima.DEFAULT_ORDER`).
@@ -383,20 +385,21 @@ def _ac_batch_reduced(
 
     Supplies the build, serve and full-rerun callables of
     :func:`~repro.rom.model.serve_tiered`, which makes every tier
-    decision.  Returns an :class:`AcBatchResult`, or ``None`` when the
-    whole batch must run on the full path.  The projection comes from
+    decision and forms every estimate.  Returns an
+    :class:`AcBatchResult`, or ``None`` when the whole batch must run on
+    the full path.  The projection comes from
     :func:`repro.rom.prima.cached_reduced_template` at the value box
     midpoint, Krylov-enriched at the box corners, so repeated sweeps
     over one structure pay the build once; per-point projected matrices
     are ``O(groups * q^2)`` revaluations.  Each point's ``"auto"``
-    error estimate is the largest of the build-time moment error
-    (unless the basis is snapshot-enriched), its nested-suborder
-    convergence defect, and its exact relative residual
+    evidence is the larger of its nested-suborder convergence defect
+    and its exact relative residual
     ``||(G_j + jw C_j) V z - e_input|| / ||e_input||`` at up to
     :data:`_AC_PROBES` frequencies spread across the sweep
     (:meth:`~repro.rom.prima.ReducedTemplate.ac_residuals`).
     """
     from repro import rom as rom_pkg
+    from repro.rom.prima import _suborder_defect
 
     nominal, samples = rom_pkg.corner_samples(columns)
 
@@ -415,24 +418,16 @@ def _ac_batch_reduced(
         states = z @ rec_basis.T
         if not estimates:
             return states, None
-        errors = np.full(
-            n_points, 0.0 if reduced.snapshot_enriched else reduced.moment_error
-        )
+        evidence = np.zeros(n_points)
         q2 = reduced.suborder()
         if q2 < q:
             try:
                 z2 = _ac_batch_solve(
                     gq[:, :q2, :q2], cq[:, :q2, :q2], vq[:q2], omegas
                 )
-                diff = np.max(
-                    np.abs(states - z2 @ rec_basis[:, :q2].T), axis=(1, 2)
-                )
-                denom = np.max(np.abs(states), axis=(1, 2))
-                errors = np.maximum(
-                    errors, diff / np.where(denom > 0.0, denom, 1.0)
-                )
+                evidence = _suborder_defect(states, z2 @ rec_basis[:, :q2].T)
             except SimulationError:
-                errors[:] = np.inf
+                evidence[:] = np.inf
         n_probes = min(omegas.size, _AC_PROBES)
         probes = np.unique(
             np.linspace(0, omegas.size - 1, n_probes).astype(np.intp)
@@ -444,13 +439,12 @@ def _ac_batch_reduced(
                 structure.g_plan.coo(g_data[j]).to_csr(),
                 structure.c_plan.coo(c_data[j]).to_csr(),
             )
-            errors[j] = np.maximum(errors[j], np.max(residuals))
-        finite = np.all(np.isfinite(states), axis=(1, 2)) & np.isfinite(errors)
-        return states, np.where(finite, errors, np.inf)
+            evidence[j] = np.maximum(evidence[j], np.max(residuals))
+        return states, evidence
 
     def full_rerun(bad):
         full_states, _backend_name, shared_reuse = _ac_batch_full_states(
-            structure, {name: col[bad] for name, col in columns.items()},
+            structure, columns.take(bad),
             omegas, input_row, backend, rec_rows,
         )
         if shared_reuse:

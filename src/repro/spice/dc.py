@@ -18,10 +18,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.spice.backend import (
-    CooMatrix,
     PatternFactorizer,
     SimulationBackend,
-    combine,
     resolve_backend,
 )
 from repro.spice.mna import MnaStructure, _concrete_structure
@@ -55,22 +53,17 @@ class DcSolution:
 
 def dc_operating_point(
     circuit: Circuit,
-    time: float = 0.0,
-    gmin: float = 0.0,
     backend: SimulationBackend | str = "auto",
 ) -> DcSolution:
-    """Solve the DC operating point with sources held at ``t = time``.
+    """Solve the DC operating point with sources held at ``t = 0``.
+
+    This is the operating point a transient with ``initial="dc"``
+    starts from.
 
     Parameters
     ----------
     circuit:
         The netlist to solve.
-    time:
-        Time at which source waveforms are evaluated.
-    gmin:
-        Optional tiny conductance added from every node to ground, the
-        standard SPICE trick for floating (capacitor-only) nodes.  Zero by
-        default; pass e.g. ``1e-12`` if the solve reports singularity.
     backend:
         Linear-solver implementation (``"auto"``, ``"dense"``,
         ``"sparse"``, ``"banded"``, or a
@@ -84,20 +77,14 @@ def dc_operating_point(
     structure = _concrete_structure(circuit)
     g_data, _c_data = structure.revalue()
     g = structure.g_plan.coo(g_data)
-    if gmin:
-        diag = np.arange(structure.n_nodes, dtype=np.intp)
-        g = combine(
-            (1.0, g),
-            (1.0, CooMatrix(diag, diag, np.full(diag.size, gmin), g.shape)),
-        )
     backend = resolve_backend(backend, g)
     x = _dc_solve_rows(
         backend.factorizer(g),
         g.data[None, :],
-        structure.rhs(time),
+        structure.rhs(),
         lambda _i: (
             "singular DC system: check for floating nodes (capacitor-only "
-            "islands) or voltage-source/inductor loops; a small gmin may help"
+            "islands) or voltage-source/inductor loops"
         ),
     )[0]
     if not np.all(np.isfinite(x)):

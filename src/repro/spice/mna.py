@@ -160,6 +160,26 @@ class _PlanBuilder:
         return _MatrixPlan(rows=rows, cols=cols, const=const, groups=groups, size=size)
 
 
+class _Columns(dict):
+    """Normalized batch columns that keep their point count.
+
+    Made by :meth:`MnaStructure.param_columns`, which reads the count
+    back when given them again; ``B`` points over a structure without
+    parameters have no column to carry it.
+    """
+
+    def __init__(self, columns: Mapping[str, np.ndarray], n_points: int) -> None:
+        super().__init__(columns)
+        self.n_points = n_points
+
+    def take(self, index) -> "_Columns":
+        """The points ``index`` (a slice or boolean mask) selects."""
+        return _Columns(
+            {name: col[index] for name, col in self.items()},
+            np.arange(self.n_points)[index].size,
+        )
+
+
 @dataclass(frozen=True)
 class _MatrixPlan:
     """One MNA matrix as a frozen pattern plus a revaluation recipe.
@@ -309,9 +329,9 @@ class MnaStructure:
             b[..., column[row]] += sign * w[..., s]
         return np.asarray(rows, dtype=np.intp), b
 
-    def rhs(self, t: float) -> np.ndarray:
-        """Source vector ``b(t)`` at a scalar time."""
-        rows, b_rows = self.source_rhs(t)
+    def rhs(self) -> np.ndarray:
+        """Source vector ``b(0)``: the right-hand side of the DC start."""
+        rows, b_rows = self.source_rhs(0.0)
         b = np.zeros(self.size)
         b[rows] = b_rows
         return b
@@ -377,9 +397,11 @@ class MnaStructure:
         names ``params`` leaves out.  Columns come back in a fixed
         order -- ``defaults`` first, then the given names, sorted for a
         sequence of points -- which corner samples and the reduced
-        basis follow, each as a read-only ``(n_points,)`` array.  The
-        names must be exactly :attr:`param_names`; missing or unknown
-        names and columns of mismatched lengths raise
+        basis follow, each as a read-only ``(n_points,)`` array, in a
+        dict that also keeps ``n_points``: ``B`` point mappings are ``B``
+        points whatever names they carry, none for a structure without
+        parameters.  The names must be exactly :attr:`param_names`;
+        missing or unknown names and columns of mismatched lengths raise
         :class:`~repro.errors.ParameterError`.
         """
         if isinstance(params, Mapping):
@@ -387,6 +409,9 @@ class MnaStructure:
                 name: np.asarray(v, dtype=float).ravel()
                 for name, v in params.items()
             }
+            # Normalized columns carry their own count, which a batch
+            # over a structure without parameters has no column to hold.
+            n_given = params.n_points if isinstance(params, _Columns) else 1
         else:
             points = list(params or ())
             if not points:
@@ -402,6 +427,7 @@ class MnaStructure:
                 name: np.asarray([float(p[name]) for p in points], dtype=float)
                 for name in sorted(names)
             }
+            n_given = len(points)
         columns = {
             **{
                 name: np.asarray(v, dtype=float).ravel()
@@ -410,15 +436,17 @@ class MnaStructure:
             **given,
         }
         _check_param_names(self.param_names, columns)
-        sizes = {c.size for c in columns.values() if c.size != 1}
+        sizes = {c.size for c in columns.values()} | {n_given}
+        sizes.discard(1)
         if len(sizes) > 1:
             raise ParameterError(
                 f"parameter columns have mismatched lengths {sorted(sizes)}"
             )
         n_points = sizes.pop() if sizes else 1
-        return {
-            name: np.broadcast_to(c, (n_points,)) for name, c in columns.items()
-        }, n_points
+        return _Columns(
+            {name: np.broadcast_to(c, (n_points,)) for name, c in columns.items()},
+            n_points,
+        ), n_points
 
     def revalue(self, params: Mapping[str, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """COO ``(g_data, c_data)`` for one parameter point.

@@ -160,9 +160,11 @@ def simulate_transient(
         ``"reduced"`` (answer from a PRIMA-style projection of order
         ``rom_order``, see :mod:`repro.rom`), or ``"auto"`` (reduced for
         large systems when the a-posteriori error estimate stays under
-        ``rom_error_bound``, full otherwise; the decision is recorded as
-        a :class:`~repro.rom.model.ModelSelection` by
-        :func:`~repro.rom.model.serve_tiered`).
+        ``rom_error_bound``, full otherwise).
+        :func:`~repro.rom.model.serve_tiered` records the decision in
+        the ``rom.model_selected{model=,rule=}`` and
+        ``rom.fallbacks{rule=}`` counters and the span's ``model``,
+        ``model_rule`` and ``rom_fallbacks``.
     rom_order:
         Reduced order ``q`` for the non-full tiers (default
         :data:`repro.rom.prima.DEFAULT_ORDER`).
@@ -577,7 +579,7 @@ def _transient_batch_reduced(
     def full_rerun(bad):
         return simulate_transient_batch(
             structure,
-            {name: col[bad] for name, col in columns.items()},
+            columns.take(bad),
             t_stop[bad],
             dt[bad],
             initial=initial,
@@ -634,7 +636,7 @@ def _batch_initial_state(
     solved = _dc_solve_rows(
         backend.factorizer(structure.g_pattern()),
         g_data[leaders],
-        structure.rhs(0.0),
+        structure.rhs(),
         lambda i: (
             "singular DC system while computing the initial operating "
             f"point of batch point {leaders[i]}; pass initial='zero'"

@@ -134,15 +134,23 @@ def _dehoog_cf_coefficients(a: np.ndarray, M: int) -> np.ndarray:
     return d
 
 
+#: Half-period of the de Hoog Fourier series, in units of the latest
+#: requested time; it must exceed 1 to avoid aliasing.
+_DEHOOG_PERIOD_FACTOR = 2.0
+
+
 def dehoog(
     F: TransformFunction,
     times,
     M: int = 40,
-    alpha: float = 0.0,
     tol: float = 1e-10,
-    period_factor: float = 2.0,
 ) -> np.ndarray:
     """de Hoog--Knight--Stokes inversion.
+
+    ``F`` must be stable (no singularity right of the imaginary axis),
+    as every transform of a passive line is: the Bromwich contour sits
+    at ``Re s = -ln(tol) / (2 T)`` with the Fourier half-period ``T``
+    twice the latest requested time.
 
     Parameters
     ----------
@@ -154,22 +162,14 @@ def dehoog(
         ``2M + 1`` transform evaluations.
     M:
         Series order; ``2M + 1`` transform samples are used.
-    alpha:
-        An upper bound on the real part of the rightmost singularity of
-        ``F`` (0 for strictly stable systems).
     tol:
         Target accuracy used to place the Bromwich contour.
-    period_factor:
-        The half-period of the underlying Fourier series is
-        ``period_factor * max(times)``.  Must exceed 1 to avoid aliasing.
     """
     if M < 2:
         raise ParameterError(f"dehoog requires M >= 2, got {M}")
-    if period_factor <= 1.0:
-        raise ParameterError("period_factor must be > 1 to avoid aliasing")
     t = _as_time_array(times)
-    big_t = period_factor * float(np.max(t))
-    gamma = alpha - math.log(tol) / (2.0 * big_t)
+    big_t = _DEHOOG_PERIOD_FACTOR * float(np.max(t))
+    gamma = -math.log(tol) / (2.0 * big_t)
 
     k = np.arange(2 * M + 1)
     s_nodes = gamma + 1j * np.pi * k / big_t
@@ -208,30 +208,23 @@ def dehoog(
     return out
 
 
-def step_response(
-    H: TransformFunction,
-    times,
-    initial_value: float = 0.0,
-    **kwargs,
-) -> np.ndarray:
+def step_response(H: TransformFunction, times, M: int = 40) -> np.ndarray:
     """Unit-step response of a transfer function ``H(s)``.
 
-    Inverts ``H(s)/s`` with :func:`dehoog` (``kwargs`` go to it, e.g.
-    ``M``).  ``times`` may include ``t = 0`` (and only zero or
-    positive values); the response at ``t = 0`` is taken to be
-    ``initial_value`` (0 for any strictly proper, delay-dominated network
-    such as a driven transmission line).
+    Inverts ``H(s)/s`` with :func:`dehoog` of order ``M``.  ``times``
+    may include ``t = 0`` (and only zero or positive values); the
+    response there is 0, as for any strictly proper, delay-dominated
+    network such as a driven transmission line.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(t < 0):
         raise ParameterError("step_response requires non-negative times")
-    out = np.empty_like(t)
+    out = np.zeros_like(t)
     positive = t > 0
 
     def integrand(s: np.ndarray) -> np.ndarray:
         return H(s) / s
 
     if np.any(positive):
-        out[positive] = dehoog(integrand, t[positive], **kwargs)
-    out[~positive] = initial_value
+        out[positive] = dehoog(integrand, t[positive], M=M)
     return out

@@ -245,13 +245,13 @@ class DriverLineLoadTransfer:
         """``H(0)`` -- unity for any lossless-shunt line."""
         return float(np.real(self._transfer(np.array([1e-12 + 0j]))[0]))
 
-    def step_response(self, times, **kwargs) -> np.ndarray:
+    def step_response(self, times, M: int = 40) -> np.ndarray:
         """Far-end voltage for a unit step input, ``Vout(t)``.
 
-        Inverted with de Hoog's method; ``kwargs`` (e.g. ``M``) go to
-        :func:`~repro.tline.laplace.dehoog`.
+        Inverted with de Hoog's method of order ``M``
+        (:func:`~repro.tline.laplace.dehoog`).
         """
-        return step_response(self._transfer, times, **kwargs)
+        return step_response(self._transfer, times, M=M)
 
     def moments(self, order: int = 6) -> np.ndarray:
         """Maclaurin coefficients of ``H(s)`` (see :func:`transfer_moments`)."""

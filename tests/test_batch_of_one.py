@@ -550,14 +550,19 @@ def test_rhs_is_the_scattered_source_samples():
         assert np.array_equal(
             structure.source_samples(per_point)[..., s], waveform(per_point)
         )
+    rows, b_rows = structure.source_rhs(times)
     for k, t in enumerate(times):
         scattered = np.zeros(structure.size)
         old = np.zeros(structure.size)
         for s, (row, sign, waveform) in enumerate(structure.source_rows):
             scattered[row] += sign * samples[k, s]
             old[row] += sign * waveform.value_at(t)  # the old rhs(t) loop
-        assert np.array_equal(structure.rhs(t), scattered)
+        b = np.zeros(structure.size)
+        b[rows] = b_rows[k]
+        assert np.array_equal(b, scattered)
         assert np.array_equal(scattered, old)
+        if t == 0.0:
+            assert np.array_equal(structure.rhs(), scattered)
 
 
 def test_every_batch_entry_point_raises_one_text():
@@ -593,6 +598,56 @@ def test_every_batch_entry_point_raises_one_text():
             texts.add(str(info.value))
         assert len(texts) == 1
         assert expected in texts.pop()
+
+
+@pytest.mark.parametrize("model", ["full", "reduced", "auto"])
+@pytest.mark.parametrize("name", ["ladder-PI-150", "netlist-rc_ladder.cir"])
+def test_points_without_parameters_are_points(name, model):
+    """``B`` point mappings over a structure without parameters are ``B``
+    points: every batch entry point returns ``B`` equal rows, each the
+    one-point run to the batch paths' 1e-12 (a stacked solve or a
+    three-row product may round differently from a one-point one)."""
+    circuit, t_stop, dt = _case(name)
+    structure = build_mna_structure(circuit)
+    assert not structure.param_names
+    kwargs = dict(model=model, rom_order=8)
+
+    def same(batch, one):
+        assert batch.n_points == 3
+        for row in batch.states:
+            assert np.array_equal(row, batch.states[0])
+            np.testing.assert_allclose(
+                row, one, rtol=0.0, atol=1e-12 * np.max(np.abs(one))
+            )
+
+    one = simulate_transient_batch(structure, [{}], t_stop, dt, **kwargs)
+    stops = t_stop * np.ones(3)
+    same(
+        simulate_transient_batch(
+            structure, [{}] * 3, stops, stops / one.n_steps, **kwargs
+        ),
+        one.states[0],
+    )
+    # Per-point windows: point 0 keeps the one-point window.
+    stops = t_stop * np.array([1.0, 1.1, 1.2])
+    batch = simulate_transient_batch(
+        structure, [{}] * 3, stops, stops / one.n_steps, **kwargs
+    )
+    assert batch.n_points == 3 and batch.times.shape == (3, one.n_steps + 1)
+    np.testing.assert_allclose(
+        batch.states[0], one.states[0], rtol=0.0,
+        atol=1e-12 * np.max(np.abs(one.states[0])),
+    )
+    source = _first_vsource(circuit)
+    omegas = [1e8, 1e9]
+    one = ac_sweep_batch(structure, [{}], omegas, input_source=source, **kwargs)
+    same(
+        ac_sweep_batch(structure, [{}] * 3, omegas, input_source=source, **kwargs),
+        one.states[0],
+    )
+    for data, row in zip(structure.revalue_many([{}] * 3), structure.revalue()):
+        assert data.shape[0] == 3
+        assert all(np.array_equal(point, row) for point in data)
 
 
 def test_bind_checks_names_like_a_batch_without_building_the_structure():

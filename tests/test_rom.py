@@ -2,8 +2,7 @@
 
 Pins the ``model="full" | "reduced" | "auto"`` plumbing end to end:
 
-- :func:`repro.rom.model.resolve_model` validation and
-  :class:`~repro.rom.model.ModelSelection` evidence/repr,
+- :func:`repro.rom.model.resolve_model` validation,
 - reduced-vs-full equivalence for transient, AC and delay queries on
   ladders, coupled buses, H-trees, fanout trees and meshes, across all
   three linear-solver backends,
@@ -43,12 +42,12 @@ from repro.rom import (
     DEFAULT_ERROR_BOUND,
     MODELS,
     ROM_SIZE_CUTOFF,
-    ModelSelection,
     ReducedTemplate,
     cached_reduced_template,
     resolve_model,
 )
 from repro.rom import prima
+from repro.rom.model import _fold_estimates
 from repro.spice.ac import ac_sweep, ac_sweep_batch
 from repro.spice.ladder import (
     LadderSpec,
@@ -109,7 +108,7 @@ def _ladder(params: dict, n: int):
 
 
 # ---------------------------------------------------------------------------
-# resolve_model and ModelSelection
+# resolve_model
 # ---------------------------------------------------------------------------
 
 
@@ -132,25 +131,6 @@ class TestResolveModel:
     def test_non_string_rejected(self):
         with pytest.raises(ParameterError, match="model must be"):
             resolve_model(3)
-
-    def test_selection_repr_is_the_evidence(self):
-        explicit = ModelSelection(model="reduced", rule="explicit", size=300)
-        assert "reduced" in repr(explicit)
-        assert "explicitly" in repr(explicit)
-        fallback = ModelSelection(
-            model="full",
-            rule="auto-error-fallback",
-            size=300,
-            order=8,
-            error_estimate=0.25,
-            error_bound=5e-3,
-        )
-        assert "full" in repr(fallback)
-        assert "0.005" in repr(fallback) or "5e-03" in repr(fallback)
-
-    def test_small_system_reason_names_the_cutoff(self):
-        sel = ModelSelection(model="full", rule="auto-small-system", size=10)
-        assert str(ROM_SIZE_CUTOFF) in sel.reason()
 
 
 class TestPrimaApi:
@@ -525,9 +505,9 @@ def test_auto_estimate_bounds_true_error_on_bus_boxes(monkeypatch):
     serve = rom_pkg.reduced_transient_batch
 
     def spy(reduced, *args, **kwargs):
-        states, est = serve(reduced, *args, **kwargs)
-        served.append((reduced.order, est))
-        return states, est
+        states, defect = serve(reduced, *args, **kwargs)
+        served.append((reduced.order, _fold_estimates(reduced, states, defect)))
+        return states, defect
 
     monkeypatch.setattr(rom_pkg, "reduced_transient_batch", spy)
     effectivity = []

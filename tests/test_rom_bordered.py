@@ -12,10 +12,12 @@ into the suborder operators.  These tests pin that change:
   projections, one and several recorded rows, shared and per-point
   grids, ``initial`` zero/dc and batch sizes that are not multiples of
   the block;
-- the suborder estimates agree to 1e-7 relative and every auto
-  fallback decision is unchanged (on per-point grids' corner-union
-  projections, whose pencils sit near the conditioning floor, the
-  estimates agree only to that floor -- see the test there);
+- the suborder estimates (the serve's defect folded with the
+  build-time error, as :func:`repro.rom.model.serve_tiered` folds it)
+  agree to 1e-7 relative and every auto fallback decision is unchanged
+  (on per-point grids' corner-union projections, whose pencils sit near
+  the conditioning floor, the estimates agree only to that floor -- see
+  the test there);
 - the bordered ``q - 1`` operators match a direct solve on the leading
   block to 1e-9 relative;
 - one stacked solve per block, where the previous path made two per
@@ -38,6 +40,7 @@ from repro.bus.builder import build_bus_template
 from repro.bus.spec import BusSpec
 from repro.errors import ParameterError, SimulationError
 from repro.rom import prima
+from repro.rom.model import _fold_estimates
 from repro.rom.prima import ReducedTemplate
 from repro.spice.ladder import build_ladder_template
 from repro.spice.mna import build_mna_structure
@@ -135,8 +138,7 @@ def _old_serve(template, columns, times, dt_eff, initial, rec_rows,
     )
     if not estimates:
         return states, None
-    base_error = 0.0 if template.snapshot_enriched else template.moment_error
-    est = np.full(states.shape[0], base_error)
+    est = np.full(states.shape[0], template.base_error)
     q2 = template.suborder()
     if q2 < template.order:
         states2 = _old_recurrence(
@@ -302,6 +304,7 @@ def test_serve_matches_two_solve_path(case, n_points, per_point, initial,
 
     new, new_est = _serve(prima.reduced_transient_batch, *args, estimates=True, **where)
     old, old_est = _serve(_old_serve, *args, estimates=True, **where)
+    new_est = _fold_estimates(case["projections"][projection], new, new_est)
     assert np.array_equal(new, old)
     assert np.array_equal(new, new_red)
     assert np.all(np.isfinite(old_est))
@@ -328,7 +331,8 @@ def test_dispatch_serves_same_states(monkeypatch, model, n_points):
     def spy(name, fn):
         def wrapped(*args, **kwargs):
             states, est = fn(*args, **kwargs)
-            seen[name] = est
+            if est is not None:
+                seen[name] = _fold_estimates(args[0], states, est)
             return states, est
         return wrapped
 
@@ -366,7 +370,7 @@ def test_dispatch_per_point_grids_on_corner_union(monkeypatch):
     for name, fn in (("new", prima.reduced_transient_batch), ("old", _old_serve)):
         def spy(*args, _fn=fn, _name=name, **kwargs):
             states, est = _fn(*args, **kwargs)
-            seen[_name] = est
+            seen[_name] = _fold_estimates(args[0], states, est)
             return states, est
 
         monkeypatch.setattr(rom_pkg, "reduced_transient_batch", spy)
@@ -490,9 +494,10 @@ def test_singular_suborder_gives_that_point_an_infinite_estimate():
     with pytest.raises(SimulationError, match="singular"):
         _old_serve(template, columns, times, dt_eff, "zero", rows)
     with np.errstate(all="raise"):  # no stray warnings either
-        states, est = prima.reduced_transient_batch(
+        states, defect = prima.reduced_transient_batch(
             template, columns, times, dt_eff, "zero", rows
         )
+        est = _fold_estimates(template, states, defect)
     assert np.all(np.isfinite(states))
     assert est[1] == np.inf
     assert np.all(np.isfinite(est[[0, 2]]))

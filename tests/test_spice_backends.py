@@ -157,12 +157,6 @@ class TestSingularPaths:
         with pytest.raises(SimulationError, match="singular"):
             dc_operating_point(floating_node_circuit(), backend=backend)
 
-    def test_dc_gmin_rescues(self, backend):
-        sol = dc_operating_point(
-            floating_node_circuit(), gmin=1e-12, backend=backend
-        )
-        assert np.isfinite(sol.voltage("c"))
-
     def test_transient_initial_dc_singular_g_raises(self, backend):
         with pytest.raises(SimulationError, match="initial operating"):
             simulate_transient(

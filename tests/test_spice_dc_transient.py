@@ -68,21 +68,12 @@ class TestDcOperatingPoint:
         with pytest.raises(SimulationError, match="singular"):
             dc_operating_point(ckt)
 
-    def test_gmin_rescues_floating_node(self):
-        ckt = Circuit()
-        ckt.add_voltage_source("v1", "a", "0", 1.0)
-        ckt.add_resistor("r1", "a", "b", 1.0)
-        ckt.add_capacitor("c1", "b", "c", 1e-12)
-        ckt.add_capacitor("c2", "c", "0", 1e-12)
-        sol = dc_operating_point(ckt, gmin=1e-12)
-        assert np.isfinite(sol.voltage("c"))
-
     def test_time_dependent_source(self):
         ckt = Circuit()
         ckt.add_voltage_source("v1", "a", "0", Step(1.0, 5.0, t_delay=1.0))
         ckt.add_resistor("r1", "a", "0", 1.0)
-        assert dc_operating_point(ckt, time=0.0).voltage("a") == 1.0
-        assert dc_operating_point(ckt, time=2.0).voltage("a") == 5.0
+        # Sources are held at t = 0, before the step.
+        assert dc_operating_point(ckt).voltage("a") == 1.0
 
 
 def rc_charge_circuit(r=1000.0, c=1e-12) -> Circuit:

@@ -81,7 +81,7 @@ class TestAssembly:
         ckt.add_current_source("i1", "0", "a", 2.0)  # injects into a
         ckt.add_resistor("r1", "a", "0", 5.0)
         structure, g, c = assemble(ckt)
-        b = structure.rhs(0.0)
+        b = structure.rhs()
         assert b[structure.node_index["a"]] == pytest.approx(2.0)
 
     def test_row_lookup_errors(self):
@@ -109,7 +109,7 @@ class TestConservationProperties:
             ckt.add_resistor(f"r{i}", f"n{i}", f"n{i + 1}", r)
         ckt.add_resistor("rterm", f"n{len(values)}", "0", 1.0)
         structure, g, c = assemble(ckt)
-        x = np.linalg.solve(g, structure.rhs(0.0))
+        x = np.linalg.solve(g, structure.rhs())
         current = -x[structure.branch_index["v1"]]  # source convention
         assert current == pytest.approx(1.0 / (sum(values) + 1.0), rel=1e-9)
 

@@ -94,10 +94,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="M >= 2"):
             talbot(lambda s: 1 / s, [1.0], M=1)
 
-    def test_dehoog_rejects_bad_period(self):
-        with pytest.raises(ParameterError, match="period_factor"):
-            dehoog(lambda s: 1 / s, [1.0], period_factor=0.9)
-
     def test_rejects_nonfinite_times(self):
         with pytest.raises(ParameterError):
             talbot(lambda s: 1 / s, [np.nan])
@@ -110,10 +106,6 @@ class TestStepResponse:
         got = step_response(lambda s: 1.0 / (1.0 + s), t)
         assert got[0] == 0.0
         assert np.allclose(got[1:], 1.0 - np.exp(-t[1:]), atol=1e-5)
-
-    def test_initial_value_override(self):
-        got = step_response(lambda s: 1.0 / (1.0 + s), [0.0], initial_value=0.25)
-        assert got[0] == 0.25
 
     def test_rejects_negative_times(self):
         with pytest.raises(ParameterError, match="non-negative"):

@@ -11,6 +11,8 @@ criterion).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.errors import ParameterError
 from repro.spice.ac import ac_sweep, ac_sweep_batch
 from repro.spice.dc import dc_operating_point
 from repro.spice.ladder import LadderSpec, build_ladder_circuit
-from repro.spice.netlist import Circuit, Step
+from repro.spice.netlist import Circuit, Dc, Step, VoltageSource
 from repro.spice.parser import parse_netlist, suggest_transient_window
 from repro.spice.transient import simulate_transient, simulate_transient_batch
 from repro.topology import (
@@ -218,14 +220,27 @@ class TestTreeSymmetry:
 # ---------------------------------------------------------------------------
 
 
+def _dc_driven(circuit: Circuit) -> Circuit:
+    """``circuit`` with each voltage source held at its final value.
+
+    The DC operating point holds sources at ``t = 0``, before a step
+    switches; a ``Dc`` source at the step's final value gives the
+    settled voltages the analytic solutions describe.
+    """
+    held = Circuit()
+    for element in circuit.elements:
+        if isinstance(element, VoltageSource):
+            element = dataclasses.replace(element, waveform=Dc(element.waveform.v1))
+        held.add(element)
+    return held
+
+
 class TestMeshAnalytic:
     def test_1x3_mesh_is_a_voltage_divider(self):
         spec = MeshSpec(
             rows=1, cols=3, r_edge=5.0, rtr=10.0, r_load=100.0
         )
-        circuit = build_mesh_circuit(spec)
-        # the Step source switches at t=0; evaluate past it.
-        op = dc_operating_point(circuit, time=1.0)
+        op = dc_operating_point(_dc_driven(build_mesh_circuit(spec)))
         total = 10.0 + 2 * 5.0 + 100.0
         assert op.voltage(spec.output_node) == pytest.approx(
             100.0 / total, abs=1e-12
@@ -239,8 +254,7 @@ class TestMeshAnalytic:
         spec = MeshSpec(
             rows=2, cols=2, r_edge=8.0, rtr=12.0, r_load=100.0
         )
-        circuit = build_mesh_circuit(spec)
-        op = dc_operating_point(circuit, time=1.0)
+        op = dc_operating_point(_dc_driven(build_mesh_circuit(spec)))
         total = 12.0 + 8.0 + 100.0
         assert op.voltage(spec.output_node) == pytest.approx(
             100.0 / total, abs=1e-12
