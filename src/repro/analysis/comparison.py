@@ -1,24 +1,21 @@
 """RC-vs-RLC repeater design comparison engine.
 
 Given one interconnect and one buffer family, build every design of
-interest -- Bakoglu's RC optimum, the paper's closed-form RLC optimum,
-our eq. 9-based numerical optimum, and (optionally) a simulation-swept
-optimum -- and score them all on the same axes: model delay, simulated
-delay, repeater area, and switched capacitance.
+interest -- Bakoglu's RC optimum, the paper's closed-form RLC optimum
+and our eq. 9-based numerical optimum -- and score them all on the
+same axes: model delay, simulated delay, repeater area, and switched
+capacitance.
 
 This is the engine behind the repeater experiments and the
 ``bus_repeaters`` example; it is also where the reproduction's one
 documented deviation is visible (see EXPERIMENTS.md): the paper's
 eqs. 14/15 and our independent optimization of the paper's stated
-objective disagree on the exact (h, k), while both beat the RC design
-and sit within a few percent of the simulated optimum.
+objective disagree on the exact (h, k), while both beat the RC design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.canonical import DriverLineLoad
 from repro.core.repeater import (
@@ -26,13 +23,12 @@ from repro.core.repeater import (
     RepeaterDesign,
     RepeaterSystem,
     bakoglu_rc_design,
-    inductance_time_ratio,
     numerical_optimal_design,
     optimal_rlc_design,
 )
 from repro.errors import ParameterError
 
-__all__ = ["DesignComparison", "compare_designs", "simulation_swept_design"]
+__all__ = ["DesignComparison", "compare_designs"]
 
 
 @dataclass(frozen=True)
@@ -61,48 +57,16 @@ class DesignComparison:
         return 100.0 * (self.area - other.area) / other.area
 
 
-def simulation_swept_design(
-    line: DriverLineLoad,
-    buffer: Buffer,
-    k_range: range | None = None,
-    h_points: int = 15,
-    n_segments: int = 60,
-) -> RepeaterDesign:
-    """Brute-force simulated optimum over integer ``k`` and an ``h`` grid.
-
-    Centered on the span between the paper's design and Bakoglu's; this
-    is the expensive, assumption-free arbiter.
-    """
-    system = RepeaterSystem(line, buffer)
-    rc = bakoglu_rc_design(line, buffer)
-    paper = optimal_rlc_design(line, buffer)
-    if k_range is None:
-        k_lo = max(1, int(0.5 * paper.k))
-        k_hi = max(k_lo + 1, int(np.ceil(1.3 * rc.k)))
-        k_range = range(k_lo, k_hi + 1)
-    h_grid = np.linspace(0.3 * paper.h, 1.3 * rc.h, h_points)
-    best: tuple[float, RepeaterDesign] | None = None
-    for k in k_range:
-        for h in h_grid:
-            design = RepeaterDesign(h=float(h), k=float(k))
-            t = system.total_delay_simulated(design, n_segments=n_segments)
-            if best is None or t < best[0]:
-                best = (t, design)
-    assert best is not None
-    return best[1]
-
-
 def compare_designs(
     line: DriverLineLoad,
     buffer: Buffer,
     simulate: bool = True,
-    include_swept: bool = False,
     n_segments: int = 60,
 ) -> list[DesignComparison]:
     """Score the standard designs for one line/buffer pair.
 
-    Returns comparisons labeled ``rc-bakoglu``, ``rlc-paper``,
-    ``rlc-numerical`` and optionally ``simulation-swept``.
+    Returns comparisons labeled ``rc-bakoglu``, ``rlc-paper`` and
+    ``rlc-numerical``.
     """
     system = RepeaterSystem(line, buffer)
     designs = [
@@ -110,11 +74,6 @@ def compare_designs(
         ("rlc-paper", optimal_rlc_design(line, buffer)),
         ("rlc-numerical", numerical_optimal_design(line, buffer)),
     ]
-    if include_swept:
-        designs.append(
-            ("simulation-swept", simulation_swept_design(
-                line, buffer, n_segments=n_segments))
-        )
     results = []
     for label, design in designs:
         simulated = (

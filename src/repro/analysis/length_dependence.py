@@ -6,10 +6,10 @@ wire moves from the quadratic to the linear regime as inductance effects
 strengthen (longer wavefront flight, lower loss).  These helpers sweep
 length, fit the local power-law exponent, and locate the crossover.
 
-The default (closed-form) sweep runs through the :mod:`repro.sweep`
-engine as a single zipped-axis batch -- ``Rt``, ``Lt`` and ``Ct`` all
-scale with the same length column -- so repeated sweeps hit the shared
-result cache instead of re-evaluating.
+The sweep runs through the :mod:`repro.sweep` engine as a single
+zipped-axis batch -- ``Rt``, ``Lt`` and ``Ct`` all scale with the same
+length column -- so repeated sweeps hit the shared result cache instead
+of re-evaluating.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 
 import numpy as np
 
-from repro.core.canonical import DriverLineLoad
-from repro.core.delay import propagation_delay
 from repro.errors import ParameterError, require_positive
 from repro.sweep.grid import Axis, ParameterGrid, Sweep
 from repro.sweep.runner import SweepRunner
@@ -42,40 +40,31 @@ def delay_versus_length(
     lengths,
     rtr: float = 0.0,
     cl: float = 0.0,
-    delay_function=propagation_delay,
     runner: SweepRunner | None = None,
 ) -> np.ndarray:
-    """Delay at each wire length (per-unit-length parasitics fixed).
+    """Eq. 9 delay at each wire length (per-unit-length parasitics fixed).
 
-    ``delay_function`` maps a :class:`DriverLineLoad` to seconds; pass
-    :func:`repro.core.simulate.simulated_delay_50` (or a lambda) to sweep
-    with a simulator instead of the closed form.  The default closed
-    form is evaluated as one vectorized batch via ``runner`` (a shared
-    module-level :class:`~repro.sweep.runner.SweepRunner` when omitted).
+    Evaluated as one vectorized batch via ``runner`` (a shared
+    module-level :class:`~repro.sweep.runner.SweepRunner` when
+    omitted).  To sweep length with a simulator instead, run the same
+    zipped grid as ``Sweep("simulated_delay_50", grid, ...)``.
     """
     lengths = np.asarray(lengths, dtype=float)
     if np.any(lengths <= 0):
         raise ParameterError("lengths must be positive")
-    if delay_function is propagation_delay:
-        grid = ParameterGrid(
-            (
-                Axis("rt", r * lengths),
-                Axis("lt", l * lengths),
-                Axis("ct", c * lengths),
-            )
+    grid = ParameterGrid(
+        (
+            Axis("rt", r * lengths),
+            Axis("lt", l * lengths),
+            Axis("ct", c * lengths),
         )
-        sweep = Sweep(
-            "propagation_delay",
-            grid,
-            fixed={"rtr": float(rtr), "cl": float(cl)},
-        )
-        result = (runner or _DEFAULT_RUNNER).run(sweep)
-        return result.output().copy()
-    out = np.empty_like(lengths)
-    for i, length in enumerate(lengths):
-        line = DriverLineLoad.from_per_unit_length(r, l, c, length, rtr=rtr, cl=cl)
-        out[i] = delay_function(line)
-    return out
+    )
+    sweep = Sweep(
+        "propagation_delay",
+        grid,
+        fixed={"rtr": float(rtr), "cl": float(cl)},
+    )
+    return (runner or _DEFAULT_RUNNER).run(sweep).output().copy()
 
 
 def fitted_length_exponent(lengths, delays) -> float:

@@ -7,20 +7,17 @@ moves the delay: in the RC regime the delay is degree-2 homogeneous in
 sum to ~2 in the RC limit and ~1 in the LC limit -- a compact signature
 of the quadratic-to-linear transition that the test suite asserts.
 
-For the default (closed-form) delay the full central-difference stencil
--- base point plus two perturbations per nonzero impedance -- is
-evaluated as one :func:`repro.sweep.kernels.batch_propagation_delay`
-call rather than up to eleven scalar evaluations.
+The full central-difference stencil -- base point plus two
+perturbations per nonzero impedance -- is evaluated as one
+:func:`repro.sweep.kernels.batch_propagation_delay` call rather than up
+to eleven scalar evaluations.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.core.canonical import DriverLineLoad
-from repro.core.delay import propagation_delay
 from repro.errors import ParameterError
 
 __all__ = ["delay_elasticities"]
@@ -29,44 +26,24 @@ _FIELDS = ("rt", "lt", "ct", "rtr", "cl")
 
 
 def delay_elasticities(
-    line: DriverLineLoad,
-    relative_step: float = 1e-4,
-    delay_function=propagation_delay,
+    line: DriverLineLoad, relative_step: float = 1e-4
 ) -> dict[str, float]:
-    """Central-difference elasticity of the delay w.r.t. each impedance.
+    """Central-difference elasticity of the eq. 9 delay w.r.t. each
+    impedance.
 
     Parameters with value zero are skipped (elasticity 0 by convention).
+    For simulated elasticities, run the same stencil as a zipped
+    ``Sweep("simulated_delay_50", grid, ...)``.
 
     >>> line = DriverLineLoad(rt=1000.0, lt=1e-9, ct=1e-12)
     >>> e = delay_elasticities(line)
     >>> abs(e['rt'] - 1.0) < 0.05 and abs(e['ct'] - 1.0) < 0.05
     True
     """
-    if not 0 < relative_step < 0.1:
-        raise ParameterError(f"relative_step must be in (0, 0.1), got {relative_step}")
-    if delay_function is propagation_delay:
-        return _batched_elasticities(line, relative_step)
-    base = delay_function(line)
-    if base <= 0:
-        raise ParameterError("baseline delay must be positive")
-    out: dict[str, float] = {}
-    for name in _FIELDS:
-        value = getattr(line, name)
-        if value == 0:
-            out[name] = 0.0
-            continue
-        up = delay_function(replace(line, **{name: value * (1 + relative_step)}))
-        down = delay_function(replace(line, **{name: value * (1 - relative_step)}))
-        out[name] = (up - down) / (2.0 * relative_step * base)
-    return out
-
-
-def _batched_elasticities(
-    line: DriverLineLoad, relative_step: float
-) -> dict[str, float]:
-    """The whole finite-difference stencil in one batch kernel call."""
     from repro.sweep.kernels import batch_propagation_delay
 
+    if not 0 < relative_step < 0.1:
+        raise ParameterError(f"relative_step must be in (0, 0.1), got {relative_step}")
     active = [name for name in _FIELDS if getattr(line, name) != 0]
     stencil = [{name: getattr(line, name) for name in _FIELDS}]
     for name in active:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.canonical import DriverLineLoad
-from repro.core.delay import propagation_delay, scaled_delay
+from repro.core.delay import propagation_delay
 from repro.errors import (
     ConvergenceError,
     ParameterError,
@@ -256,23 +256,17 @@ class RepeaterSystem:
         sum of identical per-section delays; the section itself is
         simulated (not modeled) with an ``n_segments`` PI ladder.  ``k``
         is rounded to an integer as only whole sections are realizable.
-        ``window`` sets the simulated span in units of the section's
-        Elmore-like time scale.  Stepping stops at the section's first
-        50% crossing, which leaves the delay unchanged.
+        ``window`` sets the simulated span in units of
+        ``max(t_pd, 1/omega_n)`` of the section, as in
+        :func:`~repro.core.simulate.simulated_delay_50`.
         """
-        from repro.core.simulate import _LEVEL_50, _ladder_step
+        from repro.core.simulate import simulated_delay_50
 
-        design = design.quantized()
-        section = self.section_line(design)
-        scale = max(
-            scaled_delay(section.zeta) / section.omega_n,
-            1.0 / section.omega_n,
+        q = design.quantized()
+        return q.k * simulated_delay_50(
+            self.section_line(q), n_segments=n_segments,
+            n_samples=n_samples, window=window,
         )
-        waveform = _ladder_step(
-            section.ladder(n_segments=n_segments), window * scale, n_samples,
-            stop_at=_LEVEL_50,
-        )
-        return design.k * waveform.delay_50(v_final=1.0)
 
     def total_area(self, design: RepeaterDesign) -> float:
         """Total repeater area for the design."""

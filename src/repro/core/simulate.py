@@ -1,12 +1,13 @@
 """Measure delays by simulation -- the library's "AS/X" entry point.
 
 Every experiment that the paper validated against dynamic circuit
-simulation goes through :func:`simulated_delay_50`, which dispatches to
-one of the three independent substrate routes:
+simulation goes through :func:`simulated_delay_50_batch`, which
+dispatches to one of the three independent substrate routes; a scalar
+:func:`simulated_delay_50` is a batch of one on every route:
 
 ``statespace`` (default)
     PI-ladder state-space model integrated exactly via the matrix
-    exponential.  Fast, no time-discretization error, converges in the
+    exponential.  No time-discretization error, converges in the
     segment count only.
 
 ``tline``
@@ -15,7 +16,9 @@ one of the three independent substrate routes:
 
 ``mna``
     PI-ladder netlist integrated with trapezoidal MNA.  The
-    "conventional SPICE" route; slowest, used for cross-validation.
+    "conventional SPICE" route; it has time-step error, but a batch
+    steps all its lines together, and EXP-T1's 36 cells, queried one
+    at a time, run about 4x faster on it than on ``statespace``.
 
 All routes return the 50% crossing of the far-end voltage for a unit
 step applied at ``t = 0``.
@@ -27,8 +30,7 @@ the full run's, so the delay is bit-identical, and the rest of the
 window is never computed.  MNA delay queries likewise stop the lockstep
 loop once every point of a batch has crossed 50% (see ``stop_at`` in
 :func:`~repro.spice.transient.simulate_transient_batch`), with the same
-bit-identical delays: a scalar :func:`simulated_delay_50` on the
-``"mna"`` route is :func:`simulated_delay_50_batch` on a batch of one.
+bit-identical delays.
 :func:`simulated_step_waveform` and direct
 :func:`~repro.spice.transient.simulate_transient_batch` calls still
 return the full window.  ``window`` still sets the sample spacing
@@ -216,34 +218,14 @@ def simulated_delay_50(
     >>> 1.0e-9 < t50 < 1.1e-9    # paper Table 1: ~1.06 ns
     True
 
-    On the ``"mna"`` route this is :func:`simulated_delay_50_batch` of
-    ``[line]``, so it stops stepping once the far end crosses 50%.
+    On every route this is :func:`simulated_delay_50_batch` of
+    ``[line]``.
     """
-    route = SimulatorRoute(route)
-    if route is SimulatorRoute.MNA:
-        return float(simulated_delay_50_batch(
-            [line], route=route, n_segments=n_segments, n_samples=n_samples,
-            window=window, dt=dt, backend=backend,
-            model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
-        )[0])
-    if route is SimulatorRoute.STATESPACE:
-        waveform = _ladder_step(
-            line.ladder(n_segments=n_segments), _time_window(line, window),
-            n_samples, stop_at=_LEVEL_50,
-        )
-    else:
-        waveform = simulated_step_waveform(
-            line, route=route, n_segments=n_segments, n_samples=n_samples,
-            window=window, dt=dt, backend=backend,
-            model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
-        )
-    try:
-        return waveform.delay_50(v_final=1.0)
-    except AnalysisError as exc:
-        raise AnalysisError(
-            f"no 50% crossing within window={window} "
-            f"(zeta={line.zeta:.3g}); increase the window"
-        ) from exc
+    return float(simulated_delay_50_batch(
+        [line], route=route, n_segments=n_segments, n_samples=n_samples,
+        window=window, dt=dt, backend=backend,
+        model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
+    )[0])
 
 
 def simulated_delay_50_batch(
@@ -260,19 +242,21 @@ def simulated_delay_50_batch(
 ) -> np.ndarray:
     """Simulated 50% delays for a whole batch of Fig. 1 circuits.
 
-    Point-for-point equivalent to calling :func:`simulated_delay_50` on
-    each line, but the ``"mna"`` route runs on the stamp-once /
-    re-value-many path: the batch is partitioned into
-    *structure-equivalence classes* -- lines sharing the ladder
-    structure (``cl = 0`` vs ``cl > 0`` is structural) and the lockstep
-    step count -- and each class revalues one cached
-    :func:`~repro.spice.ladder.build_ladder_template` and steps every
-    member together through
-    :func:`~repro.spice.transient.simulate_transient_batch`.  The
-    ``"statespace"`` and ``"tline"`` routes have no shared linear
-    system to revalue and simply loop.
+    The one place a route turns lines into delays:
 
-    Parameters are as in :func:`simulated_delay_50`; ``lines`` is a
+    - ``"statespace"`` steps each line's ladder until its first 50%
+      crossing;
+    - ``"tline"`` inverts each line's exact transfer function over the
+      window (:func:`simulated_step_waveform`);
+    - ``"mna"`` runs on the stamp-once / re-value-many path: the batch
+      is partitioned into *structure-equivalence classes* -- lines
+      sharing the ladder structure (``cl = 0`` vs ``cl > 0`` is
+      structural) and the lockstep step count -- and each class
+      revalues one cached :func:`~repro.spice.ladder.build_ladder_template`
+      and steps every member together through
+      :func:`~repro.spice.transient.simulate_transient_batch`.
+
+    Parameters are as in :func:`simulated_step_waveform`; ``lines`` is a
     sequence of :class:`~repro.core.canonical.DriverLineLoad`.  Returns
     the delays (seconds) in input order.  The ``model`` tier rides the
     MNA route's batch path, so a ``"reduced"``/``"auto"`` batch pays
@@ -284,25 +268,49 @@ def simulated_delay_50_batch(
     so that is exactly the level ``delay_50(v_final=1.0)`` seeks, and
     the samples up to the last crossing are the full run's -- the
     delays are bit-identical to a full-window run.  A class with a
-    member that never crosses steps its whole window, and the error is
-    the same as before.  Reduced-tier serves keep the whole window.
+    member that never crosses steps its whole window.  Reduced-tier
+    serves keep the whole window.
     """
     lines = list(lines)
     route = SimulatorRoute(route)
-    if route is not SimulatorRoute.MNA:
-        return np.asarray(
-            [
-                simulated_delay_50(
-                    line, route=route, n_segments=n_segments,
-                    n_samples=n_samples, window=window, dt=dt, backend=backend,
-                    model=model, rom_order=rom_order,
-                    rom_error_bound=rom_error_bound,
-                )
-                for line in lines
-            ],
-            dtype=float,
+    if route is SimulatorRoute.MNA:
+        waveforms = _mna_waveforms(
+            lines, n_segments, n_samples, window, dt, backend,
+            model, rom_order, rom_error_bound,
         )
+    elif route is SimulatorRoute.STATESPACE:
+        waveforms = (
+            (i, _ladder_step(
+                line.ladder(n_segments=n_segments), _time_window(line, window),
+                n_samples, stop_at=_LEVEL_50,
+            ))
+            for i, line in enumerate(lines)
+        )
+    else:
+        waveforms = (
+            (i, simulated_step_waveform(
+                line, route=route, n_samples=n_samples, window=window
+            ))
+            for i, line in enumerate(lines)
+        )
+    delays = np.empty(len(lines))
+    for i, waveform in waveforms:
+        try:
+            delays[i] = waveform.delay_50(v_final=1.0)
+        except AnalysisError as exc:
+            raise AnalysisError(
+                f"no 50% crossing within window={window} "
+                f"(zeta={lines[i].zeta:.3g}); increase the window"
+            ) from exc
+    return delays
 
+
+def _mna_waveforms(
+    lines, n_segments, n_samples, window, dt, backend,
+    model, rom_order, rom_error_bound,
+):
+    """``(index, far-end waveform)`` of every line on the MNA route,
+    one lockstep batch per structure class."""
     from repro.spice.ladder import build_ladder_template
     from repro.spice.transient import simulate_transient_batch
 
@@ -313,7 +321,6 @@ def simulated_delay_50_batch(
     # exact lockstep step count each would get alone.
     steps = np.maximum(1, np.ceil((spans / dts) * (1.0 - 1e-12)).astype(int))
 
-    delays = np.empty(len(lines))
     classes: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         classes.setdefault((spec.cl > 0, int(steps[i])), []).append(i)
@@ -347,12 +354,4 @@ def simulated_delay_50_batch(
         )
         voltages = result.voltage(output_node)
         for k, i in enumerate(members):
-            waveform = Waveform(result.times_of(k), voltages[k])
-            try:
-                delays[i] = waveform.delay_50(v_final=1.0)
-            except AnalysisError as exc:
-                raise AnalysisError(
-                    f"no 50% crossing within window={window} "
-                    f"(zeta={lines[i].zeta:.3g}); increase the window"
-                ) from exc
-    return delays
+            yield i, Waveform(result.times_of(k), voltages[k])

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.canonical import DriverLineLoad
 from repro.core.penalty import delay_increase_closed_form, delay_increase_numerical
 from repro.core.repeater import (
+    RepeaterSystem,
     bakoglu_rc_design,
     normalized_system,
     numerical_optimal_design,
 )
-from repro.core.simulate import simulated_delay_50
+from repro.core.simulate import simulated_delay_50_batch
 from repro.experiments.common import ExperimentTable, render_table
 
 __all__ = ["run", "main", "simulated_delay_increase"]
@@ -36,23 +36,15 @@ def simulated_delay_increase(
     """Percent simulated-delay increase of the RC design over the
     eq. 9-optimal design at a given ``T_{L/R}`` (continuous ``k``)."""
     line, buffer = normalized_system(tlr)
+    system = RepeaterSystem(line, buffer)
     rc = bakoglu_rc_design(line, buffer)
     rlc = numerical_optimal_design(line, buffer)
-
-    def total(design) -> float:
-        section = DriverLineLoad(
-            rt=line.rt / design.k,
-            lt=line.lt / design.k,
-            ct=line.ct / design.k,
-            rtr=buffer.r0 / design.h,
-            cl=buffer.c0 * design.h,
-        )
-        return design.k * simulated_delay_50(
-            section, n_segments=n_segments, n_samples=n_samples
-        )
-
-    t_rc, t_rlc = total(rc), total(rlc)
-    return 100.0 * (t_rc - t_rlc) / t_rlc
+    sections = simulated_delay_50_batch(
+        [system.section_line(rc), system.section_line(rlc)],
+        n_segments=n_segments, n_samples=n_samples,
+    )
+    t_rc, t_rlc = rc.k * sections[0], rlc.k * sections[1]
+    return float(100.0 * (t_rc - t_rlc) / t_rlc)
 
 
 def run(tlr_values=None, simulate: bool = True) -> ExperimentTable:

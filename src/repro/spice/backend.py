@@ -75,7 +75,6 @@ from repro.errors import ParameterError, SimulationError
 __all__ = [
     "DENSE_SIZE_CUTOFF",
     "CooMatrix",
-    "combine",
     "BandProfile",
     "LinearFactorization",
     "PatternFactorizer",
@@ -258,26 +257,6 @@ def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
     inverse = np.empty(perm.size, dtype=np.intp)
     inverse[perm] = np.arange(perm.size, dtype=np.intp)
     return inverse
-
-
-def combine(*terms: tuple[float, CooMatrix]) -> CooMatrix:
-    """Weighted sum ``sum(w_k * A_k)`` of same-shape COO matrices.
-
-    The result simply concatenates the scaled triplets; zero weights
-    keep their matrix's sparsity *pattern* (as explicit zeros), which
-    is exactly what a reused symbolic factorization wants.
-    """
-    if not terms:
-        raise ParameterError("combine needs at least one (weight, matrix) term")
-    shape = terms[0][1].shape
-    if any(m.shape != shape for _, m in terms):
-        raise ParameterError("combined matrices must share a shape")
-    rows = np.concatenate([m.rows for _, m in terms])
-    cols = np.concatenate([m.cols for _, m in terms])
-    data = np.concatenate(
-        [np.asarray(w * m.data) for w, m in terms]
-    )
-    return CooMatrix(rows, cols, data, shape)
 
 
 @dataclass(frozen=True)

@@ -51,14 +51,6 @@ class TestLengthDependence:
             np.sqrt(self.L / self.C) / (0.37 * self.R), rel=1e-12
         )
 
-    def test_custom_delay_function(self):
-        lengths = np.array([1e-3, 2e-3])
-        delays = delay_versus_length(
-            self.R, self.L, self.C, lengths,
-            delay_function=lambda line: line.rt,  # proxy: Rt grows linearly
-        )
-        assert delays[1] == pytest.approx(2 * delays[0])
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             delay_versus_length(self.R, self.L, self.C, [0.0])

@@ -48,7 +48,7 @@ from repro.core.simulate import (
 from repro.errors import NetlistError, ParameterError, SimulationError
 from repro.rom.prima import ReducedTemplate
 from repro.spice.ac import ac_sweep, ac_sweep_batch
-from repro.spice.backend import combine, resolve_backend
+from repro.spice.backend import resolve_backend
 from repro.spice.dc import dc_operating_point
 from repro.spice.ladder import (
     LadderSpec,
@@ -78,6 +78,8 @@ from repro.topology import (
     build_mesh_template,
 )
 
+from mna_matrices import combine, triplets
+
 NETLIST_DIR = pathlib.Path(__file__).parent / "netlists"
 BACKENDS = ["dense", "sparse", "banded", "auto"]
 LINE = dict(rt=200.0, lt=5e-8, ct=1e-12, rtr=50.0, cl=1e-13)
@@ -87,15 +89,8 @@ LINE = dict(rt=200.0, lt=5e-8, ct=1e-12, rtr=50.0, cl=1e-13)
 # ---------------------------------------------------------------------------
 
 
-def _triplets(circuit):
-    """The concrete circuit's structure and its ``G``/``C`` triplets."""
-    structure = build_mna_structure(circuit)
-    g_data, c_data = structure.revalue()
-    return structure, structure.g_plan.coo(g_data), structure.c_plan.coo(c_data)
-
-
 def _old_transient(circuit, t_stop, dt, initial="dc", backend="auto"):
-    structure, g_coo, c_coo = _triplets(circuit)
+    structure, g_coo, c_coo = triplets(circuit)
     size = structure.size
     n_steps = max(1, int(np.ceil((t_stop / dt) * (1.0 - 1e-12))))
     times = np.linspace(0.0, t_stop, n_steps + 1)
@@ -123,7 +118,7 @@ def _old_transient(circuit, t_stop, dt, initial="dc", backend="auto"):
 
 
 def _old_ac(circuit, omegas, input_source, backend="auto"):
-    structure, g_coo, c_coo = _triplets(circuit)
+    structure, g_coo, c_coo = triplets(circuit)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     b = np.zeros(structure.size, dtype=complex)
     b[structure.current_row(input_source)] = 1.0

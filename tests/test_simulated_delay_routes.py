@@ -1,0 +1,63 @@
+"""Every simulated 50% delay is an answer of ``simulated_delay_50_batch``.
+
+The scalar :func:`~repro.core.simulate.simulated_delay_50` is a batch
+of one on every route, a batch answers each line as its own scalar
+call would, and the repeater and EXP-E17 scorers that go through it
+keep their exact values.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.canonical import DriverLineLoad
+from repro.core.repeater import (
+    Buffer,
+    RepeaterSystem,
+    bakoglu_rc_design,
+    optimal_rlc_design,
+)
+from repro.core.simulate import simulated_delay_50, simulated_delay_50_batch
+from repro.experiments import eq17
+
+#: Under-, near-critically and over-damped lines (zeta about 0.25, 1.2, 8).
+LINES = (
+    dict(rt=200.0, lt=1e-7, ct=1e-12, rtr=50.0),
+    dict(rt=1000.0, lt=1e-7, ct=1e-12, rtr=200.0),
+    dict(rt=2000.0, lt=1e-8, ct=1e-12, rtr=500.0),
+)
+
+
+@pytest.mark.parametrize("loaded", [True, False], ids=["loaded", "unloaded"])
+@pytest.mark.parametrize("route", ["statespace", "tline", "mna"])
+def test_scalar_is_batch_of_one(route, loaded):
+    lines = [DriverLineLoad(**p, cl=2e-13 if loaded else 0.0) for p in LINES]
+    # One tline query inverts the transfer function once per sample.
+    options = dict(route=route, n_segments=40, n_samples=801)
+
+    scalars = [simulated_delay_50(line, **options) for line in lines]
+    assert all(type(t) is float for t in scalars)
+    assert simulated_delay_50_batch(lines[:1], **options)[0] == scalars[0]
+    batch = simulated_delay_50_batch(lines, **options)
+    assert batch.dtype == np.float64
+    assert batch.tolist() == scalars
+
+
+def test_repeater_totals_keep_their_values():
+    """``total_delay_simulated`` of the 50 mm clock spine (T_L/R = 5)."""
+    line = DriverLineLoad(rt=500.0, lt=125e-9, ct=10e-12)
+    buffer = Buffer(r0=5000.0, c0=1e-14)
+    system = RepeaterSystem(line, buffer)
+    assert system.total_delay_simulated(bakoglu_rc_design(line, buffer)) == (
+        1.6786121455843086e-09
+    )
+    assert system.total_delay_simulated(optimal_rlc_design(line, buffer)) == (
+        1.5732264229733782e-09
+    )
+
+
+def test_eq17_simulated_increase_keeps_its_value():
+    assert eq17.simulated_delay_increase(3.0, n_segments=20, n_samples=801) == (
+        4.2201189963900365
+    )

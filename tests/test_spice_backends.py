@@ -22,7 +22,6 @@ from repro.spice.backend import (
     CooMatrix,
     DenseLuBackend,
     SparseLuBackend,
-    combine,
     rcm_band_profile,
     resolve_backend,
 )
@@ -32,17 +31,15 @@ from repro.spice.mna import build_mna_structure
 from repro.spice.netlist import Circuit, Step
 from repro.spice.transient import simulate_transient
 
+from mna_matrices import combine, triplets
+
 BACKEND_NAMES = sorted(BACKENDS)  # banded, dense, sparse
 
 
 def mna_matrix(circuit: Circuit, c_weight: float) -> CooMatrix:
     """Triplet form of ``G + c_weight * C`` at the circuit's values."""
-    structure = build_mna_structure(circuit)
-    g_data, c_data = structure.revalue()
-    return combine(
-        (1.0, structure.g_plan.coo(g_data)),
-        (c_weight, structure.c_plan.coo(c_data)),
-    )
+    _, g_coo, c_coo = triplets(circuit)
+    return combine((1.0, g_coo), (c_weight, c_coo))
 
 
 def rc_circuit() -> Circuit:

@@ -25,13 +25,13 @@ from repro.spice.backend import (
     DenseLuBackend,
     _BandedFactorization,
     _TridiagonalFactorization,
-    combine,
     rcm_band_profile,
     stack_factorizations,
 )
 from repro.spice.ladder import LadderSpec, LadderTopology, build_ladder_circuit
-from repro.spice.mna import build_mna_structure
 from repro.spice.transient import _param_columns
+
+from mna_matrices import combine, triplets
 
 
 def _ladder_matrix(topology, loaded: bool, n_segments: int = 40) -> CooMatrix:
@@ -39,12 +39,8 @@ def _ladder_matrix(topology, loaded: bool, n_segments: int = 40) -> CooMatrix:
         rt=1000.0, lt=1e-7, ct=1e-12, rtr=100.0,
         cl=2e-13 if loaded else 0.0, n_segments=n_segments, topology=topology,
     )
-    structure = build_mna_structure(build_ladder_circuit(spec))
-    g_data, c_data = structure.revalue()
-    return combine(
-        (1.0, structure.g_plan.coo(g_data)),
-        (1e11, structure.c_plan.coo(c_data)),
-    )
+    _, g_coo, c_coo = triplets(build_ladder_circuit(spec))
+    return combine((1.0, g_coo), (1e11, c_coo))
 
 
 def _tridiagonal(n: int, rng, complex_data: bool = False, zero_col=None) -> CooMatrix:

@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -814,27 +815,31 @@ class TestAnalysisIntegration:
         lengths = np.geomspace(1e-3, 1e-2, 5)
         r, l, c = 2000.0, 3e-7, 1.8e-10
         engine = delay_versus_length(r, l, c, lengths, rtr=10.0, cl=1e-14)
-        loop = delay_versus_length(
-            r,
-            l,
-            c,
-            lengths,
-            rtr=10.0,
-            cl=1e-14,
-            delay_function=lambda line: propagation_delay(line),
-        )
+        loop = [
+            propagation_delay(
+                DriverLineLoad.from_per_unit_length(
+                    r, l, c, length, rtr=10.0, cl=1e-14
+                )
+            )
+            for length in lengths
+        ]
         np.testing.assert_allclose(engine, loop, rtol=1e-13)
 
     def test_sensitivity_batch_equals_loop(self, underdamped_line):
         from repro.analysis.sensitivity import delay_elasticities
 
-        batched = delay_elasticities(underdamped_line)
-        looped = delay_elasticities(
-            underdamped_line,
-            delay_function=lambda line: propagation_delay(line),
-        )
-        for name in batched:
-            assert batched[name] == pytest.approx(looped[name], rel=1e-9)
+        step = 1e-4
+        batched = delay_elasticities(underdamped_line, relative_step=step)
+        base = propagation_delay(underdamped_line)
+        for name, elasticity in batched.items():
+            value = getattr(underdamped_line, name)
+            if value == 0:
+                assert elasticity == 0.0
+                continue
+            up = propagation_delay(replace(underdamped_line, **{name: value * (1 + step)}))
+            down = propagation_delay(replace(underdamped_line, **{name: value * (1 - step)}))
+            looped = (up - down) / (2.0 * step * base)
+            assert elasticity == pytest.approx(looped, rel=1e-9)
 
     def test_collapse_spread_runs_through_runner(self):
         from repro.analysis.zeta_collapse import collapse_spread
