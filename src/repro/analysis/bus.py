@@ -40,7 +40,7 @@ from repro.bus.spec import (
 )
 from repro.errors import AnalysisError, ParameterError
 from repro.spice.transient import simulate_transient
-from repro.tline.waveform import Waveform, settling_time
+from repro.tline.waveform import Waveform, _first_crossings
 
 __all__ = [
     "BusWaveforms",
@@ -73,9 +73,12 @@ def batch_delay_50(
         Scalar or per-column booleans: detect upward (True) or downward
         crossings.  Columns that never cross get ``nan`` (quiet lines).
 
-    Matches :func:`repro.tline.waveform.first_crossing` semantics: a
-    crossing requires an actual transition through the level, linearly
-    interpolated between the bracketing samples.
+    Each column is measured by the kernel behind
+    :func:`repro.tline.waveform.first_crossing`, so a column crosses
+    exactly where its own ``first_crossing`` would: on an actual
+    transition through the level, linearly interpolated between the
+    bracketing samples, or at ``times[0]`` when it starts at the level
+    and departs in the crossing direction.
     """
     times = np.asarray(times, dtype=float)
     voltages = np.asarray(voltages, dtype=float)
@@ -84,20 +87,7 @@ def batch_delay_50(
             f"voltages must be (n_times, n_columns) with n_times = "
             f"{times.size}, got {voltages.shape}"
         )
-    n_cols = voltages.shape[1]
-    rising = np.broadcast_to(np.asarray(rising, dtype=bool), (n_cols,))
-    level = 0.5 * v_step
-    satisfied = np.where(rising, voltages >= level, voltages <= level)
-    transitions = satisfied[1:] & ~satisfied[:-1]
-    has_crossing = transitions.any(axis=0)
-    first = transitions.argmax(axis=0)
-    cols = np.arange(n_cols)
-    v0 = voltages[first, cols]
-    v1 = voltages[first + 1, cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (level - v0) / (v1 - v0)
-    t_cross = times[first] + frac * (times[first + 1] - times[first])
-    return np.where(has_crossing, t_cross, math.nan)
+    return _first_crossings(times, voltages.T, 0.5 * v_step, rising)
 
 
 @dataclass(frozen=True)
@@ -332,9 +322,9 @@ def analyze_bus(
     delay_even = float(even.delays_50()[victim])
     delay_odd = float(odd.delays_50()[victim])
     worst = odd if delay_odd >= delay_even else even
-    victim_wave = worst.voltages[:, victim]
+    victim_wave = worst.waveform(victim)
     try:
-        settle = settling_time(worst.times, victim_wave, v_final=1.0)
+        settle = victim_wave.settling_time(v_final=1.0)
     except AnalysisError:
         settle = math.nan
     return BusReport(
@@ -346,7 +336,7 @@ def analyze_bus(
         delay_even=delay_even,
         delay_odd=delay_odd,
         settling_time_worst=settle,
-        overshoot_worst=max(0.0, float(np.max(victim_wave)) - 1.0),
+        overshoot_worst=victim_wave.overshoot(1.0),
     )
 
 

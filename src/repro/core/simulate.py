@@ -23,18 +23,20 @@ dispatches to one of the three independent substrate routes; a scalar
 All routes return the 50% crossing of the far-end voltage for a unit
 step applied at ``t = 0``.
 
-Delay queries on the ``statespace`` route stop stepping at the first
-50% crossing (see ``stop_at`` in
-:func:`~repro.spice.statespace.simulate_step`): the samples up to it are
-the full run's, so the delay is bit-identical, and the rest of the
-window is never computed.  MNA delay queries likewise stop the lockstep
-loop once every point of a batch has crossed 50% (see ``stop_at`` in
-:func:`~repro.spice.transient.simulate_transient_batch`), with the same
-bit-identical delays.
-:func:`simulated_step_waveform` and direct
-:func:`~repro.spice.transient.simulate_transient_batch` calls still
-return the full window.  ``window`` still sets the sample spacing
-``dt = span / (n_samples - 1)``, so it still affects the delay.
+Both public queries read one private dispatcher, the only place a
+route turns lines into far-end waveforms.  A delay query asks it to
+stop at the first 50% crossing: each ``statespace`` line stops stepping
+there (see ``stop_at`` in :func:`~repro.spice.statespace.simulate_step`),
+and a full-tier MNA batch stops its lockstep loop once every point has
+crossed (see ``stop_at`` in
+:func:`~repro.spice.transient.simulate_transient_batch`).  The samples
+up to the crossing are the full run's, so the delay is bit-identical,
+and the rest of the window is never computed.
+:func:`simulated_step_waveform` is the same dispatcher's answer for one
+line without the early stop, so its ``delay_50(v_final=1.0)`` equals
+:func:`simulated_delay_50` bit for bit on every route and tier.
+``window`` still sets the sample spacing ``dt = span / (n_samples - 1)``,
+so it still affects the delay.
 
 Route guidance: for *bare* (or nearly bare) underdamped lines whose 50%
 crossing lands on the arriving wavefront -- ``RT = CT ~ 0`` with
@@ -47,13 +49,12 @@ Table 1 case) all three routes agree to well under 1%.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
 from repro.core.canonical import DriverLineLoad
 from repro.core.delay import propagation_delay
-from repro.errors import AnalysisError, ParameterError
+from repro.errors import AnalysisError
 from repro.tline.waveform import Waveform
 
 __all__ = [
@@ -82,6 +83,11 @@ __all__ = [
 #: ``PYTHONHASHSEED``.
 #: Version 7: reduced-tier projections sum each revaluation group over
 #: its own rows (reduced states move by up to about 4e-11 relative).
+#: The key holds this version, not the BLAS thread count, so cached
+#: ``statespace`` and reduced-tier bits hold for one thread count only:
+#: their matrix products run on threaded BLAS, and a different
+#: ``OPENBLAS_NUM_THREADS`` can move delays in the last bits (up to
+#: about 5e-14 relative on EXP-T1's cells).
 SIMULATOR_VERSION = 7
 
 
@@ -111,21 +117,6 @@ def _time_window(line: DriverLineLoad, window: float) -> float:
 _LEVEL_50 = 0.5
 
 
-def _ladder_step(
-    spec, span: float, n_samples: int, stop_at: float | None = None
-) -> Waveform:
-    """Far-end unit-step response of a ladder on the statespace route.
-
-    ``stop_at`` ends the waveform at its first rise through that level,
-    as in :func:`~repro.spice.statespace.simulate_step`.
-    """
-    from repro.spice.ladder import build_ladder_state_space
-    from repro.spice.statespace import simulate_step
-
-    model = build_ladder_state_space(spec)
-    return simulate_step(model, span, n_samples=n_samples, stop_at=stop_at)[0]
-
-
 def simulated_step_waveform(
     line: DriverLineLoad,
     route: SimulatorRoute | str = SimulatorRoute.STATESPACE,
@@ -139,6 +130,10 @@ def simulated_step_waveform(
     rom_error_bound: float | None = None,
 ) -> Waveform:
     """Unit-step far-end waveform of the Fig. 1 circuit.
+
+    The dispatcher's whole-window waveform for ``[line]``: the one
+    :func:`simulated_delay_50` reads its delay from, without the early
+    stop at the 50% crossing.
 
     Parameters
     ----------
@@ -170,32 +165,11 @@ def simulated_step_waveform(
         are bit-identical, and ``"auto"`` guards reduced answers with
         a-posteriori error checks.
     """
-    route = SimulatorRoute(route)
-    span = _time_window(line, window)
-
-    if route is SimulatorRoute.TLINE:
-        times = np.linspace(0.0, span, n_samples)
-        # The de Hoog order bounds the resolvable detail at ~T/(2M); scale
-        # it with the window so early-time features (the 50% crossing sits
-        # in the first ~1/window of the span) stay sharp.
-        order = max(60, int(8 * window))
-        values = line.transfer().step_response(times, M=order)
-        return Waveform(times, values)
-
-    spec = line.ladder(n_segments=n_segments)
-    if route is SimulatorRoute.STATESPACE:
-        return _ladder_step(spec, span, n_samples)
-
-    from repro.spice.ladder import build_ladder_circuit
-    from repro.spice.transient import simulate_transient
-
-    if dt is None:
-        dt = span / (n_samples - 1)
-    result = simulate_transient(
-        build_ladder_circuit(spec), span, dt=dt, backend=backend,
-        model=model, rom_order=rom_order, rom_error_bound=rom_error_bound,
+    [(_, waveform)] = _far_end_waveforms(
+        [line], route, n_segments, n_samples, window, dt, backend,
+        model, rom_order, rom_error_bound, stop_at=None,
     )
-    return result.voltage(spec.output_node)
+    return waveform
 
 
 def simulated_delay_50(
@@ -242,12 +216,12 @@ def simulated_delay_50_batch(
 ) -> np.ndarray:
     """Simulated 50% delays for a whole batch of Fig. 1 circuits.
 
-    The one place a route turns lines into delays:
+    Each delay is read off the line's far-end waveform, stopped at its
+    first 50% crossing:
 
-    - ``"statespace"`` steps each line's ladder until its first 50%
-      crossing;
+    - ``"statespace"`` steps each line's ladder until that crossing;
     - ``"tline"`` inverts each line's exact transfer function over the
-      window (:func:`simulated_step_waveform`);
+      whole window;
     - ``"mna"`` runs on the stamp-once / re-value-many path: the batch
       is partitioned into *structure-equivalence classes* -- lines
       sharing the ladder structure (``cl = 0`` vs ``cl > 0`` is
@@ -272,27 +246,10 @@ def simulated_delay_50_batch(
     serves keep the whole window.
     """
     lines = list(lines)
-    route = SimulatorRoute(route)
-    if route is SimulatorRoute.MNA:
-        waveforms = _mna_waveforms(
-            lines, n_segments, n_samples, window, dt, backend,
-            model, rom_order, rom_error_bound,
-        )
-    elif route is SimulatorRoute.STATESPACE:
-        waveforms = (
-            (i, _ladder_step(
-                line.ladder(n_segments=n_segments), _time_window(line, window),
-                n_samples, stop_at=_LEVEL_50,
-            ))
-            for i, line in enumerate(lines)
-        )
-    else:
-        waveforms = (
-            (i, simulated_step_waveform(
-                line, route=route, n_samples=n_samples, window=window
-            ))
-            for i, line in enumerate(lines)
-        )
+    waveforms = _far_end_waveforms(
+        lines, route, n_segments, n_samples, window, dt, backend,
+        model, rom_order, rom_error_bound, stop_at=_LEVEL_50,
+    )
     delays = np.empty(len(lines))
     for i, waveform in waveforms:
         try:
@@ -305,12 +262,41 @@ def simulated_delay_50_batch(
     return delays
 
 
-def _mna_waveforms(
-    lines, n_segments, n_samples, window, dt, backend,
-    model, rom_order, rom_error_bound,
+def _far_end_waveforms(
+    lines, route, n_segments, n_samples, window, dt, backend,
+    model, rom_order, rom_error_bound, stop_at,
 ):
-    """``(index, far-end waveform)`` of every line on the MNA route,
-    one lockstep batch per structure class."""
+    """``(index, far-end unit-step waveform)`` of every line on ``route``.
+
+    The one place a route turns lines into waveforms.  ``stop_at`` is
+    :data:`_LEVEL_50` for delay queries: the ``statespace`` and
+    full-tier ``mna`` loops then end at the first rise through it, with
+    every returned sample the full run's.  ``None`` returns the whole
+    window.  The ``tline`` inversion always covers the whole window.
+    """
+    route = SimulatorRoute(route)
+    if route is SimulatorRoute.STATESPACE:
+        from repro.spice.ladder import build_ladder_state_space
+        from repro.spice.statespace import simulate_step
+
+        for i, line in enumerate(lines):
+            system = build_ladder_state_space(line.ladder(n_segments=n_segments))
+            yield i, simulate_step(
+                system, _time_window(line, window), n_samples=n_samples,
+                stop_at=stop_at,
+            )[0]
+        return
+    if route is SimulatorRoute.TLINE:
+        # The de Hoog order bounds the resolvable detail at ~T/(2M); scale
+        # it with the window so early-time features (the 50% crossing sits
+        # in the first ~1/window of the span) stay sharp.
+        order = max(60, int(8 * window))
+        for i, line in enumerate(lines):
+            times = np.linspace(0.0, _time_window(line, window), n_samples)
+            yield i, Waveform(times, line.transfer().step_response(times, M=order))
+        return
+
+    # MNA: one lockstep batch per structure class.
     from repro.spice.ladder import build_ladder_template
     from repro.spice.transient import simulate_transient_batch
 
@@ -350,7 +336,7 @@ def _mna_waveforms(
             model=model,
             rom_order=rom_order,
             rom_error_bound=rom_error_bound,
-            stop_at=_LEVEL_50,
+            stop_at=stop_at,
         )
         voltages = result.voltage(output_node)
         for k, i in enumerate(members):

@@ -14,6 +14,7 @@ measure the stored (read-only) arrays directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,35 +89,50 @@ def first_crossing(
 
 def _first_crossing(t: np.ndarray, v: np.ndarray, level: float, rising: bool) -> float:
     """:func:`first_crossing` on already validated samples."""
-    if rising:
-        satisfied = v >= level
-    else:
-        satisfied = v <= level
-    if v[0] == level:
-        departures = np.nonzero(v != level)[0]
-        if departures.size:
-            first = v[departures[0]]
-            if (first > level) if rising else (first < level):
-                return float(t[0])
-    hits = np.nonzero(satisfied[1:] & ~satisfied[:-1])[0]
-    if hits.size == 0:
+    crossing = _first_crossings(t, v[np.newaxis], level, rising)[0]
+    if math.isnan(crossing):
         direction = "rising" if rising else "falling"
+        beyond = v[0] >= level if rising else v[0] <= level
         boundary = (
             "; it starts at or beyond the level and never crosses it "
             "(a crossing requires an actual transition)"
-            if satisfied[0]
+            if beyond
             else ""
         )
         raise AnalysisError(
             f"waveform never crosses level {level!r} ({direction}); "
             f"range is [{v.min():g}, {v.max():g}]{boundary}"
         )
-    i = int(hits[0])
-    v0, v1 = v[i], v[i + 1]
-    # v0 is strictly on the non-satisfying side and v1 at/beyond the
-    # level, so v1 != v0 and the interpolation below is well defined.
-    frac = (level - v0) / (v1 - v0)
-    return float(t[i] + frac * (t[i + 1] - t[i]))
+    return float(crossing)
+
+
+def _first_crossings(t: np.ndarray, v: np.ndarray, level: float, rising) -> np.ndarray:
+    """:func:`first_crossing` of every row of ``v``, ``nan`` where none.
+
+    ``t`` has shape ``(n,)`` and ``v`` shape ``(rows, n)``; ``rising`` is
+    one flag or one per row.  The samples are not validated here.
+    """
+    rows = np.arange(v.shape[0])
+    rising = np.asarray(rising, dtype=bool).reshape(-1, 1)
+    satisfied = np.where(rising, v >= level, v <= level)
+    transitions = satisfied[:, 1:] & ~satisfied[:, :-1]
+    i = transitions.argmax(axis=1)
+    v0, v1, t0 = v[rows, i], v[rows, i + 1], t[i]
+    # In a row with a transition, v0 is strictly on the non-satisfying
+    # side and v1 at/beyond the level, so v1 != v0 and the interpolation
+    # is well defined; the other rows read nan, whatever they compute.
+    with np.errstate(all="ignore"):
+        frac = (level - v0) / (v1 - v0)
+        crossings = t0 + frac * (t[i + 1] - t0)
+    crossings[~transitions[rows, i]] = math.nan
+    # A row that starts exactly at the level crosses at t[0] if its
+    # first sample off the level lies in the crossing direction.
+    (start,) = np.nonzero(v[:, 0] == level)
+    if start.size:
+        off = v[start, (v[start] != level).argmax(axis=1)]
+        up = np.broadcast_to(rising[:, 0], rows.shape)[start]
+        crossings[start[np.where(up, off > level, off < level)]] = t[0]
+    return crossings
 
 
 def propagation_delay_50(t, v, v_final: float | None = None) -> float:

@@ -28,6 +28,7 @@ from repro.bus import (
 from repro.errors import ParameterError
 from repro.spice.netlist import Circuit, Step
 from repro.spice.transient import simulate_transient
+from repro.tline.waveform import first_crossing
 
 SPEC3 = dict(
     rt=100.0, lt=25e-9, ct=2e-12, cct=1e-12, km=0.5,
@@ -297,8 +298,22 @@ class TestBatchDelay50:
         falling = np.exp(-times)
         voltages = np.stack([rising, falling], axis=1)
         delays = batch_delay_50(times, voltages, rising=(True, False))
-        assert delays[0] == pytest.approx(math.log(2.0), rel=1e-5)
-        assert delays[1] == pytest.approx(math.log(2.0), rel=1e-5)
+        assert delays[0] == first_crossing(times, rising, 0.5)
+        assert delays[1] == first_crossing(times, falling, 0.5, rising=False)
+
+    @pytest.mark.parametrize("rising", [True, False], ids=["rising", "falling"])
+    def test_start_at_level_crosses_at_first_sample(self, rising):
+        """A column that starts at the level and departs in the crossing
+        direction crosses at ``times[0]``, as ``first_crossing`` says; one
+        that departs the other way has no crossing."""
+        times = np.array([0.0, 1.0, 2.0])
+        step = 0.1 if rising else -0.1
+        departs = 0.5 + step * np.arange(3)
+        returns = 0.5 - step * np.arange(3)
+        voltages = np.stack([departs, returns], axis=1)
+        delays = batch_delay_50(times, voltages, rising=rising)
+        assert delays[0] == first_crossing(times, departs, 0.5, rising=rising) == 0.0
+        assert math.isnan(delays[1])
 
     def test_nan_when_no_crossing(self):
         times = np.linspace(0.0, 1.0, 100)

@@ -2,8 +2,10 @@
 
 The scalar :func:`~repro.core.simulate.simulated_delay_50` is a batch
 of one on every route, a batch answers each line as its own scalar
-call would, and the repeater and EXP-E17 scorers that go through it
-keep their exact values.
+call would, the waveform of
+:func:`~repro.core.simulate.simulated_step_waveform` gives the same
+delay and tier record, and the repeater and EXP-E17 scorers that go
+through it keep their exact values.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.canonical import DriverLineLoad
 from repro.core.repeater import (
     Buffer,
@@ -18,7 +21,11 @@ from repro.core.repeater import (
     bakoglu_rc_design,
     optimal_rlc_design,
 )
-from repro.core.simulate import simulated_delay_50, simulated_delay_50_batch
+from repro.core.simulate import (
+    simulated_delay_50,
+    simulated_delay_50_batch,
+    simulated_step_waveform,
+)
 from repro.experiments import eq17
 
 #: Under-, near-critically and over-damped lines (zeta about 0.25, 1.2, 8).
@@ -42,6 +49,36 @@ def test_scalar_is_batch_of_one(route, loaded):
     batch = simulated_delay_50_batch(lines, **options)
     assert batch.dtype == np.float64
     assert batch.tolist() == scalars
+    waveforms = [simulated_step_waveform(line, **options) for line in lines]
+    assert [w.delay_50(v_final=1.0) for w in waveforms] == scalars
+
+
+def _with_selections(query):
+    """``query()`` and the ``rom.model_selected`` counters it recorded."""
+    with obs.capture():
+        value = query()
+        entries = obs.REGISTRY.snapshot()["counters"].get("rom.model_selected", [])
+    obs.reset()
+    return value, {
+        (entry["labels"]["model"], entry["labels"]["rule"]): entry["value"]
+        for entry in entries
+    }
+
+
+@pytest.mark.parametrize("model", ["auto", "reduced"])
+def test_mna_waveform_and_delay_share_tier(model):
+    """The Table 1 line of the ``simulated_delay_50`` doctest on ``mna``:
+    the waveform is served by the same tier as the delay query, and its
+    50% crossing is the delay."""
+    line = DriverLineLoad(rt=1000.0, lt=1e-6, ct=1e-12, rtr=100.0, cl=1e-13)
+    options = dict(route="mna", n_segments=100, n_samples=1201, model=model)
+
+    delay, delay_tier = _with_selections(lambda: simulated_delay_50(line, **options))
+    waveform, waveform_tier = _with_selections(
+        lambda: simulated_step_waveform(line, **options)
+    )
+    assert delay_tier and waveform_tier == delay_tier
+    assert waveform.delay_50(v_final=1.0) == delay
 
 
 def test_repeater_totals_keep_their_values():
