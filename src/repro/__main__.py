@@ -5,7 +5,7 @@ Usage::
     python -m repro list                # show the experiment registry
     python -m repro run EXP-E18         # regenerate one table/figure
     python -m repro run all             # regenerate everything (slow)
-    python -m repro run --netlist f.cir # parse + simulate a netlist file
+    python -m repro run --netlist f.cir # measure a netlist at one point
     python -m repro sweep --list        # show the batch quantities
     python -m repro sweep propagation_delay --axis rt=log:100:5000:7 \\
         --fixed lt=1e-8 --fixed ct=1e-12
@@ -17,6 +17,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro import obs
@@ -25,6 +26,8 @@ from repro.experiments import REGISTRY, render_table
 from repro.experiments.common import metrics_footer
 from repro.lint.cli import add_lint_arguments, run_lint_command
 from repro.sweep.cli import (
+    _measure_netlist_args,
+    _parse_fixed,
     add_simulation_arguments,
     add_sweep_arguments,
     run_sweep,
@@ -40,47 +43,19 @@ def _cmd_list() -> int:
     return 0
 
 
-def _parse_param_override(text: str) -> tuple[str, float]:
-    name, sep, value = text.partition("=")
-    if not sep or not name or not value:
-        raise ReproError(f"bad --param {text!r}; expected NAME=VALUE")
-    try:
-        return name, float(value)
-    except ValueError as exc:
-        raise ReproError(f"bad --param {text!r}: {exc}") from exc
-
-
 def _cmd_run_netlist(args: argparse.Namespace) -> int:
-    """Parse a netlist file, simulate it, report per-node metrics."""
-    from repro.spice.parser import parse_netlist_file, suggest_transient_window
-    from repro.spice.transient import simulate_transient
+    """Measure a netlist file at one point, a one-point netlist sweep."""
+    from repro.spice.parser import parse_netlist_file
     from repro.units import format_si
 
     if args.metrics:
         obs.enable()
     try:
         parsed = parse_netlist_file(args.netlist)
-        overrides = dict(
-            _parse_param_override(text) for text in args.param
+        overrides = dict(_parse_fixed(text) for text in args.param)
+        node, [(circuit, t_stop, dt, delay, final)] = _measure_netlist_args(
+            args, parsed, [overrides]
         )
-        circuit = parsed.bind(overrides or None)
-        nodes = circuit.node_names()
-        node = args.node or nodes[-1]
-        if node not in nodes:
-            raise ReproError(
-                f"node {node!r} not in netlist; nodes: {', '.join(nodes)}"
-            )
-        t_stop, dt = suggest_transient_window(circuit)
-        if args.t_stop is not None:
-            t_stop = args.t_stop
-        if args.dt is not None:
-            dt = args.dt
-        result = simulate_transient(
-            circuit, t_stop, dt, backend=args.backend or "auto",
-            model=args.model or "full", rom_order=args.rom_order,
-            rom_error_bound=args.rom_error_bound,
-        )
-        wave = result.voltage(node)
     except ReproError as exc:
         print(f"netlist run failed: {exc}", file=sys.stderr)
         return 2
@@ -91,20 +66,17 @@ def _cmd_run_netlist(args: argparse.Namespace) -> int:
         else "defaults"
     )
     print(
-        f"elements: {len(circuit)}, nodes: {len(nodes)}, "
+        f"elements: {len(circuit)}, nodes: {len(circuit.node_names())}, "
         f"params: {bound}"
     )
     print(
         f"window: t_stop={format_si(t_stop, 's')}, "
         f"dt={format_si(dt, 's')}"
     )
-    try:
-        delay = format_si(wave.delay_50(), "s")
-    except ReproError:
-        delay = "n/a (no 50% crossing)"
-    print(
-        f"v({node}): final={wave.final_value:.6g} V, delay_50={delay}"
+    delay_text = (
+        "n/a (no 50% crossing)" if math.isnan(delay) else format_si(delay, "s")
     )
+    print(f"v({node}): final={final:.6g} V, delay_50={delay_text}")
     if args.metrics:
         print()
         print(metrics_footer())
@@ -164,11 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME=VALUE",
         help="override a netlist {...} parameter (repeatable)",
-    )
-    run_parser.add_argument(
-        "--t-stop",
-        type=float,
-        help="transient end time in seconds (default: auto from RC/LC)",
     )
     add_simulation_arguments(run_parser)
     sweep_parser = sub.add_parser(

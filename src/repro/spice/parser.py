@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import NetlistError
 from repro.spice.netlist import (
@@ -970,22 +970,16 @@ class ParsedNetlist:
         """True when the netlist uses any ``{...}`` parameter slots."""
         return bool(self.circuit.parameter_names())
 
-    def template(self, defaults: Mapping[str, float] | None = None):
+    def template(self):
         """The circuit as a :class:`~repro.spice.mna.CircuitTemplate`.
 
-        ``.param`` values become template defaults (overridable through
-        ``defaults``).  Raises :class:`~repro.errors.NetlistError` for
-        a fully concrete netlist -- use :attr:`circuit` directly.
+        ``.param`` values become template defaults.  Raises
+        :class:`~repro.errors.NetlistError` for a fully concrete netlist
+        -- use :attr:`circuit` directly.
         """
         from repro.spice.mna import CircuitTemplate
 
-        merged = dict(self.defaults)
-        merged.update(dict(defaults or {}))
-        names = set(self.circuit.parameter_names())
-        return CircuitTemplate(
-            self.circuit,
-            {k: v for k, v in merged.items() if k in names},
-        )
+        return CircuitTemplate(self.circuit, self.defaults)
 
     def bind(self, params: Mapping[str, float] | None = None) -> Circuit:
         """A concrete circuit: defaults overlaid with ``params``.
@@ -1162,9 +1156,96 @@ def suggest_transient_window(
     return t_stop, t_stop / n_samples
 
 
+def _measure_netlist(
+    parsed: ParsedNetlist,
+    points: Sequence[Mapping[str, float]],
+    node: str | None = None,
+    *,
+    n_samples: int | None = None,
+    window: float | None = None,
+    dt: float | None = None,
+    backend: str | None = None,
+    model: str | None = None,
+    rom_order: int | None = None,
+    rom_error_bound: float | None = None,
+) -> tuple[str, list[tuple]]:
+    """Step a parsed netlist at each parameter point; measure one node.
+
+    The one place a netlist becomes measured answers, for ``sweep
+    --netlist`` (its grid), ``run --netlist`` (one point) and
+    :func:`run_corpus` (``[{}]``: the defaults).  A point overlays the
+    ``.param`` defaults.  Each point's span is ``window *
+    suggest_transient_window(point, n_samples)[0]`` (defaults 1 and
+    2000), stepped at ``span / n_samples``; a given ``dt`` steps every
+    point over the largest span.  All points step in one
+    :func:`~repro.spice.transient.simulate_transient_batch` recording
+    only ``node`` (default: the last node), under its ``backend``,
+    ``model`` and ``rom_*`` options (``None``: its default).
+
+    Returns ``(node, rows)``, one ``(circuit, t_stop, dt, delay_50,
+    v_final)`` row per point: the bound circuit, its window, its 50%
+    delay (``nan`` without a crossing) and its final value.
+    """
+    import numpy as np
+
+    from repro.errors import ReproError
+    from repro.spice.mna import build_mna_structure
+    from repro.spice.transient import simulate_transient_batch
+
+    nodes = parsed.circuit.node_names()
+    node = node or nodes[-1]
+    if node not in nodes:
+        raise NetlistError(
+            f"node {node!r} not in netlist; nodes: {', '.join(nodes)}"
+        )
+    bad = sorted({
+        name
+        for point in points
+        for name, value in point.items()
+        if not isinstance(value, float)
+    })
+    if bad:
+        raise NetlistError(
+            f"parameter values must be numbers: {', '.join(bad)}"
+        )
+    n_samples = n_samples or 2000
+    circuits = [parsed.bind(point) for point in points]
+    spans = np.array([
+        (window or 1.0) * suggest_transient_window(circuit, n_samples)[0]
+        for circuit in circuits
+    ])
+    if dt is None:
+        steps = spans / n_samples
+    else:
+        spans = np.full_like(spans, spans.max())
+        steps = np.full_like(spans, dt)
+    result = simulate_transient_batch(
+        parsed.template() if parsed.is_parametric
+        else build_mna_structure(parsed.circuit),
+        points,
+        spans,
+        steps,
+        backend=backend or "auto",
+        record=[node],
+        model=model or "full",
+        rom_order=rom_order,
+        rom_error_bound=rom_error_bound,
+    )
+    rows = []
+    for i, circuit in enumerate(circuits):
+        wave = result.waveform(i, node)
+        try:
+            delay = wave.delay_50()
+        except ReproError:
+            delay = float("nan")
+        rows.append((
+            circuit, float(spans[i]), float(steps[i]), delay, wave.final_value
+        ))
+    return node, rows
+
+
 def run_corpus(
     paths,
-    t_stop: float | None = None,
     dt: float | None = None,
     backend: str = "auto",
 ) -> dict:
@@ -1173,17 +1254,16 @@ def run_corpus(
     ``paths`` may mix files and directories (directories contribute
     their ``*.cir`` files, sorted).  Each netlist is parsed, bound with
     its ``.param`` defaults, validated, and -- when it contains at
-    least one source -- run through a short transient; the last
-    non-ground node's 50% delay is measured when the waveform crosses.
+    least one source -- measured there by :func:`_measure_netlist`.
     Per-file failures are captured as strings, not raised, so one bad
     fixture cannot hide the rest of the corpus.
     """
+    import math
     import pathlib
     import time
 
     from repro.errors import ReproError
     from repro.spice.netlist import VoltageSource
-    from repro.spice.transient import simulate_transient
 
     files: list[pathlib.Path] = []
     for entry in paths:
@@ -1210,21 +1290,12 @@ def run_corpus(
                 isinstance(e, VoltageSource) for e in circuit.elements
             )
             if has_source:
-                stop, step = suggest_transient_window(circuit)
-                result = simulate_transient(
-                    circuit,
-                    t_stop if t_stop is not None else stop,
-                    dt if dt is not None else step,
-                    backend=backend,
+                node, [(_, _, _, delay, final)] = _measure_netlist(
+                    parsed, [{}], dt=dt, backend=backend
                 )
-                node = circuit.node_names()[-1]
-                wave = result.voltage(node)
                 record["output_node"] = node
-                record["v_final"] = wave.final_value
-                try:
-                    record["delay_50_s"] = wave.delay_50()
-                except ReproError:
-                    record["delay_50_s"] = None
+                record["v_final"] = final
+                record["delay_50_s"] = None if math.isnan(delay) else delay
             record["ok"] = True
         except ReproError as exc:
             record["ok"] = False
@@ -1257,16 +1328,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--summary", metavar="PATH", help="write the JSON summary here"
     )
-    parser.add_argument("--t-stop", type=float, help="transient end time (s)")
     parser.add_argument("--dt", type=float, help="transient step (s)")
     parser.add_argument(
         "--backend", default="auto", help="linear-solver backend"
     )
     args = parser.parse_args(argv)
 
-    summary = run_corpus(
-        args.paths, t_stop=args.t_stop, dt=args.dt, backend=args.backend
-    )
+    summary = run_corpus(args.paths, dt=args.dt, backend=args.backend)
     for record in summary["files"]:
         status = "ok" if record["ok"] else f"FAIL: {record['error']}"
         delay = record.get("delay_50_s")

@@ -39,7 +39,7 @@ import sys
 from repro import obs
 from repro.errors import ReproError
 from repro.sweep.grid import Axis, ParameterGrid, Sweep
-from repro.sweep.runner import QUANTITIES, SweepRunner
+from repro.sweep.runner import _SIMULATOR_OPTIONS, QUANTITIES, SweepRunner
 
 __all__ = [
     "add_simulation_arguments",
@@ -52,11 +52,11 @@ __all__ = [
 def add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the simulation options both ``run`` and ``sweep`` take.
 
-    One argument group -- ``--netlist``, ``--node``, ``--dt``,
-    ``--backend``, ``--model``, ``--rom-order`` and
-    ``--rom-error-bound`` -- so the two subcommands cannot drift apart
-    in option names, types or help.  Every option defaults to ``None``
-    (the callee's default).
+    One argument group -- ``--netlist``, ``--node``, ``--n-samples``,
+    ``--window``, ``--dt``, ``--backend``, ``--model``, ``--rom-order``
+    and ``--rom-error-bound`` -- so the two subcommands cannot drift
+    apart in option names, types or help.  Every option defaults to
+    ``None`` (the callee's default).
     """
     group = parser.add_argument_group("simulation options")
     group.add_argument(
@@ -68,6 +68,12 @@ def add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--node",
         help="netlist node to measure (default: last node in the file)",
+    )
+    group.add_argument(
+        "--n-samples", type=int, help="output samples across the window"
+    )
+    group.add_argument(
+        "--window", type=float, help="simulated span multiplier"
     )
     group.add_argument(
         "--dt",
@@ -140,12 +146,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--n-segments", type=int, help="ladder segments (simulated routes)"
     )
-    parser.add_argument(
-        "--n-samples", type=int, help="output samples across the window"
-    )
-    parser.add_argument(
-        "--window", type=float, help="simulated span multiplier"
-    )
     add_simulation_arguments(parser)
     parser.add_argument(
         "--workers",
@@ -213,7 +213,7 @@ def _parse_axis(text: str) -> Axis:
 def _parse_fixed(text: str):
     name, sep, value = text.partition("=")
     if not sep or not name or not value:
-        raise ReproError(f"bad fixed value {text!r}; expected NAME=VALUE")
+        raise ReproError(f"bad parameter value {text!r}; expected NAME=VALUE")
     try:
         return name, float(value)
     except ValueError:
@@ -262,25 +262,11 @@ def _build_grid(args: argparse.Namespace) -> tuple[ParameterGrid, dict]:
 def build_sweep(args: argparse.Namespace) -> Sweep:
     """Translate parsed CLI arguments into a :class:`Sweep` spec."""
     grid, fixed = _build_grid(args)
-    options = {}
-    if args.route is not None:
-        options["route"] = args.route
-    if args.n_segments is not None:
-        options["n_segments"] = args.n_segments
-    if args.n_samples is not None:
-        options["n_samples"] = args.n_samples
-    if args.window is not None:
-        options["window"] = args.window
-    if args.dt is not None:
-        options["dt"] = args.dt
-    if args.backend is not None:
-        options["backend"] = args.backend
-    if args.model is not None:
-        options["model"] = args.model
-    if args.rom_order is not None:
-        options["rom_order"] = args.rom_order
-    if args.rom_error_bound is not None:
-        options["rom_error_bound"] = args.rom_error_bound
+    options = {
+        name: getattr(args, name)
+        for name in _SIMULATOR_OPTIONS
+        if getattr(args, name) is not None
+    }
     return Sweep(args.quantity, grid, fixed, options)
 
 
@@ -292,14 +278,35 @@ def _subsample(rows: list, max_rows: int | None) -> list:
     return [rows[round(i * step)] for i in range(max_rows)]
 
 
+def _measure_netlist_args(args: argparse.Namespace, parsed, points):
+    """``_measure_netlist`` of ``points`` under the simulator options of
+    ``args``, all but the ladder's ``route`` and ``n_segments``."""
+    from repro.spice.parser import _measure_netlist
+
+    options = {
+        name: getattr(args, name)
+        for name in _SIMULATOR_OPTIONS
+        if name not in ("route", "n_segments")
+    }
+    return _measure_netlist(parsed, points, args.node, **options)
+
+
 def _run_netlist_sweep(args: argparse.Namespace) -> int:
     """Sweep a parametric netlist file's ``{...}`` slots over a grid."""
     from repro.experiments.common import ExperimentTable, render_table
-    from repro.spice.parser import parse_netlist_file, suggest_transient_window
-    from repro.spice.transient import simulate_transient_batch
+    from repro.spice.parser import parse_netlist_file
 
-    import numpy as np
-
+    ignored = [
+        flag
+        for flag, value in (
+            ("--route", args.route), ("--n-segments", args.n_segments),
+            ("--workers", args.workers), ("--cache-dir", args.cache_dir),
+            ("--no-cache", args.no_cache or None),
+        )
+        if value is not None
+    ]
+    if ignored:
+        raise ReproError(f"sweep --netlist does not take {', '.join(ignored)}")
     parsed = parse_netlist_file(args.netlist)
     if not parsed.is_parametric:
         raise ReproError(
@@ -319,65 +326,17 @@ def _run_netlist_sweep(args: argparse.Namespace) -> int:
         raise ReproError(
             f"parameter(s) both swept and fixed: {', '.join(overlap)}"
         )
-    bad_fixed = sorted(k for k, v in fixed.items() if not isinstance(v, float))
-    if bad_fixed:
-        raise ReproError(
-            f"netlist --fixed values must be numbers: {', '.join(bad_fixed)}"
-        )
-    columns = grid.columns()
-    for name, col in columns.items():
-        if not np.issubdtype(col.dtype, np.number):
-            raise ReproError(
-                f"netlist axis {name!r} must be numeric, got {col.dtype}"
-            )
-    template = parsed.template(fixed or None)
-
-    node = args.node or parsed.circuit.node_names()[-1]
-    if node not in parsed.circuit.node_names():
-        raise ReproError(
-            f"node {node!r} not in netlist; nodes: "
-            f"{', '.join(parsed.circuit.node_names())}"
-        )
-
-    n_samples = args.n_samples or 2000
-    window = args.window or 1.0
-    t_stops = np.empty(grid.size)
-    for i, point in enumerate(grid.points()):
-        t_stop_i, _ = suggest_transient_window(
-            template.bind(point), n_samples=n_samples
-        )
-        t_stops[i] = window * t_stop_i
-    if args.dt is not None:
-        t_stop, dt = float(t_stops.max()), args.dt
-    else:
-        t_stop, dt = t_stops, t_stops / n_samples
-
-    result = simulate_transient_batch(
-        template,
-        columns,
-        t_stop,
-        dt,
-        backend=args.backend or "auto",
-        record=[node],
-        model=args.model or "full",
-        rom_order=args.rom_order,
-        rom_error_bound=args.rom_error_bound,
-    )
-    rows = []
-    for i in range(grid.size):
-        wave = result.waveform(i, node)
-        try:
-            delay = wave.delay_50()
-        except ReproError:
-            delay = float("nan")
-        rows.append(
-            tuple(float(columns[name][i]) for name in grid.names)
-            + (delay, wave.final_value)
-        )
+    points = [{**fixed, **point} for point in grid.points()]
+    node, answers = _measure_netlist_args(args, parsed, points)
+    rows = [
+        tuple(point[name] for name in grid.names) + (delay, final)
+        for point, (_, _, _, delay, final) in zip(points, answers)
+    ]
     shown = _subsample(rows, args.max_rows if args.max_rows > 0 else None)
     notes = [
         f"{grid.size} grid point(s) stepped in one "
-        f"simulate_transient_batch call; {n_samples} samples/point",
+        f"simulate_transient_batch call; {args.n_samples or 2000} "
+        "samples/point",
     ]
     if fixed:
         notes.append(

@@ -31,7 +31,7 @@ class TestCli:
 
     SHARED = (
         "--netlist", "--node", "--dt", "--backend", "--model",
-        "--rom-order", "--rom-error-bound",
+        "--rom-order", "--rom-error-bound", "--n-samples", "--window",
     )
 
     @staticmethod

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -135,3 +136,35 @@ class TestReadmeRegistryDrift:
         assert "docs/build.py" in text, (
             "README should document the docs-build workflow"
         )
+
+
+class TestNetlistDocCommands:
+    """Every command of ``docs/netlist.md``'s "Command line" block runs."""
+
+    @staticmethod
+    def _commands() -> list[list[str]]:
+        text = (REPO_ROOT / "docs" / "netlist.md").read_text()
+        match = re.search(r"## Command line\s*```\n(.*?)```", text, re.DOTALL)
+        assert match, "docs/netlist.md has no 'Command line' block"
+        block = match.group(1).replace("\\\n", " ")
+        return [
+            shlex.split(line) for line in block.splitlines() if line.strip()
+        ]
+
+    def test_every_command_exits_zero(self, tmp_path, monkeypatch, capsys):
+        from repro.__main__ import main as repro_main
+        from repro.spice.parser import main as parser_main
+
+        entries = {"repro": repro_main, "repro.spice.parser": parser_main}
+        commands = self._commands()
+        assert {argv[2] for argv in commands} == set(entries)
+        # Repository paths resolve from the root; outputs land in tmp_path.
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            args = [
+                str(REPO_ROOT / arg) if arg.startswith("tests/") else arg
+                for arg in argv[3:]
+            ]
+            status = entries[argv[2]](args)
+            err = capsys.readouterr().err
+            assert status == 0, f"{shlex.join(argv)}: {err}"

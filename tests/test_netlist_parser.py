@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import NetlistError
 from repro.spice.netlist import (
     Circuit,
@@ -29,6 +31,7 @@ from repro.spice.netlist import (
 from repro.spice.parser import (
     NetlistSyntaxError,
     UnionFind,
+    _measure_netlist,
     parse_netlist,
     parse_netlist_file,
     parse_spice_number,
@@ -679,6 +682,40 @@ class TestFixtureCorpus:
 # ---------------------------------------------------------------------------
 
 
+def _pi_ladder_netlist(n_segments: int = 120) -> str:
+    """A parametric RLC pi ladder: a driven, loaded line in ``n_segments``
+    sections, each a series R-L with half its shunt C at either end."""
+    lines = [
+        "* parametric RLC pi ladder",
+        ".param rt=1000 lt=1e-6 ct=1e-12 rtr=100 cl=1e-13",
+        "V1 src 0 STEP(0 1)",
+        "Rtr src n0 {rtr}",
+    ]
+    for i in range(1, n_segments + 1):
+        lines += [
+            f"R{i} n{i - 1} m{i} {{rt/{n_segments}}}",
+            f"L{i} m{i} n{i} {{lt/{n_segments}}}",
+            f"Ca{i} n{i - 1} 0 {{ct/{2 * n_segments}}}",
+            f"Cb{i} n{i} 0 {{ct/{2 * n_segments}}}",
+        ]
+    lines += [f"Cl n{n_segments} 0 {{cl}}", ".end"]
+    return "\n".join(lines) + "\n"
+
+
+def _with_selections(call):
+    """``call()`` and the ``rom.model_selected`` counters it recorded."""
+    with obs.capture():
+        value = call()
+        entries = obs.REGISTRY.snapshot()["counters"].get(
+            "rom.model_selected", []
+        )
+    obs.reset()
+    return value, {
+        (entry["labels"]["model"], entry["labels"]["rule"]): entry["value"]
+        for entry in entries
+    }
+
+
 class TestNetlistCli:
     def test_run_netlist(self, capsys):
         from repro.__main__ import main
@@ -759,6 +796,80 @@ class TestNetlistCli:
         )
         assert status == 2
         assert "unknown netlist parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--route", "mna"],
+            ["--n-segments", "7"],
+            ["--workers", "2"],
+            ["--cache-dir", "netlist-cache"],
+            ["--no-cache"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_sweep_netlist_rejects_ignored_option(self, option, capsys):
+        from repro.__main__ import main
+
+        fixture = NETLIST_DIR / "rlc_param.cir"
+        status = main(
+            ["sweep", "--netlist", str(fixture), "--axis", "rt=10,100",
+             *option]
+        )
+        assert status == 2
+        assert f"does not take {option[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["full", "reduced", "auto"])
+    def test_run_netlist_is_one_point_sweep(self, model, tmp_path, capsys):
+        """``run --netlist`` at the defaults is the one-point ``sweep
+        --netlist`` there: the same delay, served by the same tier."""
+        from repro.__main__ import main
+
+        ladder = tmp_path / "ladder.cir"
+        ladder.write_text(_pi_ladder_netlist())
+        status, run_tier = _with_selections(
+            lambda: main(["run", "--netlist", str(ladder), "--model", model])
+        )
+        assert status == 0
+        run_out = capsys.readouterr().out
+        status, sweep_tier = _with_selections(
+            lambda: main(
+                ["sweep", "--netlist", str(ladder), "--axis", "rt=1000",
+                 "--model", model]
+            )
+        )
+        assert status == 0
+        sweep_out = capsys.readouterr().out
+        assert run_tier == sweep_tier
+        assert bool(run_tier) == (model != "full")
+        run_delay = re.search(r"delay_50=(\S+) ns", run_out).group(1)
+        sweep_delay = re.search(r"^\s*1000\s+(\S+)", sweep_out, re.M).group(1)
+        assert float(run_delay) * 1e-9 == pytest.approx(
+            float(sweep_delay), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse", "banded"])
+    @pytest.mark.parametrize("netlist", ["rlc_param", "pi_ladder"])
+    def test_measurement_is_batch_of_one(self, netlist, backend):
+        """A batch's rows are the rows of each point measured alone."""
+        parsed = (
+            parse_netlist(_pi_ladder_netlist())
+            if netlist == "pi_ladder"
+            else parse_netlist_file(NETLIST_DIR / "rlc_param.cir")
+        )
+        rt = parsed.defaults["rt"]
+        points = [{"rt": rt * scale} for scale in (0.5, 1.0, 1.7)]
+        node, rows = _measure_netlist(parsed, points, backend=backend)
+        singles = [
+            _measure_netlist(parsed, [point], backend=backend)
+            for point in points
+        ]
+        assert [one_node for one_node, _ in singles] == [node] * 3
+        alone = [one_rows[0] for _, one_rows in singles]
+        assert [row[1:] for row in rows] == [row[1:] for row in alone]
+        assert [row[0].elements for row in rows] == [
+            row[0].elements for row in alone
+        ]
 
 
 # ---------------------------------------------------------------------------
