@@ -1,4 +1,7 @@
-"""Command-line entry point: regenerate artifacts and run sweeps.
+"""The command line: regenerate artifacts, measure netlists, run sweeps.
+
+This is the package's only command-line entry point; the experiment
+drivers and the netlist frontend are reached through its subcommands.
 
 Usage::
 
@@ -6,6 +9,7 @@ Usage::
     python -m repro run EXP-E18         # regenerate one table/figure
     python -m repro run all             # regenerate everything (slow)
     python -m repro run --netlist f.cir # measure a netlist at one point
+    python -m repro run --netlist dir   # ...or every *.cir file in dir
     python -m repro sweep --list        # show the batch quantities
     python -m repro sweep propagation_delay --axis rt=log:100:5000:7 \\
         --fixed lt=1e-8 --fixed ct=1e-12
@@ -17,8 +21,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import pathlib
 import sys
+import time
 
 from repro import obs
 from repro.errors import ReproError
@@ -43,23 +50,17 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run_netlist(args: argparse.Namespace) -> int:
-    """Measure a netlist file at one point, a one-point netlist sweep."""
+def _run_netlist_file(args: argparse.Namespace, path, overrides) -> dict:
+    """Measure one netlist file at one point, a one-point netlist sweep;
+    print its report and return its summary record."""
     from repro.spice.parser import parse_netlist_file
     from repro.units import format_si
 
-    if args.metrics:
-        obs.enable()
-    try:
-        parsed = parse_netlist_file(args.netlist)
-        overrides = dict(_parse_fixed(text) for text in args.param)
-        node, [(circuit, t_stop, dt, delay, final)] = _measure_netlist_args(
-            args, parsed, [overrides]
-        )
-    except ReproError as exc:
-        print(f"netlist run failed: {exc}", file=sys.stderr)
-        return 2
-    print(f"netlist: {args.netlist} (title: {circuit.title})")
+    parsed = parse_netlist_file(path)
+    node, [(circuit, t_stop, dt, delay, final)] = _measure_netlist_args(
+        args, parsed, [overrides]
+    )
+    print(f"netlist: {path} (title: {circuit.title})")
     bound = (
         ", ".join(f"{k}={v:g}" for k, v in sorted(overrides.items()))
         if overrides
@@ -77,10 +78,69 @@ def _cmd_run_netlist(args: argparse.Namespace) -> int:
         "n/a (no 50% crossing)" if math.isnan(delay) else format_si(delay, "s")
     )
     print(f"v({node}): final={final:.6g} V, delay_50={delay_text}")
+    return {
+        "title": parsed.title,
+        "n_elements": len(circuit),
+        "n_nodes": len(circuit.node_names()),
+        "params": {**parsed.defaults, **overrides},
+        "output_node": node,
+        "v_final": final,
+        "delay_50_s": None if math.isnan(delay) else delay,
+    }
+
+
+def _cmd_run_netlist(args: argparse.Namespace) -> int:
+    """Measure a netlist file, or every ``*.cir`` file of a directory
+    (sorted; each one fails alone), and optionally write a JSON
+    summary of the per-file records."""
+    if args.metrics:
+        obs.enable()
+    root = pathlib.Path(args.netlist)
+    corpus = root.is_dir()
+    files = sorted(root.glob("*.cir")) if corpus else [args.netlist]
+    try:
+        if not files:
+            raise ReproError(f"no *.cir files in {args.netlist!r}")
+        overrides = dict(_parse_fixed(text) for text in args.param)
+    except ReproError as exc:
+        print(f"netlist run failed: {exc}", file=sys.stderr)
+        return 2
+    records = []
+    for path in files:
+        record: dict = {"file": str(path)}
+        started = time.perf_counter()
+        try:
+            record.update(_run_netlist_file(args, path, overrides), ok=True)
+        except (ReproError, OSError) as exc:
+            if not corpus:
+                print(f"netlist run failed: {exc}", file=sys.stderr)
+                return 2
+            print(f"{path}: FAIL: {exc}")
+            record.update(ok=False, error=str(exc))
+        record["seconds"] = round(time.perf_counter() - started, 6)
+        records.append(record)
+    n_ok = sum(record["ok"] for record in records)
+    if corpus:
+        print(f"{n_ok}/{len(records)} netlists ok")
+    if args.summary:
+        with open(args.summary, "w") as handle:
+            json.dump(
+                {
+                    "schema": 1,
+                    "generated_by": "python -m repro run --netlist",
+                    "n_files": len(records),
+                    "n_ok": n_ok,
+                    "files": records,
+                },
+                handle,
+                indent=1,
+                sort_keys=True,
+            )
+        print(f"summary written to {args.summary}")
     if args.metrics:
         print()
         print(metrics_footer())
-    return 0
+    return 0 if n_ok == len(records) else 1
 
 
 def _cmd_run(exp_id: str, metrics: bool = False) -> int:
@@ -137,6 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="override a netlist {...} parameter (repeatable)",
     )
+    run_parser.add_argument(
+        "--summary",
+        metavar="PATH",
+        help="write the per-netlist JSON summary of --netlist here",
+    )
     add_simulation_arguments(run_parser)
     sweep_parser = sub.add_parser(
         "sweep",
@@ -175,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_run_netlist(args)
     if not args.experiment:
         print(
-            "an experiment id (or --netlist FILE) is required",
+            "an experiment id (or --netlist PATH) is required",
             file=sys.stderr,
         )
         return 2

@@ -1,9 +1,9 @@
 """Experiment drivers: one module per reproduced table/figure.
 
-Each module exposes ``run(...) -> ExperimentTable`` and a ``main()``
-that prints the rendered rows; run any of them directly::
+Each module exposes ``run(...) -> ExperimentTable``; render any of
+them from the command line by its id::
 
-    python -m repro.experiments.table1
+    python -m repro run EXP-T1
 
 The registry below maps DESIGN.md experiment ids to their drivers.
 """
@@ -26,7 +26,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentTable, render_table
 
-#: DESIGN.md experiment id -> driver module (each has run()/main()).
+#: DESIGN.md experiment id -> driver module (each has run()).
 REGISTRY = {
     "EXP-T1": table1,
     "EXP-F2": fig2,

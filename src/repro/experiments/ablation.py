@@ -17,9 +17,9 @@ from repro.core.moments import elmore_delay_50, two_pole_delay_50
 from repro.core.simulate import simulated_delay_50
 from repro.errors import AnalysisError
 from repro.experiments import table1
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def _awe3(line):
@@ -94,12 +94,3 @@ def run(
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X3 model-term ablation table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

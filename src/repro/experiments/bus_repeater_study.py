@@ -25,11 +25,11 @@ from repro.core.repeater import (
     numerical_optimal_design,
     optimal_rlc_design,
 )
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 from repro.technology.nodes import node_by_name
 from repro.technology.parasitics import coupling_capacitance_per_length
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(
@@ -124,12 +124,3 @@ def run(
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X8 bus repeater comparison table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

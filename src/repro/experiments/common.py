@@ -1,9 +1,8 @@
 """Shared experiment plumbing: result tables and text rendering.
 
 Every experiment driver returns an :class:`ExperimentTable`; benchmarks
-and ``python -m repro.experiments.<name>`` render it with
-:func:`render_table` so the reproduced rows appear exactly once in one
-place.
+and ``python -m repro run EXP-*`` render it with :func:`render_table`
+so the reproduced rows appear exactly once in one place.
 """
 
 from __future__ import annotations

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from repro.analysis.bus import analyze_bus
 from repro.bus.spec import BusSpec
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 from repro.technology.nodes import node_by_name
 from repro.technology.parasitics import (
     WireGeometry,
     coupling_capacitance_per_length,
 )
 
-__all__ = ["coupling_for_spacing", "run", "main"]
+__all__ = ["coupling_for_spacing", "run"]
 
 
 def coupling_for_spacing(
@@ -103,12 +103,3 @@ def run(
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X6 coupled-pair crosstalk table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

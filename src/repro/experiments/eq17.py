@@ -25,9 +25,9 @@ from repro.core.repeater import (
     numerical_optimal_design,
 )
 from repro.core.simulate import simulated_delay_50_batch
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["run", "main", "simulated_delay_increase"]
+__all__ = ["run", "simulated_delay_increase"]
 
 
 def simulated_delay_increase(
@@ -80,12 +80,3 @@ def run(tlr_values=None, simulate: bool = True) -> ExperimentTable:
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-E17 delay-penalty table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

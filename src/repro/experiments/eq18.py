@@ -21,9 +21,9 @@ from repro.core.repeater import (
     normalized_system,
     numerical_optimal_design,
 )
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(tlr_values=None) -> ExperimentTable:
@@ -63,12 +63,3 @@ def run(tlr_values=None) -> ExperimentTable:
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-E18 area-penalty table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,9 +17,9 @@ import numpy as np
 from repro.core.canonical import DriverLineLoad
 from repro.core.delay import scaled_delay
 from repro.core.simulate import simulated_delay_50
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["RATIO_PAIRS", "run", "main"]
+__all__ = ["RATIO_PAIRS", "run"]
 
 #: The (RT, CT) families of Fig. 2.
 RATIO_PAIRS = ((0.0, 0.0), (1.0, 1.0), (5.0, 5.0))
@@ -105,12 +105,3 @@ def run(
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-F2 scaled-delay-vs-zeta table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.repeater import error_factors, numerical_error_factors
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(tlr_values=None) -> ExperimentTable:
@@ -58,12 +58,3 @@ def run(tlr_values=None) -> ExperimentTable:
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-F4 error-factor table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

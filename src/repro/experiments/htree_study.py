@@ -29,14 +29,14 @@ stage.
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 from repro.spice.netlist import Circuit, Step
 from repro.spice.parser import suggest_transient_window
 from repro.spice.transient import simulate_transient
 from repro.technology.nodes import node_by_name
 from repro.topology import HTreeSpec, add_rlc_line, build_htree_circuit
 
-__all__ = ["make_tree_spec", "run", "main"]
+__all__ = ["make_tree_spec", "run"]
 
 
 def make_tree_spec(
@@ -252,12 +252,3 @@ def run(
         rows=tuple(scenarios),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X9 H-tree skew table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

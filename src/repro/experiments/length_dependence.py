@@ -20,10 +20,10 @@ from repro.analysis.length_dependence import (
     fitted_length_exponent,
     rc_lc_crossover_length,
 )
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 from repro.technology.nodes import node_by_name
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(
@@ -80,12 +80,3 @@ def run(
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X1 delay-vs-length table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

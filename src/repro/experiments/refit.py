@@ -25,9 +25,9 @@ from repro.core.delay import (
 from repro.core.fitting import fit_delay_model, fit_error_factor
 from repro.core.repeater import numerical_error_factors
 from repro.core.simulate import simulated_delay_50
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["run", "main", "refit_delay_model", "refit_error_factors"]
+__all__ = ["run", "refit_delay_model", "refit_error_factors"]
 
 
 def refit_delay_model(
@@ -129,12 +129,3 @@ def run() -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X5 refit table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

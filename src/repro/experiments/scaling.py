@@ -11,9 +11,9 @@ penalty columns evaluated in one :mod:`repro.sweep.kernels` batch).
 from __future__ import annotations
 
 from repro.analysis.scaling_study import scaling_table
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(layer: str = "global") -> ExperimentTable:
@@ -40,12 +40,3 @@ def run(layer: str = "global") -> ExperimentTable:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X4 technology-scaling table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from repro.analysis.bus import shield_tradeoff
 from repro.bus.spec import BusSpec
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 from repro.technology.nodes import node_by_name
 from repro.technology.parasitics import coupling_capacitance_per_length
 
-__all__ = ["make_bus_spec", "run", "main"]
+__all__ = ["make_bus_spec", "run"]
 
 
 def make_bus_spec(
@@ -124,12 +124,3 @@ def run(
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X7 shield-insertion table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

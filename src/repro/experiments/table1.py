@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.core.canonical import DriverLineLoad
 from repro.core.delay import propagation_delay
 from repro.core.simulate import simulated_delay_50
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 from repro.units import PS
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "RTR",
     "build_case",
     "run",
-    "main",
 ]
 
 RT_VALUES = (0.1, 0.5, 1.0)
@@ -98,12 +97,3 @@ def run(
         rows=tuple(rows),
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-T1 delay-comparison table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

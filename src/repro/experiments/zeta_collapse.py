@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.zeta_collapse import collapse_spread
-from repro.experiments.common import ExperimentTable, render_table
+from repro.experiments.common import ExperimentTable
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 
 def run(
@@ -61,12 +61,3 @@ def run(
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Render the EXP-X2 zeta-collapse table."""
-    print(render_table(run()))
-
-
-if __name__ == "__main__":
-    main()

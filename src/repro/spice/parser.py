@@ -41,12 +41,9 @@ Syntax errors carry their position: :class:`NetlistSyntaxError` knows
 the 1-based line number, the column, and the offending line, and its
 message embeds all three.
 
-The module doubles as the fixture-corpus smoke runner::
-
-    python -m repro.spice.parser tests/netlists --summary corpus.json
-
-parses every ``.cir`` file, runs a short transient on each, and writes
-a JSON summary document (the CI job uploads it as an artifact).
+:func:`_measure_netlist` is where a parsed netlist becomes measured
+far-end answers; ``python -m repro run --netlist`` (a file, or every
+``.cir`` file of a directory) and ``sweep --netlist`` reach it.
 """
 
 from __future__ import annotations
@@ -79,8 +76,6 @@ __all__ = [
     "parse_spice_number",
     "parse_statement",
     "suggest_transient_window",
-    "run_corpus",
-    "main",
 ]
 
 
@@ -1115,7 +1110,7 @@ def _add_statement(circuit: Circuit, statement: _Statement):
 
 
 # ---------------------------------------------------------------------------
-# Simulation-window heuristic + corpus runner
+# Simulation-window heuristic + measurement
 # ---------------------------------------------------------------------------
 
 
@@ -1131,7 +1126,7 @@ def suggest_transient_window(
 
     with a 1 ns floor so degenerate (resistor-only) netlists still get
     a usable grid.  ``dt = t_stop / n_samples``.  This is a *default*
-    for CLI/corpus runs, not a convergence guarantee -- pass explicit
+    for CLI runs, not a convergence guarantee -- pass explicit
     values for accuracy-critical measurements.
     """
     import math
@@ -1172,15 +1167,15 @@ def _measure_netlist(
     """Step a parsed netlist at each parameter point; measure one node.
 
     The one place a netlist becomes measured answers, for ``sweep
-    --netlist`` (its grid), ``run --netlist`` (one point) and
-    :func:`run_corpus` (``[{}]``: the defaults).  A point overlays the
-    ``.param`` defaults.  Each point's span is ``window *
-    suggest_transient_window(point, n_samples)[0]`` (defaults 1 and
-    2000), stepped at ``span / n_samples``; a given ``dt`` steps every
-    point over the largest span.  All points step in one
-    :func:`~repro.spice.transient.simulate_transient_batch` recording
-    only ``node`` (default: the last node), under its ``backend``,
-    ``model`` and ``rom_*`` options (``None``: its default).
+    --netlist`` (its grid) and ``run --netlist`` (one point per file).
+    A point overlays the ``.param`` defaults.  Each point's span is
+    ``window * suggest_transient_window(point, n_samples)[0]``
+    (defaults 1 and 2000), stepped at ``span / n_samples``; a given
+    ``dt`` steps every point over the largest span.  All points step in
+    one :func:`~repro.spice.transient.simulate_transient_batch`
+    recording only ``node`` (default: the last node), under its
+    ``backend``, ``model`` and ``rom_*`` options (``None``: its
+    default).
 
     Returns ``(node, rows)``, one ``(circuit, t_stop, dt, delay_50,
     v_final)`` row per point: the bound circuit, its window, its 50%
@@ -1242,111 +1237,3 @@ def _measure_netlist(
             circuit, float(spans[i]), float(steps[i]), delay, wave.final_value
         ))
     return node, rows
-
-
-def run_corpus(
-    paths,
-    dt: float | None = None,
-    backend: str = "auto",
-) -> dict:
-    """Parse and simulate a corpus of ``.cir`` files; return a summary.
-
-    ``paths`` may mix files and directories (directories contribute
-    their ``*.cir`` files, sorted).  Each netlist is parsed, bound with
-    its ``.param`` defaults, validated, and -- when it contains at
-    least one source -- measured there by :func:`_measure_netlist`.
-    Per-file failures are captured as strings, not raised, so one bad
-    fixture cannot hide the rest of the corpus.
-    """
-    import math
-    import pathlib
-    import time
-
-    from repro.errors import ReproError
-    from repro.spice.netlist import VoltageSource
-
-    files: list[pathlib.Path] = []
-    for entry in paths:
-        p = pathlib.Path(entry)
-        if p.is_dir():
-            files.extend(sorted(p.glob("*.cir")))
-        else:
-            files.append(p)
-
-    records = []
-    for path in files:
-        record: dict = {"file": str(path)}
-        started = time.perf_counter()
-        try:
-            parsed = parse_netlist_file(path)
-            circuit = parsed.bind()
-            record.update(
-                title=parsed.title,
-                n_elements=len(circuit),
-                n_nodes=len(circuit.node_names()),
-                params=dict(parsed.defaults),
-            )
-            has_source = any(
-                isinstance(e, VoltageSource) for e in circuit.elements
-            )
-            if has_source:
-                node, [(_, _, _, delay, final)] = _measure_netlist(
-                    parsed, [{}], dt=dt, backend=backend
-                )
-                record["output_node"] = node
-                record["v_final"] = final
-                record["delay_50_s"] = None if math.isnan(delay) else delay
-            record["ok"] = True
-        except ReproError as exc:
-            record["ok"] = False
-            record["error"] = str(exc)
-        record["seconds"] = round(time.perf_counter() - started, 6)
-        records.append(record)
-
-    return {
-        "schema": 1,
-        "generated_by": "repro.spice.parser",
-        "n_files": len(records),
-        "n_ok": sum(1 for r in records if r["ok"]),
-        "files": records,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Corpus smoke runner CLI: parse -> simulate -> JSON summary."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.spice.parser",
-        description="Parse and simulate a corpus of .cir netlists and "
-        "write a JSON summary.",
-    )
-    parser.add_argument(
-        "paths", nargs="+", help=".cir files or directories of them"
-    )
-    parser.add_argument(
-        "--summary", metavar="PATH", help="write the JSON summary here"
-    )
-    parser.add_argument("--dt", type=float, help="transient step (s)")
-    parser.add_argument(
-        "--backend", default="auto", help="linear-solver backend"
-    )
-    args = parser.parse_args(argv)
-
-    summary = run_corpus(args.paths, dt=args.dt, backend=args.backend)
-    for record in summary["files"]:
-        status = "ok" if record["ok"] else f"FAIL: {record['error']}"
-        delay = record.get("delay_50_s")
-        extra = f"  delay50={delay:.3e}s" if delay else ""
-        print(f"{record['file']}: {status}{extra}")
-    print(f"{summary['n_ok']}/{summary['n_files']} netlists ok")
-    if args.summary:
-        with open(args.summary, "w") as handle:
-            json.dump(summary, handle, indent=1, sort_keys=True)
-        print(f"summary written to {args.summary}")
-    return 0 if summary["n_ok"] == summary["n_files"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -34,6 +34,8 @@ parameter slots and every grid point is stepped in one
 from __future__ import annotations
 
 import argparse
+import math
+import pathlib
 import sys
 
 from repro import obs
@@ -61,9 +63,10 @@ def add_simulation_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("simulation options")
     group.add_argument(
         "--netlist",
-        metavar="FILE",
-        help="SPICE-like netlist file to simulate (run) or whose {...} "
-        "parameter slots to sweep (sweep)",
+        metavar="PATH",
+        help="SPICE-like netlist file to simulate (run; a directory "
+        "runs each of its *.cir files) or whose {...} parameter slots "
+        "to sweep (sweep)",
     )
     group.add_argument(
         "--node",
@@ -307,6 +310,12 @@ def _run_netlist_sweep(args: argparse.Namespace) -> int:
     ]
     if ignored:
         raise ReproError(f"sweep --netlist does not take {', '.join(ignored)}")
+    if pathlib.Path(args.netlist).is_dir():
+        raise ReproError(
+            f"sweep --netlist takes one file, not the directory "
+            f"{args.netlist!r}; 'python -m repro run --netlist' measures "
+            "every netlist of a directory"
+        )
     parsed = parse_netlist_file(args.netlist)
     if not parsed.is_parametric:
         raise ReproError(
@@ -333,10 +342,13 @@ def _run_netlist_sweep(args: argparse.Namespace) -> int:
         for point, (_, _, _, delay, final) in zip(points, answers)
     ]
     shown = _subsample(rows, args.max_rows if args.max_rows > 0 else None)
+    # The lockstep batch's step count (one for every point): its span
+    # over its step, less round-off, as simulate_transient_batch counts.
+    _, span, step, _, _ = answers[0]
     notes = [
         f"{grid.size} grid point(s) stepped in one "
-        f"simulate_transient_batch call; {args.n_samples or 2000} "
-        "samples/point",
+        f"simulate_transient_batch call; "
+        f"{max(1, math.ceil(span / step * (1.0 - 1e-12)))} samples/point",
     ]
     if fixed:
         notes.append(

@@ -152,12 +152,12 @@ class TestNetlistDocCommands:
         ]
 
     def test_every_command_exits_zero(self, tmp_path, monkeypatch, capsys):
-        from repro.__main__ import main as repro_main
-        from repro.spice.parser import main as parser_main
+        from repro.__main__ import main
 
-        entries = {"repro": repro_main, "repro.spice.parser": parser_main}
         commands = self._commands()
-        assert {argv[2] for argv in commands} == set(entries)
+        assert {tuple(argv[:3]) for argv in commands} == {
+            ("python", "-m", "repro")
+        }
         # Repository paths resolve from the root; outputs land in tmp_path.
         monkeypatch.chdir(tmp_path)
         for argv in commands:
@@ -165,6 +165,6 @@ class TestNetlistDocCommands:
                 str(REPO_ROOT / arg) if arg.startswith("tests/") else arg
                 for arg in argv[3:]
             ]
-            status = entries[argv[2]](args)
+            status = main(args)
             err = capsys.readouterr().err
             assert status == 0, f"{shlex.join(argv)}: {err}"

@@ -49,10 +49,9 @@ class TestRegistry:
         }
         assert set(REGISTRY) == expected
 
-    def test_every_driver_has_run_and_main(self):
+    def test_every_driver_has_run(self):
         for module in REGISTRY.values():
             assert callable(module.run)
-            assert callable(module.main)
 
 
 class TestTable1:

@@ -36,10 +36,8 @@ from repro.spice.parser import (
     parse_netlist_file,
     parse_spice_number,
     parse_statement,
-    run_corpus,
     suggest_transient_window,
 )
-from repro.spice.parser import main as parser_main
 from repro.spice.transient import simulate_transient
 
 NETLIST_DIR = pathlib.Path(__file__).parent / "netlists"
@@ -655,26 +653,122 @@ class TestFixtureCorpus:
         assert parsed.circuit.parameter_names() == ("ct", "lt", "rt")
         assert parsed.defaults == {"rt": 100.0, "lt": 1 * 1e-9, "ct": 1 * 1e-12}
 
-    def test_run_corpus_summary(self, tmp_path):
-        summary = run_corpus([str(NETLIST_DIR)])
+    @staticmethod
+    def _run(argv, tmp_path, name="summary.json"):
+        """``python -m repro run --netlist ...`` with ``--summary``: the
+        exit status and the summary document."""
+        from repro.__main__ import main
+
+        out = tmp_path / name
+        status = main(["run", "--netlist", *argv, "--summary", str(out)])
+        return status, json.loads(out.read_text())
+
+    def test_run_netlist_dir_summary(self, tmp_path, capsys):
+        status, summary = self._run([str(NETLIST_DIR)], tmp_path)
+        assert status == 0
         assert summary["n_files"] == len(list(NETLIST_DIR.glob("*.cir")))
         assert summary["n_ok"] == summary["n_files"]
-        assert all(record["ok"] for record in summary["files"])
+        assert set(summary) == {
+            "schema", "generated_by", "n_files", "n_ok", "files"
+        }
+        for record in summary["files"]:
+            assert record["ok"]
+            assert set(record) == {
+                "file", "title", "n_elements", "n_nodes", "params",
+                "output_node", "v_final", "delay_50_s", "ok", "seconds",
+            }
 
-    def test_parser_main_writes_summary(self, tmp_path, capsys):
-        out = tmp_path / "corpus.json"
-        status = parser_main([str(NETLIST_DIR), "--summary", str(out)])
+    def test_run_netlist_dir_writes_summary(self, tmp_path, capsys):
+        status, summary = self._run([str(NETLIST_DIR)], tmp_path)
         assert status == 0
-        document = json.loads(out.read_text())
-        assert document["n_ok"] == document["n_files"]
-        assert "netlists ok" in capsys.readouterr().out
+        assert summary["n_ok"] == summary["n_files"]
+        out = capsys.readouterr().out
+        assert f"{summary['n_ok']}/{summary['n_files']} netlists ok" in out
+        assert "summary written to" in out
 
-    def test_parser_main_reports_failures(self, tmp_path, capsys):
-        bad = tmp_path / "bad.cir"
-        bad.write_text("R1 a b 5qq\n")
-        status = parser_main([str(bad)])
+    def test_run_netlist_dir_reports_failures(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bad.cir").write_text("R1 a b 5qq\n")
+        status, summary = self._run([str(corpus)], tmp_path)
         assert status == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert (summary["n_ok"], summary["n_files"]) == (0, 1)
+        out = capsys.readouterr().out
+        assert f"{corpus / 'bad.cir'}: FAIL: unknown unit suffix" in out
+        assert "0/1 netlists ok" in out
+
+    def test_run_netlist_dir_is_each_file_alone(self, tmp_path, capsys):
+        """A directory run prints and records, for every file, exactly
+        what ``run --netlist`` of that file alone does."""
+        status, summary = self._run([str(NETLIST_DIR)], tmp_path)
+        assert status == 0
+        corpus_out = capsys.readouterr().out
+        for i, record in enumerate(summary["files"]):
+            status, alone = self._run(
+                [record["file"]], tmp_path, name=f"alone{i}.json"
+            )
+            assert status == 0
+            assert capsys.readouterr().out.split("summary written")[0] in (
+                corpus_out
+            )
+            [alone_record] = alone["files"]
+            del record["seconds"], alone_record["seconds"]
+            assert record == alone_record
+
+    def test_run_netlist_dir_measures_current_source(self, tmp_path, capsys):
+        """A netlist driven only by a current source is measured too."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "irc.cir").write_text(
+            "I1 0 a STEP(0 1m)\nR1 a 0 1k\nC1 a 0 1p\n"
+        )
+        status, summary = self._run([str(corpus)], tmp_path)
+        assert status == 0
+        [record] = summary["files"]
+        assert record["output_node"] == "a"
+        assert record["v_final"] == pytest.approx(1.0, abs=1e-3)
+        # 50% of an RC step: ln(2) * 1 ns, to the 4 ps step.
+        assert record["delay_50_s"] == pytest.approx(694.8e-12, abs=0.1e-12)
+
+    def test_run_netlist_dir_bad_file_fails_alone(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for fixture in NETLIST_DIR.glob("*.cir"):
+            (corpus / fixture.name).write_text(fixture.read_text())
+        (corpus / "bad.cir").write_text("R1 a b 5qq\n")
+        status, summary = self._run([str(corpus)], tmp_path)
+        assert status == 1
+        assert (summary["n_ok"], summary["n_files"]) == (4, 5)
+        by_name = {
+            pathlib.Path(r["file"]).name: r for r in summary["files"]
+        }
+        assert not by_name.pop("bad.cir")["ok"]
+        _, reference = self._run([str(NETLIST_DIR)], tmp_path, "ref.json")
+        for record in reference["files"]:
+            measured = by_name[pathlib.Path(record["file"]).name]
+            assert measured["delay_50_s"] == record["delay_50_s"]
+            assert measured["v_final"] == record["v_final"]
+
+    def test_run_netlist_dir_param_fails_files_without_slot(
+        self, tmp_path, capsys
+    ):
+        """``--param`` applies to every file; a file without the slot
+        fails on its own."""
+        status, summary = self._run(
+            [str(NETLIST_DIR), "--param", "rt=50"], tmp_path
+        )
+        assert status == 1
+        ok = {
+            pathlib.Path(r["file"]).name: r["ok"] for r in summary["files"]
+        }
+        assert ok == {
+            "rc_ladder.cir": False,
+            "rlc_param.cir": True,
+            "sources_zoo.cir": False,
+            "wires_short.cir": False,
+        }
+        [measured] = [r for r in summary["files"] if r["ok"]]
+        assert measured["params"]["rt"] == 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +849,20 @@ class TestNetlistCli:
         assert main(["run", "--netlist", str(fixture), "--node", "zz"]) == 2
         assert "not in netlist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("name", "message"),
+        [("missing.cir", "No such file"), ("empty", "no *.cir files")],
+    )
+    def test_run_netlist_unreadable_path(self, name, message, tmp_path,
+                                         capsys):
+        """A missing file or a directory without netlists exits 2 with
+        a message, not a traceback."""
+        from repro.__main__ import main
+
+        (tmp_path / "empty").mkdir()
+        assert main(["run", "--netlist", str(tmp_path / name)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_sweep_netlist(self, capsys):
         from repro.__main__ import main
 
@@ -796,6 +904,45 @@ class TestNetlistCli:
         )
         assert status == 2
         assert "unknown netlist parameter" in capsys.readouterr().err
+
+    def test_sweep_netlist_rejects_directory(self, capsys):
+        from repro.__main__ import main
+
+        status = main(
+            ["sweep", "--netlist", str(NETLIST_DIR), "--axis", "rt=10,100"]
+        )
+        assert status == 2
+        assert "takes one file" in capsys.readouterr().err
+
+    def test_sweep_netlist_note_counts_steps(self, capsys):
+        """Under ``--dt`` the note reports the step count every point
+        takes: the largest span over ``dt``, not ``--n-samples``."""
+        from repro.__main__ import main
+        from repro.spice.transient import simulate_transient_batch
+
+        fixture = NETLIST_DIR / "rlc_param.cir"
+        status = main(
+            ["sweep", "--netlist", str(fixture), "--axis", "rt=10,100,1000",
+             "--axis", "lt=1e-9,3e-9", "--dt", "1e-12", "--window", "2"]
+        )
+        assert status == 0
+        out = capsys.readouterr().out
+        parsed = parse_netlist_file(fixture)
+        points = [
+            {"rt": rt, "lt": lt}
+            for rt in (10.0, 100.0, 1000.0)
+            for lt in (1e-9, 3e-9)
+        ]
+        _, rows = _measure_netlist(parsed, points, dt=1e-12, window=2.0)
+        stepped = simulate_transient_batch(
+            parsed.template(),
+            points,
+            [row[1] for row in rows],
+            [row[2] for row in rows],
+            record=["out"],
+        ).n_steps
+        assert stepped > 20000
+        assert f"; {stepped} samples/point" in out
 
     @pytest.mark.parametrize(
         "option",
