@@ -41,6 +41,14 @@ from repro.sweep.cli import (
 )
 
 
+#: ``run`` options that only a netlist run reads: ``--param``,
+#: ``--summary`` and the shared simulation options.
+_NETLIST_OPTIONS = (
+    "param", "summary", "node", "n_samples", "window", "dt", "backend",
+    "model", "rom_order", "rom_error_bound",
+)
+
+
 def _cmd_list() -> int:
     width = max(len(k) for k in REGISTRY)
     for exp_id, module in REGISTRY.items():
@@ -60,7 +68,7 @@ def _run_netlist_file(args: argparse.Namespace, path, overrides) -> dict:
     node, [(circuit, t_stop, dt, delay, final)] = _measure_netlist_args(
         args, parsed, [overrides]
     )
-    print(f"netlist: {path} (title: {circuit.title})")
+    print(f"netlist: {path} (title: {parsed.title})")
     bound = (
         ", ".join(f"{k}={v:g}" for k, v in sorted(overrides.items()))
         if overrides
@@ -241,6 +249,18 @@ def main(argv: list[str] | None = None) -> int:
     if not args.experiment:
         print(
             "an experiment id (or --netlist PATH) is required",
+            file=sys.stderr,
+        )
+        return 2
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name in _NETLIST_OPTIONS
+        if getattr(args, name) not in (None, [])
+    ]
+    if ignored:
+        print(
+            f"run {args.experiment} does not take {', '.join(ignored)} "
+            "(netlist options; see run --netlist)",
             file=sys.stderr,
         )
         return 2

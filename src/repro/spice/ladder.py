@@ -244,6 +244,19 @@ def build_ladder_state_space(spec: LadderSpec) -> StateSpace:
     output is the far-end node voltage.  When position 0 carries no
     capacitance (L and T topologies) the driver resistor is merged into
     the first branch, whose left terminal is then the ideal source.
+
+    The states are in scaled units: branch current ``I_i`` is stored
+    as ``sigma_i * I_i`` with ``sigma_i`` the power of two nearest
+    ``sqrt(L_i)``, and capacitor voltage ``V_k`` as ``sigma_k * V_k``
+    with ``sigma_k`` nearest ``sqrt(C_k)`` (each state's square is then
+    about twice its stored energy).  Raw SI states mix ``1/L`` and
+    ``1/C`` entries many decades apart, so ``expm(A dt)`` on an
+    inductance-dominated line squares a badly scaled matrix and runs on
+    subnormal numbers; scaled, every coupling entry is about
+    ``1/sqrt(L_i C_k)``, the segment's natural frequency.  Powers of
+    two make this diagonal similarity exact: the transfer function is
+    unchanged and the output row reads ``V_far`` back with one exact
+    factor.
     """
     chain = spec._chain()
     nb = chain.n_branches
@@ -289,4 +302,19 @@ def build_ladder_state_space(spec: LadderSpec) -> StateSpace:
 
     c_row = np.zeros(n_states)
     c_row[cap_state[nb]] = 1.0
+
+    sigma = _state_units(chain)
+    a *= sigma[:, None] / sigma[None, :]
+    b *= sigma[:, None]
+    c_row /= sigma
     return StateSpace(a=a, b=b, c=c_row)
+
+
+def _state_units(chain: _Chain) -> np.ndarray:
+    """Per-state factors of :func:`build_ladder_state_space`'s units.
+
+    The power of two nearest (on a log scale) ``sqrt(L_i)`` for each
+    branch current, then ``sqrt(C_k)`` for each nonzero capacitance.
+    """
+    inertia = np.concatenate([chain.l, chain.caps[chain.caps > 0.0]])
+    return np.ldexp(1.0, np.rint(0.5 * np.log2(inertia)).astype(int))

@@ -112,25 +112,28 @@ def _first_crossings(t: np.ndarray, v: np.ndarray, level: float, rising) -> np.n
     ``t`` has shape ``(n,)`` and ``v`` shape ``(rows, n)``; ``rising`` is
     one flag or one per row.  The samples are not validated here.
     """
-    rows = np.arange(v.shape[0])
-    rising = np.asarray(rising, dtype=bool).reshape(-1, 1)
-    satisfied = np.where(rising, v >= level, v <= level)
-    transitions = satisfied[:, 1:] & ~satisfied[:, :-1]
+    if isinstance(rising, (bool, np.bool_)):
+        up = rising
+        satisfied = v >= level if up else v <= level
+    else:
+        up = np.broadcast_to(np.asarray(rising, dtype=bool).reshape(-1), v.shape[:1])
+        satisfied = np.where(up[:, np.newaxis], v >= level, v <= level)
+    transitions = satisfied[:, 1:] > satisfied[:, :-1]
     i = transitions.argmax(axis=1)
-    v0, v1, t0 = v[rows, i], v[rows, i + 1], t[i]
-    # In a row with a transition, v0 is strictly on the non-satisfying
-    # side and v1 at/beyond the level, so v1 != v0 and the interpolation
-    # is well defined; the other rows read nan, whatever they compute.
-    with np.errstate(all="ignore"):
-        frac = (level - v0) / (v1 - v0)
-        crossings = t0 + frac * (t[i + 1] - t0)
-    crossings[~transitions[rows, i]] = math.nan
+    crossings = np.full(v.shape[0], math.nan)
+    (hit,) = np.nonzero(transitions.any(axis=1))
+    if hit.size:
+        # In a row with a transition, v0 is strictly on the non-satisfying
+        # side and v1 at/beyond the level, so v1 != v0.
+        i = i[hit]
+        v0, v1, t0 = v[hit, i], v[hit, i + 1], t[i]
+        crossings[hit] = t0 + (level - v0) / (v1 - v0) * (t[i + 1] - t0)
     # A row that starts exactly at the level crosses at t[0] if its
     # first sample off the level lies in the crossing direction.
     (start,) = np.nonzero(v[:, 0] == level)
     if start.size:
         off = v[start, (v[start] != level).argmax(axis=1)]
-        up = np.broadcast_to(rising[:, 0], rows.shape)[start]
+        up = np.broadcast_to(up, v.shape[:1])[start]
         crossings[start[np.where(up, off > level, off < level)]] = t[0]
     return crossings
 

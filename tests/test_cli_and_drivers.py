@@ -47,6 +47,26 @@ class TestCli:
             for option in action.option_strings
         }
 
+    def test_run_experiment_rejects_netlist_options(self, tmp_path, capsys):
+        """An experiment run exits 2 naming the netlist options it would
+        ignore, and runs nothing: no summary file appears."""
+        summary = tmp_path / "x.json"
+        argv = ["run", "EXP-E18", "--summary", str(summary), "--node", "zz",
+                "--param", "a=1", "--dt", "5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for flag in ("--summary", "--node", "--param", "--dt"):
+            assert flag in err
+        assert not summary.exists()
+
+    def test_run_experiment_takes_no_netlist_option(self, capsys):
+        """Every ``run`` option but the experiment's own is rejected."""
+        own = {"-h", "--help", "--metrics", "--netlist"}
+        for option in sorted(set(self._options("run")) - own):
+            assert main(["run", "EXP-X4", option, "1"]) == 2, option
+            assert option in capsys.readouterr().err
+        assert main(["run", "all", "--window", "3"]) == 2
+
     def test_run_and_sweep_share_the_simulation_options(self):
         run, sweep = self._options("run"), self._options("sweep")
         for option in self.SHARED:

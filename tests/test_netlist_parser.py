@@ -678,6 +678,20 @@ class TestFixtureCorpus:
                 "output_node", "v_final", "delay_50_s", "ok", "seconds",
             }
 
+    @pytest.mark.parametrize("name", ["rc_ladder.cir", "rlc_param.cir"])
+    def test_run_netlist_header_prints_the_summary_title(self, name, tmp_path,
+                                                         capsys):
+        """The report header names the title the summary record stores,
+        the file stem for a netlist without a ``.title`` line."""
+        path = NETLIST_DIR / name
+        status, summary = self._run([str(path)], tmp_path)
+        assert status == 0
+        [record] = summary["files"]
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"netlist: {path} (title: {record['title']})"
+        if name == "rc_ladder.cir":
+            assert record["title"] == "rc_ladder"
+
     def test_run_netlist_dir_writes_summary(self, tmp_path, capsys):
         status, summary = self._run([str(NETLIST_DIR)], tmp_path)
         assert status == 0

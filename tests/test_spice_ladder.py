@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.canonical import DriverLineLoad
+from repro.core.simulate import _time_window
 from repro.errors import ParameterError
+from repro.experiments import table1
 from repro.spice.ladder import (
     LadderSpec,
     LadderTopology,
+    _state_units,
     build_ladder_circuit,
     build_ladder_state_space,
 )
@@ -162,3 +168,161 @@ class TestStateSpaceBuilder:
         fine = abs(t50(64) - t50_exact)
         assert fine < coarse
         assert fine / t50_exact < 0.01
+
+
+def _si_chain_model(spec: LadderSpec, dtype=float):
+    """The ladder's ``(A, B, C)`` in SI state units (amperes, volts),
+    written out from the chain in ``dtype`` arithmetic."""
+    chain = spec._chain()
+    nb = chain.n_branches
+    r, lind, caps = (np.asarray(x, dtype=dtype) for x in (chain.r, chain.l, chain.caps))
+    rtr = dtype(spec.rtr)
+    cap_state = {pos: nb + i for i, pos in enumerate(np.flatnonzero(chain.caps > 0))}
+    n = nb + len(cap_state)
+    a, b, c = np.zeros((n, n), dtype), np.zeros((n, 1), dtype), np.zeros(n, dtype)
+    for i in range(nb):
+        r_eff = r[i]
+        if i not in cap_state:  # position 0 without a cap: driver in series
+            r_eff = r_eff + rtr
+            b[0, 0] = 1 / lind[0]
+        else:
+            a[i, cap_state[i]] += 1 / lind[i]
+        if i + 1 in cap_state:
+            a[i, cap_state[i + 1]] -= 1 / lind[i]
+        a[i, i] -= r_eff / lind[i]
+    for pos, row in cap_state.items():
+        if pos > 0:
+            a[row, pos - 1] += 1 / caps[pos]
+        if pos < nb:
+            a[row, pos] -= 1 / caps[pos]
+        if pos == 0:
+            a[row, row] -= 1 / (rtr * caps[pos])
+            b[row, 0] = 1 / (rtr * caps[pos])
+    c[cap_state[nb]] = 1
+    return a, b, c
+
+
+def _table1_lines(lt_values=table1.LT_VALUES):
+    """The unjittered EXP-T1 cells (all 36, or the rows of ``lt_values``)."""
+    return [
+        DriverLineLoad(rt=table1.RTR / r_ratio, lt=lt, ct=table1.CT_TOTAL,
+                       rtr=table1.RTR, cl=c_ratio * table1.CT_TOTAL)
+        for r_ratio in table1.RT_VALUES
+        for lt in lt_values
+        for c_ratio in table1.CT_VALUES
+    ]
+
+
+def _spread_specs(seed: int = 32, count: int = 12):
+    """A seeded spread of ladders around the Lt = 10 uH Table 1 corner."""
+    rng = np.random.default_rng(seed)
+    specs = [
+        LadderSpec(rt=table1.RTR, lt=1e-5, ct=table1.CT_TOTAL, rtr=table1.RTR,
+                   cl=0.1 * table1.CT_TOTAL, n_segments=n, topology=topology)
+        for topology in LadderTopology
+        for n in (1, 40)
+    ]
+    for _ in range(count):
+        specs.append(LadderSpec(
+            rt=10 ** rng.uniform(0, 4), lt=10 ** rng.uniform(-10, -4),
+            ct=10 ** rng.uniform(-14, -10), rtr=10 ** rng.uniform(0, 4),
+            cl=float(rng.choice([0.0, 10 ** rng.uniform(-15, -11)])),
+            n_segments=int(rng.integers(1, 60)),
+            topology=list(LadderTopology)[rng.integers(3)],
+        ))
+    return specs
+
+
+def _ld_expm(m):
+    """Long-double ``expm``: Taylor series on ``m / 2**s``, then squarings."""
+    norm = float(np.max(np.sum(np.abs(m), axis=0)))
+    s = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0 else 0
+    x = m / np.longdouble(2) ** s
+    term = np.eye(len(m), dtype=np.longdouble)
+    out = term.copy()
+    for k in range(1, 30):
+        term = term @ x / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+class TestScaledStateUnits:
+    """The statespace model's power-of-two state units (an exact
+    similarity of the SI-unit chain model)."""
+
+    @pytest.mark.parametrize("spec", _spread_specs())
+    def test_units_are_powers_of_two_near_sqrt_inertia(self, spec):
+        sigma = _state_units(spec._chain())
+        mantissa, _ = np.frexp(sigma)
+        assert np.all(mantissa == 0.5)
+        chain = spec._chain()
+        inertia = np.concatenate([chain.l, chain.caps[chain.caps > 0]])
+        ratio = sigma / np.sqrt(inertia)
+        assert np.all((ratio >= 2**-0.5 * (1 - 1e-12)) & (ratio <= 2**0.5 * (1 + 1e-12)))
+
+    @pytest.mark.parametrize("spec", _spread_specs())
+    def test_model_is_the_exact_similarity(self, spec):
+        """Every entry is the SI entry times an exact power-of-two
+        ratio: ``A = S A_si S^-1``, ``B = S B_si``, ``C = C_si S^-1``."""
+        model = build_ladder_state_space(spec)
+        a, b, c = _si_chain_model(spec)
+        sigma = _state_units(spec._chain())
+        np.testing.assert_array_equal(model.a, a * (sigma[:, None] / sigma))
+        np.testing.assert_array_equal(model.b, b * sigma[:, None])
+        np.testing.assert_array_equal(model.c, (c / sigma)[None, :])
+
+    @pytest.mark.parametrize("spec", _spread_specs())
+    def test_transfer_matches_si_model(self, spec):
+        from repro.spice.statespace import StateSpace
+
+        model = build_ladder_state_space(spec)
+        si = StateSpace(*_si_chain_model(spec))
+        # Around the line's natural frequency, where the response lives.
+        w0 = 1.0 / math.sqrt(spec.lt * (spec.ct + spec.cl))
+        s = 1j * w0 * np.logspace(-2, 2, 25)
+        h, h_si = model.transfer_at(s)[:, 0, 0], si.transfer_at(s)[:, 0, 0]
+        # Far in the stop band both solves only resolve |H| to rounding.
+        passband = np.abs(h_si) >= 1e-6
+        assert np.max(np.abs(h - h_si)[passband] / np.abs(h_si[passband])) <= 1e-12
+        assert np.max(np.abs(h - h_si)) <= 1e-12
+
+    @pytest.mark.parametrize("line", _table1_lines([1e-5]))
+    def test_default_step_expm_has_no_subnormals(self, line):
+        """At the route's default step (100 segments, 4001 samples over
+        the default window) ``expm(A dt)`` of an Lt = 10 uH Table 1 cell
+        carries no subnormal number.  In SI units it carried up to 199."""
+        system = build_ladder_state_space(line.ladder(n_segments=100))
+        times = np.linspace(0.0, _time_window(line, 12.0), 4001)
+        e, f = system.discretize(times[1] - times[0])
+        for block in (e, f):
+            subnormal = (block != 0) & (np.abs(block) < np.finfo(float).tiny)
+            assert not np.any(subnormal)
+
+    @pytest.mark.parametrize("topology", list(LadderTopology))
+    def test_delay_matches_long_double_reference(self, topology):
+        """A 20-segment, 401-sample delay of the Lt = 10 uH corner agrees
+        with the same SI-unit ladder stepped in 80-bit arithmetic."""
+        line = DriverLineLoad(rt=table1.RTR, lt=1e-5, ct=table1.CT_TOTAL,
+                              rtr=table1.RTR, cl=0.1 * table1.CT_TOTAL)
+        spec = line.ladder(n_segments=20, topology=topology)
+        times = np.linspace(0.0, _time_window(line, 12.0), 401)
+        (w,) = simulate_step(build_ladder_state_space(spec), times[-1], 401)
+        got = w.delay_50(v_final=1.0)
+
+        a, b, c = _si_chain_model(spec, np.longdouble)
+        n = len(a)
+        aug = np.zeros((n + 1, n + 1), np.longdouble)
+        aug[:n, :n], aug[:n, n:] = a, b
+        phi = _ld_expm(aug * np.longdouble(times[1] - times[0]))
+        e, f = phi[:n, :n], phi[:n, n]
+        x = np.zeros(n, np.longdouble)
+        y = [np.longdouble(0)]
+        while y[-1] < 0.5:
+            x = e @ x + f
+            y.append(c @ x)
+        k = len(y) - 1
+        t0, t1 = np.longdouble(times[k - 1]), np.longdouble(times[k])
+        want = t0 + (0.5 - y[k - 1]) / (y[k] - y[k - 1]) * (t1 - t0)
+        assert abs(float((got - want) / want)) <= 1e-13

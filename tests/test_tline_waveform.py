@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.tline.waveform import (
     rise_time,
     settling_time,
 )
+from repro.tline.waveform import _first_crossings
 
 
 def exponential_rise(tau: float = 1.0, t_end: float = 10.0, n: int = 2001):
@@ -99,6 +102,73 @@ class TestFirstCrossing:
         t, v = exponential_rise()
         got = first_crossing(t, v, level)
         assert got == pytest.approx(-np.log(1.0 - level), abs=5e-3)
+
+
+def _frozen_first_crossings(t, v, level, rising):
+    """The row crossing kernel as it stood before its fast path: the
+    reference its replacement must match bit for bit."""
+    rows = np.arange(v.shape[0])
+    rising = np.asarray(rising, dtype=bool).reshape(-1, 1)
+    satisfied = np.where(rising, v >= level, v <= level)
+    transitions = satisfied[:, 1:] & ~satisfied[:, :-1]
+    i = transitions.argmax(axis=1)
+    v0, v1, t0 = v[rows, i], v[rows, i + 1], t[i]
+    with np.errstate(all="ignore"):
+        frac = (level - v0) / (v1 - v0)
+        crossings = t0 + frac * (t[i + 1] - t0)
+    crossings[~transitions[rows, i]] = math.nan
+    (start,) = np.nonzero(v[:, 0] == level)
+    if start.size:
+        off = v[start, (v[start] != level).argmax(axis=1)]
+        up = np.broadcast_to(rising[:, 0], rows.shape)[start]
+        crossings[start[np.where(up, off > level, off < level)]] = t[0]
+    return crossings
+
+
+def _crossing_rows(rng, n_rows, n, level):
+    """Rows of every kind the kernel tells apart: smooth rises and falls,
+    rows that start at the level, plateaus on it, rows that never cross."""
+    kind = rng.integers(6, size=n_rows)
+    coarse = level + 0.25 * rng.integers(-2, 3, size=(n_rows, n)).cumsum(axis=1)
+    smooth = level + rng.normal(scale=0.3, size=(n_rows, n)).cumsum(axis=1)
+    v = np.where(kind[:, None] < 3, coarse, smooth)
+    v[kind == 1, 0] = level  # starts at the level
+    plateau = kind == 2
+    v[plateau, n // 3: n // 2] = level
+    v[kind == 4] = level - 1.0 - rng.random((np.sum(kind == 4), n))  # never rises
+    v[kind == 5] = level + rng.random((np.sum(kind == 5), n))  # starts beyond
+    return v
+
+
+class TestCrossingKernel:
+    @pytest.mark.parametrize("n", [2, 3, 25, 401])
+    def test_matches_the_frozen_kernel(self, n):
+        rng = np.random.default_rng(20261020 + n)
+        t = np.cumsum(rng.random(n) + 0.1)
+        for level in (0.5, 0.0, float(rng.normal())):
+            v = _crossing_rows(rng, 64, n, level)
+            flags = rng.random(64) < 0.5
+            for rising in (True, False, np.bool_(True), np.array(False), 1, flags,
+                           list(flags)):
+                got = _first_crossings(t, v, level, rising)
+                want = _frozen_first_crossings(t, v, level, rising)
+                np.testing.assert_array_equal(got, want)
+            for row, up in zip(v, flags):
+                # One row, one flag: the first_crossing call.
+                got = _first_crossings(t, row[np.newaxis], level, up)
+                want = _frozen_first_crossings(t, row[np.newaxis], level, up)
+                np.testing.assert_array_equal(got, want)
+
+    def test_columns_of_a_transposed_array(self):
+        """The bus measurement passes a transposed (strided) view."""
+        rng = np.random.default_rng(7)
+        t = np.linspace(0.0, 1.0, 50)
+        columns = _crossing_rows(rng, 16, 50, 0.5).T.copy()
+        flags = rng.random(16) < 0.5
+        np.testing.assert_array_equal(
+            _first_crossings(t, columns.T, 0.5, flags),
+            _frozen_first_crossings(t, columns.T, 0.5, flags),
+        )
 
 
 class TestDelayAndRise:
